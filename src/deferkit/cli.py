@@ -239,6 +239,12 @@ def cmd_sweep(args) -> int:
 
 _VERIFY_FAMILIES = ("single_mae", "two_stage_q0", "two_stage_q05",
                     "two_stage_q1", "two_expert_logistic")
+_TWO_STAGE_Q = {"two_stage_q0": 0.0, "two_stage_q05": 0.5, "two_stage_q1": 1.0}
+_LOGISTIC = PhiSpec(PhiKind.LOGISTIC)
+# least value of each integer verify field; the task generator draws label
+# counts from [2, n_max] and support sizes from [2, k_max]
+_VERIFY_MINIMA = {"num_tasks": 1, "hyps_per_task": 1, "n_max": 2, "ne_max": 1,
+                  "k_max": 2}
 
 
 def cmd_verify(args) -> int:
@@ -246,36 +252,44 @@ def cmd_verify(args) -> int:
         "families": list(_VERIFY_FAMILIES), "num_tasks": 100,
         "hyps_per_task": 5, "n_max": 4, "ne_max": 3, "k_max": 6,
     })
+    if not isinstance(cfg["families"], list):
+        raise ConfigError("families must be a list")
     bad = set(cfg["families"]) - set(_VERIFY_FAMILIES)
     if bad:
         raise ConfigError(f"unknown verify families: {sorted(bad)}")
+    for name, least in _VERIFY_MINIMA.items():
+        value = cfg[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     rows: list[tuple] = []
     violations = 0
+    # families with the same generator arguments check the same tasks
+    tasks = {}
     for family in cfg["families"]:
         constraint = "none" if family == "single_mae" else "theorem7_premise"
-        ne_max = 2 if family == "two_expert_logistic" else int(cfg["ne_max"])
-        for i in range(int(cfg["num_tasks"])):
-            task = gen_random_discrete_task(args.seed, index=i,
-                                            n_max=int(cfg["n_max"]),
-                                            ne_max=ne_max,
-                                            k_max=int(cfg["k_max"]),
-                                            constraint=constraint)
+        ne_max = 2 if family == "two_expert_logistic" else cfg["ne_max"]
+        for i in range(cfg["num_tasks"]):
+            key = (constraint, ne_max, i)
+            if key not in tasks:
+                tasks[key] = gen_random_discrete_task(
+                    args.seed, index=i, n_max=cfg["n_max"], ne_max=ne_max,
+                    k_max=cfg["k_max"], constraint=constraint)
+            task = tasks[key]
             width = (task.shape.augmented_size if family == "single_mae"
                      else task.shape.n_e)
             g = rng.substream(args.seed, f"verify-{family}", i)
-            for h in range(int(cfg["hyps_per_task"])):
+            for h in range(cfg["hyps_per_task"]):
                 hyp = TabularHypothesis(g.standard_normal((task.num_points, width)))
                 if family == "single_mae":
                     report = verify_bound_single_mae(task, hyp)
                 elif family == "two_expert_logistic":
-                    report = verify_bound_two_expert_phi(
-                        task, hyp, PhiSpec(PhiKind.LOGISTIC))
+                    report = verify_bound_two_expert_phi(task, hyp, _LOGISTIC)
                 else:
-                    q = {"two_stage_q0": 0.0, "two_stage_q05": 0.5,
-                         "two_stage_q1": 1.0}[family]
-                    report = verify_bound_two_stage(task, hyp, q)
+                    report = verify_bound_two_stage(task, hyp, _TWO_STAGE_Q[family])
                 violations += report.violations
                 rows.extend((family,) + r for r in report.csv_rows(f"task{i}_h{h}"))
+    if not rows:   # every report adds at least its aggregate row
+        raise ConfigError("verify config checks no reports")
     _write_csv(Path(args.out),
                ["family", "task_id", "point", "lhs", "rhs", "slack", "verdict"],
                rows)

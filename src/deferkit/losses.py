@@ -393,7 +393,7 @@ def two_stage_surrogate_phi_grad(scores, costs, phi: PhiSpec) -> np.ndarray:
 def expert_brackets(costs: np.ndarray, n_e: int) -> np.ndarray:
     """Per-expert coefficients: sum of the other experts' costs minus n_e - 2."""
     c = np.atleast_2d(np.asarray(costs, dtype=float))
-    return c.sum(axis=1, keepdims=True) - c - (n_e - 2)
+    return c.sum(axis=-1, keepdims=True) - c - (n_e - 2)
 
 
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
@@ -429,13 +429,7 @@ def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tupl
 
 
 def two_stage_surrogate_psi_grad_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
-    s = np.atleast_2d(_as_scores(scores))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    n_e = s.shape[-1]
-    b = expert_brackets(c, n_e)
-    p = softmax(s)
-    q = b * psi.deriv(p) * p
-    return q - p * q.sum(axis=1, keepdims=True)
+    return two_stage_surrogate_psi_with_grad_batch(scores, costs, psi)[1]
 
 
 def two_stage_surrogate_psi_grad(scores, costs, psi: PsiSpec) -> np.ndarray:

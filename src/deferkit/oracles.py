@@ -5,7 +5,9 @@ distribution on which expectations, conditional regrets, Bayes actions and
 minimizability gaps are computed by exact summation. The bound verifiers
 check the per-point and aggregated consistency inequalities; a slack below
 ``-SLACK_FLOOR`` counts as a genuine violation, anything above it as
-floating-point noise.
+floating-point noise, and a NaN or infinite slack as a violation. Per-point
+functions take ``k``: an int gives that point's value, any other index
+(``slice(None)``, an index array) those points' values on a leading axis.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class DiscreteTask:
         self.mu = np.asarray(self.mu, dtype=float)
         self.conditionals = np.asarray(self.conditionals, dtype=float)
         self.costs = np.asarray(self.costs, dtype=float)
+        if not all(np.isfinite(a).all() for a in (self.mu, self.conditionals, self.costs)):
+            raise ValueError("marginals, conditionals and costs must be finite")
         if np.any(self.mu < 0) or abs(self.mu.sum() - 1.0) > 1e-12:
             raise ValueError("marginals must be nonnegative and sum to 1")
         if np.any(np.abs(self.conditionals.sum(axis=1) - 1.0) > 1e-12):
@@ -106,14 +110,15 @@ class TabularHypothesis:
 
     def __post_init__(self) -> None:
         self.scores = np.asarray(self.scores, dtype=float)
-        if not np.all(np.isfinite(self.scores)):
+        if not np.isfinite(self.scores).all():
             raise ValueError("invalid scores")
 
-    def action(self, k: int) -> int:
-        return int(np.argmax(self.scores[k]))
+    def action(self, k):
+        """Argmax action at point k (or at each point of an index k)."""
+        return np.argmax(self.scores[k], axis=-1)
 
     def actions(self) -> np.ndarray:
-        return np.argmax(self.scores, axis=1)
+        return self.action(slice(None))
 
 
 def _check_width(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> None:
@@ -122,49 +127,54 @@ def _check_width(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> None
         raise ValueError(f"hypothesis shape {hyp.scores.shape} != ({task.num_points}, {want})")
 
 
-def augmented_values(task: DiscreteTask, k: int) -> np.ndarray:
+def _per_point(x):
+    """A float for a single point, the array for an index of points."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _vecmat(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``p @ m`` per point, rounded as the 1-D product is (one BLAS call per
+    point); a vector m gives the dot product."""
+    if m.ndim == p.ndim:
+        return np.matmul(p[..., None, :], m[..., :, None])[..., 0, 0]
+    return np.matmul(p[..., None, :], m)[..., 0, :]
+
+
+def _pick(values: np.ndarray, actions) -> np.ndarray:
+    return np.take_along_axis(values, actions[..., None], axis=-1)[..., 0]
+
+
+def augmented_values(task: DiscreteTask, k) -> np.ndarray:
     """Augmented action values at point k: p(y|x) for labels, then the
     expected agreement mass sum_y p(y|x)(1 - c_j(x, y)) for each expert."""
     p = task.conditionals[k]
-    p_expert = (p[:, None] * (1.0 - task.costs[k])).sum(axis=0)
-    return np.concatenate([p, p_expert])
+    p_expert = (p[..., :, None] * (1.0 - task.costs[k])).sum(axis=-2)
+    return np.concatenate([p, p_expert], axis=-1)
 
 
-def expected_costs(task: DiscreteTask, k: int) -> np.ndarray:
-    return task.conditionals[k] @ task.costs[k]
+def expected_costs(task: DiscreteTask, k) -> np.ndarray:
+    return _vecmat(task.conditionals[k], task.costs[k])
 
 
-def conditional_regret_def(task: DiscreteTask, hyp: TabularHypothesis, k: int) -> float:
+def conditional_regret_def(task: DiscreteTask, hyp: TabularHypothesis, k):
     """Deferral-loss conditional regret: best augmented value minus the value
     of the chosen action."""
-    _check_width(task, hyp, "single")
-    v = augmented_values(task, k)
-    return float(v.max() - v[hyp.action(k)])
+    return conditional_regret_surrogate(task, hyp, k, OracleLoss("def"))
 
 
-def conditional_regret_tdef(task: DiscreteTask, hyp: TabularHypothesis, k: int) -> float:
-    _check_width(task, hyp, "two")
-    e = expected_costs(task, k)
-    return float(e[hyp.action(k)] - e.min())
-
-
-def _one_hot_scores(actions: np.ndarray, width: int) -> np.ndarray:
-    scores = np.zeros((len(actions), width))
-    scores[np.arange(len(actions)), actions] = 1.0
-    return scores
+def conditional_regret_tdef(task: DiscreteTask, hyp: TabularHypothesis, k):
+    return conditional_regret_surrogate(task, hyp, k, OracleLoss("tdef"))
 
 
 def bayes_deferral(task: DiscreteTask) -> TabularHypothesis:
     """Per-point argmax over augmented values; ties to the lowest index."""
-    acts = np.array([int(np.argmax(augmented_values(task, k)))
-                     for k in range(task.num_points)])
-    return TabularHypothesis(_one_hot_scores(acts, task.shape.augmented_size))
+    acts = np.argmax(augmented_values(task, slice(None)), axis=-1)
+    return TabularHypothesis(np.eye(task.shape.augmented_size)[acts])
 
 
 def bayes_two_stage(task: DiscreteTask) -> TabularHypothesis:
-    acts = np.array([int(np.argmin(expected_costs(task, k)))
-                     for k in range(task.num_points)])
-    return TabularHypothesis(_one_hot_scores(acts, task.shape.n_e))
+    acts = np.argmin(expected_costs(task, slice(None)), axis=-1)
+    return TabularHypothesis(np.eye(task.shape.n_e)[acts])
 
 
 # ---------------------------------------------------------------------------
@@ -198,104 +208,99 @@ class OracleLoss:
 
 def _mae_given_probs(probs: np.ndarray, task: DiscreteTask, k: int) -> float:
     """Expected q=1 surrogate at point k as a function of the output
-    probability vector (affine in probs)."""
+    probability vector, in the loss's bracket form (affine in probs)."""
     n, n_e = task.shape.n, task.shape.n_e
-    p = task.conditionals[k]
     c = task.costs[k]                       # (n, n_e)
     a0 = c.sum(axis=1) + 1.0 - n_e          # (n,)
-    w = 1.0 - c
-    val = 0.0
-    for y in range(n):
-        val += p[y] * (a0[y] * (1.0 - probs[y])
-                       + (w[y] * (1.0 - probs[y] - probs[n:])).sum())
-    return float(val)
+    u0 = probs[:n, None]
+    per_label = a0 * (1.0 - probs[:n]) + ((1.0 - c) * (1.0 - u0 - probs[n:])).sum(axis=1)
+    return float(task.conditionals[k] @ per_label)
 
 
-def _qbar(task: DiscreteTask, k: int) -> np.ndarray:
+def _qbar(task: DiscreteTask, k) -> np.ndarray:
     """Expected per-expert bracket coefficients for the two-stage surrogate."""
-    b = losses.expert_brackets(task.costs[k], task.shape.n_e)  # (n, n_e)
-    return task.conditionals[k] @ b
+    b = losses.expert_brackets(task.costs[k], task.shape.n_e)  # (..., n, n_e)
+    return _vecmat(task.conditionals[k], b)
 
 
-def _phi_cond(task: DiscreteTask, k: int, phi: PhiSpec, margin: float) -> float:
-    e = expected_costs(task, k)
-    return float(e[0] * phi.value(-margin) + e[1] * phi.value(margin))
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum value of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd, f(lo), f(hi))
-
-
-def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k: int,
-                      loss: OracleLoss) -> float:
+def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
+                      loss: OracleLoss):
     """Expected loss at point k under the label conditional."""
     _check_width(task, hyp, loss.stage)
     s = hyp.scores[k]
     p = task.conditionals[k]
     if loss.name == "def":
-        return float(1.0 - augmented_values(task, k)[hyp.action(k)])
-    if loss.name == "tdef":
-        return float(expected_costs(task, k)[hyp.action(k)])
-    if loss.name == "mae":
-        vals = losses.surrogate_mae_batch(
-            np.tile(s, (task.shape.n, 1)), np.arange(task.shape.n),
-            task.costs[k], task.shape)
-        return float(p @ vals)
-    if loss.name == "two_stage_psi":
-        return float(_qbar(task, k) @ loss.psi.value(losses.softmax(s)))
-    return _phi_cond(task, k, loss.phi, float(s[0] - s[1]))
+        out = 1.0 - _pick(augmented_values(task, k), hyp.action(k))
+    elif loss.name == "tdef":
+        out = _pick(expected_costs(task, k), hyp.action(k))
+    elif loss.name == "mae":
+        # one row per (point, label): the point's scores against that label
+        width = s.shape[-1]
+        rows = np.broadcast_to(s[..., None, :], p.shape + (width,)).reshape(-1, width)
+        labels = np.broadcast_to(np.arange(task.shape.n), p.shape).ravel()
+        vals = losses.surrogate_mae_batch(rows, labels, task.costs[k].reshape(-1, task.shape.n_e),
+                                          task.shape)
+        out = _vecmat(p, vals.reshape(p.shape))
+    elif loss.name == "two_stage_psi":
+        out = _vecmat(_qbar(task, k), loss.psi.value(losses.softmax(s)))
+    else:
+        e = expected_costs(task, k)
+        margin = s[..., 0] - s[..., 1]
+        out = e[..., 0] * loss.phi.value(-margin) + e[..., 1] * loss.phi.value(margin)
+    return _per_point(out)
 
 
-def conditional_min_surrogate(task: DiscreteTask, k: int, loss: OracleLoss) -> float:
+def _weighted_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum_j w_j log(w_j / sum w) over the last axis, with 0 log 0 = 0: the
+    minimum over the simplex of -sum_j w_j log s_j for w >= 0."""
+    total = w.sum(axis=-1, keepdims=True)
+    pos = w > 0.0
+    return -np.where(pos, w * np.log(np.where(pos, w, 1.0) / total), 0.0).sum(axis=-1)
+
+
+def _psi_min(qbar: np.ndarray, q: float) -> np.ndarray:
+    total = qbar.sum(axis=-1)
+    if q == 1.0:
+        return total - qbar.max(axis=-1)
+    if q == 0.0:
+        val = _weighted_entropy(qbar)
+    else:
+        weights = qbar ** (1.0 / (1.0 - q))
+        s_star = weights / weights.sum(axis=-1, keepdims=True)
+        val = (qbar * (1.0 - s_star ** q)).sum(axis=-1) / q
+    return np.where(total <= 0.0, 0.0, val)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # masked-out entries may divide by 0
+def conditional_min_surrogate(task: DiscreteTask, k, loss: OracleLoss):
     """Infimum of the conditional surrogate error over all score vectors.
 
-    mae: affine in the output distribution, so the minimum over the closed
-    simplex is at a vertex. two_stage_psi: closed-form stationary point for
-    q in [0, 1) and vertex minimum for q = 1. two_stage_phi: golden-section
-    over the score margin.
+    mae: as a0_y + sum_j (1 - c_yj) = 1, the error is 1 - <augmented values,
+    output probabilities>, least at the best vertex. two_stage_psi:
+    closed-form stationary point for q in [0, 1), vertex minimum for q = 1.
+    two_stage_phi: the minimal conditional margin risks of Bartlett, Jordan
+    & McAuliffe (JASA 2006) for expected costs e0, e1, namely
+    (e0 + e1) H(e0 / (e0 + e1)) with H the binary entropy in nats
+    (logistic), 2 sqrt(e0 e1) (exponential) and 2 min(e0, e1) (hinge).
     """
-    if loss.name == "def":
-        return float(1.0 - augmented_values(task, k).max())
-    if loss.name == "tdef":
-        return float(expected_costs(task, k).min())
-    if loss.name == "mae":
-        width = task.shape.augmented_size
-        return min(_mae_given_probs(np.eye(width)[a], task, k) for a in range(width))
-    if loss.name == "two_stage_psi":
-        qbar = _qbar(task, k)
-        q = loss.psi.q
-        total = qbar.sum()
-        if q == 1.0:
-            return float(total - qbar.max())
-        if total <= 0.0:
-            return 0.0
-        if q == 0.0:
-            s_star = qbar / total
-            pos = qbar > 0
-            return float(-(qbar[pos] * np.log(s_star[pos])).sum())
-        weights = qbar ** (1.0 / (1.0 - q))
-        s_star = weights / weights.sum()
-        return float((qbar * (1.0 - s_star ** q)).sum() / q)
-    return _golden_min(lambda m: _phi_cond(task, k, loss.phi, m), -60.0, 60.0)
+    if loss.name in ("def", "mae"):
+        out = 1.0 - augmented_values(task, k).max(axis=-1)
+    elif loss.name == "tdef":
+        out = expected_costs(task, k).min(axis=-1)
+    elif loss.name == "two_stage_psi":
+        out = _psi_min(_qbar(task, k), loss.psi.q)
+    elif loss.phi.kind is losses.PhiKind.LOGISTIC:
+        out = _weighted_entropy(expected_costs(task, k))
+    else:
+        e = expected_costs(task, k)
+        exponential = loss.phi.kind is losses.PhiKind.EXPONENTIAL
+        out = 2.0 * (np.sqrt(e[..., 0] * e[..., 1]) if exponential
+                     else np.minimum(e[..., 0], e[..., 1]))
+    return _per_point(out)
 
 
 def conditional_regret_surrogate(task: DiscreteTask, hyp: TabularHypothesis,
-                                 k: int, loss: OracleLoss) -> float:
+                                 k, loss: OracleLoss):
     return conditional_error(task, hyp, k, loss) - conditional_min_surrogate(task, k, loss)
 
 
@@ -375,15 +380,13 @@ def grid_min_simplex(fn, width: int, resolution: float = 0.02) -> float:
 
 def generalization_error(task: DiscreteTask, hyp: TabularHypothesis,
                          loss: OracleLoss) -> float:
-    return float(sum(task.mu[k] * conditional_error(task, hyp, k, loss)
-                     for k in range(task.num_points)))
+    return float(task.mu @ conditional_error(task, hyp, slice(None), loss))
 
 
 def empirical_excess(task: DiscreteTask, hyp: TabularHypothesis,
                      loss: OracleLoss) -> float:
     """Excess error over the tabular-class optimum, by exact summation."""
-    return float(sum(task.mu[k] * conditional_regret_surrogate(task, hyp, k, loss)
-                     for k in range(task.num_points)))
+    return float(task.mu @ conditional_regret_surrogate(task, hyp, slice(None), loss))
 
 
 def minimizability_gap(task: DiscreteTask, loss: OracleLoss,
@@ -400,15 +403,19 @@ def minimizability_gap(task: DiscreteTask, loss: OracleLoss,
     if not candidates:
         raise ValueError("fixed_family requires a nonempty candidate set")
     best_overall = min(generalization_error(task, h, loss) for h in candidates)
-    pointwise = sum(task.mu[k] * min(conditional_error(task, h, k, loss)
-                                     for h in candidates)
-                    for k in range(task.num_points))
-    return float(best_overall - pointwise)
+    errors = [conditional_error(task, h, slice(None), loss) for h in candidates]
+    return float(best_overall - task.mu @ np.min(errors, axis=0))
 
 
 # ---------------------------------------------------------------------------
 # bound verifiers
 # ---------------------------------------------------------------------------
+
+
+def _slack_ok(slack):
+    """True where the slack is finite and at least -SLACK_FLOOR; NaN and
+    infinite slacks fail, so a verifier cannot pass on broken arithmetic."""
+    return (slack >= -SLACK_FLOOR) & (slack < np.inf)
 
 
 @dataclass
@@ -437,10 +444,8 @@ class RegretReport:
     def violations(self) -> int:
         if not self.premise_met:
             return 0
-        count = int(np.sum(self.slack < -SLACK_FLOOR))
-        if self.aggregate_slack < -SLACK_FLOOR:
-            count += 1
-        return count
+        return (int(np.count_nonzero(~_slack_ok(self.slack)))
+                + int(not _slack_ok(self.aggregate_slack)))
 
     @property
     def max_negative_slack(self) -> float:
@@ -451,31 +456,39 @@ class RegretReport:
         return self.violations == 0
 
     def csv_rows(self, task_id: str) -> list[tuple]:
+        slack, ok = self.slack, _slack_ok(self.slack)
         rows = [(task_id, k, float(self.target_regrets[k]), float(self.rhs[k]),
-                 float(self.slack[k]), "ok" if self.slack[k] >= -SLACK_FLOOR else "violation")
+                 float(slack[k]), "ok" if ok[k] else "violation")
                 for k in range(len(self.target_regrets))]
         rows.append((task_id, -1, self.excess_target, self.aggregate_rhs,
                      self.aggregate_slack,
-                     "ok" if self.aggregate_slack >= -SLACK_FLOOR else "violation"))
+                     "ok" if _slack_ok(self.aggregate_slack) else "violation"))
         return rows
 
 
 def _per_point_regrets(task, hyp, target: OracleLoss, surrogate: OracleLoss):
-    k_range = range(task.num_points)
-    tgt = np.array([conditional_regret_surrogate(task, hyp, k, target) for k in k_range])
-    sur = np.array([conditional_regret_surrogate(task, hyp, k, surrogate) for k in k_range])
+    tgt = conditional_regret_surrogate(task, hyp, slice(None), target)
+    sur = conditional_regret_surrogate(task, hyp, slice(None), surrogate)
     return tgt, np.maximum(sur, 0.0)
+
+
+def _regret_report(task, hyp, target: OracleLoss, surrogate: OracleLoss,
+                   gamma, label: str) -> RegretReport:
+    """Bound target regret <= gamma(surrogate regret), per point and on the
+    mu-weighted excesses."""
+    tgt, sur = _per_point_regrets(task, hyp, target, surrogate)
+    return RegretReport(
+        target_regrets=tgt, surrogate_regrets=sur, rhs=gamma(sur),
+        excess_target=float(task.mu @ tgt), excess_surrogate=float(task.mu @ sur),
+        aggregate_rhs=float(gamma(task.mu @ sur)), label=label)
 
 
 def verify_bound_single_mae(task: DiscreteTask, hyp: TabularHypothesis) -> RegretReport:
     """Per-point and aggregated check of the (n + n_e)-factor bound tying the
     deferral regret to the q=1 surrogate regret."""
     factor = task.shape.augmented_size
-    tgt, sur = _per_point_regrets(task, hyp, OracleLoss("def"), OracleLoss("mae"))
-    return RegretReport(
-        target_regrets=tgt, surrogate_regrets=sur, rhs=factor * sur,
-        excess_target=float(task.mu @ tgt), excess_surrogate=float(task.mu @ sur),
-        aggregate_rhs=float(factor * (task.mu @ sur)), label="single_mae")
+    return _regret_report(task, hyp, OracleLoss("def"), OracleLoss("mae"),
+                          lambda t: factor * t, "single_mae")
 
 
 def two_stage_gamma(q: float, cbar_max: float, n_e: int):
@@ -490,8 +503,7 @@ def two_stage_gamma(q: float, cbar_max: float, n_e: int):
 
 def check_two_stage_premise(task: DiscreteTask) -> bool:
     """Every leave-one-out cost sum must reach n_e - 2."""
-    b = losses.expert_brackets(task.costs.reshape(-1, task.shape.n_e), task.shape.n_e)
-    return bool(np.all(b >= -1e-12))
+    return bool(np.all(losses.expert_brackets(task.costs, task.shape.n_e) >= -1e-12))
 
 
 def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
@@ -500,15 +512,10 @@ def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
     the q-dependent square-root / linear transform."""
     if not check_two_stage_premise(task):
         raise ValueError("assumption sum of other experts' costs >= n_e - 2 fails")
-    psi = PsiSpec(q=q)
     cbar_max = float(task.costs.max(axis=(0, 1)).max())
-    gamma = two_stage_gamma(q, cbar_max, task.shape.n_e)
-    tgt, sur = _per_point_regrets(task, hyp, OracleLoss("tdef"),
-                                  OracleLoss("two_stage_psi", psi=psi))
-    return RegretReport(
-        target_regrets=tgt, surrogate_regrets=sur, rhs=gamma(sur),
-        excess_target=float(task.mu @ tgt), excess_surrogate=float(task.mu @ sur),
-        aggregate_rhs=float(gamma(task.mu @ sur)), label=f"two_stage_q{q}")
+    return _regret_report(task, hyp, OracleLoss("tdef"),
+                          OracleLoss("two_stage_psi", psi=PsiSpec(q=q)),
+                          two_stage_gamma(q, cbar_max, task.shape.n_e), f"two_stage_q{q}")
 
 
 def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
@@ -523,8 +530,6 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
     c_hi = task.costs.max(axis=(0, 1))
     denom = float(c_lo.sum())
     scale = float(c_hi.sum())
-    tgt, sur = _per_point_regrets(task, hyp, OracleLoss("tdef"),
-                                  OracleLoss("two_stage_phi", phi=phi))
 
     def gamma(t):
         t = np.asarray(t, dtype=float)
@@ -532,10 +537,8 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
             return np.where(t > 0, np.inf, 0.0)
         return scale * np.sqrt(2.0 * t / denom)
 
-    return RegretReport(
-        target_regrets=tgt, surrogate_regrets=sur, rhs=gamma(sur),
-        excess_target=float(task.mu @ tgt), excess_surrogate=float(task.mu @ sur),
-        aggregate_rhs=float(gamma(task.mu @ sur)), label=f"two_expert_{phi.kind.value}")
+    return _regret_report(task, hyp, OracleLoss("tdef"), OracleLoss("two_stage_phi", phi=phi),
+                          gamma, f"two_expert_{phi.kind.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +548,13 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
 
 def minimal_margin(task: DiscreteTask, stage: str) -> np.ndarray:
     """Gap between the best and second-best action value at each point."""
-    out = np.empty(task.num_points)
-    for k in range(task.num_points):
-        if stage == "single":
-            v = np.sort(augmented_values(task, k))[::-1]
-            out[k] = v[0] - v[1]
-        elif stage == "two":
-            e = np.sort(expected_costs(task, k))
-            out[k] = e[1] - e[0]
-        else:
-            raise ValueError(f"unknown stage {stage!r}")
-    return out
+    if stage == "single":
+        v = np.sort(augmented_values(task, slice(None)), axis=-1)
+        return v[:, -1] - v[:, -2]
+    if stage == "two":
+        e = np.sort(expected_costs(task, slice(None)), axis=-1)
+        return e[:, 1] - e[:, 0]
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 @dataclass
@@ -601,12 +600,8 @@ class ChainReport:
 
     @property
     def violations(self) -> int:
-        count = 0
-        if self.lhs > self.middle + SLACK_FLOOR:
-            count += 1
-        if self.middle > self.rhs + SLACK_FLOOR:
-            count += 1
-        return count
+        return (int(not _slack_ok(self.middle - self.lhs))
+                + int(not _slack_ok(self.rhs - self.middle)))
 
     @property
     def ok(self) -> bool:
@@ -639,9 +634,12 @@ class EnhancedReport:
 
     @property
     def violations(self) -> int:
+        if not np.isfinite(self.lhs):
+            return 1
+        # an unmet premise leaves rhs undefined (inf) and is no violation
         if not self.premise_met:
             return 0
-        return int(self.lhs > self.rhs + SLACK_FLOOR)
+        return int(not _slack_ok(self.rhs - self.lhs))
 
     @property
     def ok(self) -> bool:
@@ -663,7 +661,8 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
     stage = "single" if surrogate.stage == "single" else "two"
     target = OracleLoss("def" if stage == "single" else "tdef")
     tgt, sur = _per_point_regrets(task, hyp, target, surrogate)
-    premise = bool(np.all(tgt <= sur ** (1.0 / s) + SLACK_FLOOR))
+    # unmet only where a point is known to break it, so NaN cannot skip the check
+    premise = not np.any(tgt > sur ** (1.0 / s) + SLACK_FLOOR)
     excess_t = float(task.mu @ tgt)
     excess_s = float(task.mu @ sur)
     if not premise:

@@ -101,6 +101,41 @@ def test_verify_writes_report(tmp_path):
     assert all(line.endswith("ok") for line in lines[1:])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_tasks", "ten"), ("num_tasks", 2.5), ("num_tasks", True),
+    ("hyps_per_task", 0), ("n_max", 1), ("ne_max", 0), ("k_max", 1),
+])
+def test_verify_bad_config_value_is_config_error(tmp_path, capsys, field, value):
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 2, field: value})
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_checking_nothing_fails(tmp_path):
+    cfg = write(tmp_path / "v.json", {"version": 1, "families": []})
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_verify_generates_each_task_once(tmp_path, monkeypatch):
+    # the three two_stage_q* families share their tasks
+    from deferkit import cli
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, sorted(kwargs.items())))
+        return gen(*args, **kwargs)
+
+    gen = cli.gen_random_discrete_task
+    monkeypatch.setattr(cli, "gen_random_discrete_task", counting)
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 1})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(calls) == 9 and len({repr(c) for c in calls}) == 9
+
+
 def test_sweep_parallel_output_is_byte_identical(tmp_path):
     cfg = write(tmp_path / "s.json",
                 {"version": 1, "sizes": [100], "trials": 2, "epochs": 10,

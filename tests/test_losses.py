@@ -18,6 +18,7 @@ from deferkit.losses import (
     two_stage_deferral_loss,
     two_stage_surrogate_phi,
     two_stage_surrogate_psi,
+    two_stage_surrogate_psi_grad_batch,
 )
 
 
@@ -218,6 +219,15 @@ def test_two_stage_psi_hand_values():
     # n_e=3, all costs 1, uniform scores, q=1
     val = two_stage_surrogate_psi(np.zeros(3), np.ones(3), PsiSpec(q=1.0))
     assert val == pytest.approx(2.0)
+
+
+def test_two_stage_psi_grad_batch_checks_shapes():
+    # the gradient entry point rejects what its loss sibling rejects
+    psi = PsiSpec(q=0.5)
+    with pytest.raises(ValueError, match="cost width"):
+        two_stage_surrogate_psi_grad_batch(np.zeros((2, 3)), np.ones((2, 2)), psi)
+    with pytest.raises(ValueError, match="at least 2 experts"):
+        two_stage_surrogate_psi_grad_batch(np.zeros((2, 1)), np.ones((2, 1)), psi)
 
 
 def test_two_stage_psi_realizable_limit():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferkit.losses import PhiKind, PhiSpec, ProblemShape, PsiSpec
 from deferkit.oracles import (
     ChainReport,
     DiscreteTask,
+    EnhancedReport,
     OracleLoss,
+    RegretReport,
     TabularHypothesis,
+    _qbar,
     augmented_values,
     bayes_deferral,
     bayes_two_stage,
@@ -16,6 +21,7 @@ from deferkit.oracles import (
     conditional_regret_surrogate,
     conditional_regret_tdef,
     empirical_excess,
+    expected_costs,
     fit_tsybakov_B,
     grid_min_simplex,
     minimal_margin,
@@ -289,13 +295,165 @@ def test_grid_matches_vertex_minimum_for_affine_losses():
 
 
 def test_phi_conditional_min_against_margin_grid():
+    # closed form <= grid value + 1e-9 and within 1e-5 of it at every point
     task = gen_random_discrete_task(37, 0, ne_max=2, constraint="theorem7_premise")
-    phi = PhiSpec(PhiKind.LOGISTIC)
-    loss = OracleLoss("two_stage_phi", phi=phi)
-    for k in range(task.num_points):
-        golden = conditional_min_surrogate(task, k, loss)
-        e = task.conditionals[k] @ task.costs[k]
+    e = np.einsum("ky,kyj->kj", task.conditionals, task.costs)
+    for kind in PhiKind:
+        phi = PhiSpec(kind)
+        closed = conditional_min_surrogate(task, slice(None),
+                                           OracleLoss("two_stage_phi", phi=phi))
         ms = np.linspace(-60, 60, 20001)
-        brute = (e[0] * phi.value(-ms) + e[1] * phi.value(ms)).min()
-        assert golden <= brute + 1e-9
-        assert golden == pytest.approx(brute, abs=1e-5)
+        if kind is PhiKind.HINGE:
+            # piecewise linear with kinks at +-1, which the 0.006 spacing misses
+            ms = np.union1d(ms, [-1.0, 1.0])
+        brute = (e[:, :1] * phi.value(-ms) + e[:, 1:] * phi.value(ms)).min(axis=1)
+        assert np.all(closed <= brute + 1e-9), kind
+        np.testing.assert_allclose(closed, brute, rtol=0, atol=1e-5, err_msg=kind.value)
+
+
+ORACLE_LOSSES = ([OracleLoss("def"), OracleLoss("tdef"), OracleLoss("mae")]
+                 + [OracleLoss("two_stage_psi", psi=PsiSpec(q=q))
+                    for q in (0.0, 0.25, 0.5, 1.0)]
+                 + [OracleLoss("two_stage_phi", phi=PhiSpec(kind)) for kind in PhiKind])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_LOSSES), st.integers(0, 2**31 - 1))
+def test_all_points_equal_stacked_per_point(loss, seed):
+    # every per-point function: the all-points array equals the per-k
+    # results stacked within 1e-12, and an index array selects those rows
+    if loss.stage == "single":
+        task = gen_random_discrete_task(seed, 0)
+        width, regret = task.shape.augmented_size, conditional_regret_def
+    else:
+        ne_max = 2 if loss.name == "two_stage_phi" else 3
+        task = gen_random_discrete_task(seed, 0, ne_max=ne_max,
+                                        constraint="theorem7_premise")
+        width, regret = task.shape.n_e, conditional_regret_tdef
+    hyp = TabularHypothesis(np.random.default_rng(seed).standard_normal(
+        (task.num_points, width)))
+    per_point = [
+        lambda k: augmented_values(task, k),
+        lambda k: expected_costs(task, k),
+        lambda k: regret(task, hyp, k),
+        lambda k: conditional_error(task, hyp, k, loss),
+        lambda k: conditional_min_surrogate(task, k, loss),
+        lambda k: conditional_regret_surrogate(task, hyp, k, loss),
+    ]
+    if loss.stage == "two":
+        per_point.append(lambda k: _qbar(task, k))
+    order = np.arange(task.num_points)[::-1]
+    for f in per_point:
+        stacked = np.array([f(k) for k in range(task.num_points)])
+        np.testing.assert_allclose(f(slice(None)), stacked, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f(order), stacked[order], rtol=0, atol=1e-12)
+    # the all-points-only functions against per-point loops
+    v = np.array([augmented_values(task, k) for k in range(task.num_points)])
+    e = np.array([expected_costs(task, k) for k in range(task.num_points)])
+    top2 = np.sort(v, axis=1)[:, ::-1]
+    low2 = np.sort(e, axis=1)
+    np.testing.assert_allclose(minimal_margin(task, "single"), top2[:, 0] - top2[:, 1],
+                               rtol=0, atol=1e-12)
+    if task.shape.n_e >= 2:
+        np.testing.assert_allclose(minimal_margin(task, "two"), low2[:, 1] - low2[:, 0],
+                                   rtol=0, atol=1e-12)
+    assert np.array_equal(bayes_deferral(task).actions(), [np.argmax(r) for r in v])
+    assert np.array_equal(bayes_two_stage(task).actions(), [np.argmin(r) for r in e])
+
+
+def test_single_point_calls_return_floats():
+    task = gen_random_discrete_task(41, 0)
+    hyp = bayes_deferral(task)
+    for loss in (OracleLoss("def"), OracleLoss("mae")):
+        assert isinstance(conditional_error(task, hyp, 0, loss), float)
+        assert isinstance(conditional_min_surrogate(task, 0, loss), float)
+    assert isinstance(conditional_regret_def(task, hyp, 0), float)
+
+
+# ---------------------------------------------------------------------------
+# fail closed on non-finite input
+# ---------------------------------------------------------------------------
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mu", "conditionals", "costs"]), NON_FINITE,
+       st.integers(0, 2**31 - 1))
+def test_task_rejects_non_finite(field, bad, seed):
+    task = gen_random_discrete_task(seed % 1000, 0)
+    arrays = {"mu": task.mu.copy(), "conditionals": task.conditionals.copy(),
+              "costs": task.costs.copy()}
+    arrays[field].flat[np.random.default_rng(seed).integers(arrays[field].size)] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteTask(shape=task.shape, **arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(NON_FINITE, st.integers(0, 3), st.integers(0, 5))
+def test_reports_with_non_finite_slack_are_not_ok(bad, where, point):
+    regrets = np.full(6, 0.1)
+    fields = dict(target_regrets=regrets.copy(), surrogate_regrets=regrets.copy(),
+                  rhs=regrets + 0.1, excess_target=0.1, excess_surrogate=0.1,
+                  aggregate_rhs=0.2)
+    assert RegretReport(**fields).ok
+    name = ("target_regrets", "rhs", "excess_target", "aggregate_rhs")[where]
+    if isinstance(fields[name], np.ndarray):
+        fields[name][point] = bad
+    else:
+        fields[name] = bad
+    rep = RegretReport(**fields)
+    assert not rep.ok and rep.violations >= 1
+    assert "violation" in [row[-1] for row in rep.csv_rows("t")]
+    chain = [0.1, 0.2, 0.3]
+    chain[where % 3] = bad
+    assert not ChainReport(*chain).ok
+    assert not EnhancedReport(lhs=bad, rhs=1.0, premise_met=True).ok
+    assert not EnhancedReport(lhs=bad, rhs=np.inf, premise_met=False).ok
+    assert not EnhancedReport(lhs=0.1, rhs=bad, premise_met=True).ok
+
+
+def test_enhanced_bound_nan_surrogate_regret_is_a_violation(monkeypatch):
+    # a NaN regret must fail the check, not pass as "premise unmet"
+    import deferkit.oracles as oracles
+    task = gen_random_discrete_task(13, 0, constraint="positive_margin")
+    zeros = np.zeros(task.num_points)
+    monkeypatch.setattr(oracles, "_per_point_regrets",
+                        lambda *args: (zeros, np.full_like(zeros, np.nan)))
+    rep = verify_enhanced_bound(task, bayes_deferral(task), OracleLoss("mae"), 2.0,
+                                "theorem_multi")
+    assert rep.premise_met and not rep.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mu", "conditionals", "costs"]), st.integers(0, 2**31 - 1))
+def test_verifiers_fail_closed_on_nan(field, seed):
+    # NaN written into a task after validation: every verifier either
+    # refuses the task or reports a violation, never ok
+    task = gen_random_discrete_task(seed % 1000, 0, ne_max=2,
+                                    constraint="theorem7_premise")
+    g = np.random.default_rng(seed)
+    single = TabularHypothesis(g.standard_normal((task.num_points,
+                                                  task.shape.augmented_size)))
+    two = TabularHypothesis(g.standard_normal((task.num_points, 2)))
+    profile = fit_tsybakov_B(np.full(task.num_points, 0.5), task.mu, 0.5)
+    poisoned = getattr(task, field)
+    poisoned.flat[g.integers(poisoned.size)] = np.nan
+    checks = [
+        lambda: verify_bound_single_mae(task, single),
+        lambda: verify_bound_two_stage(task, two, 0.5),
+        lambda: verify_bound_two_expert_phi(task, two, PhiSpec(PhiKind.LOGISTIC)),
+        lambda: verify_lemma_noise(task, single, profile, "single"),
+        lambda: verify_lemma_noise(task, two, profile, "two"),
+        lambda: verify_enhanced_bound(task, single, OracleLoss("mae"), 2.0,
+                                      "theorem_multi"),
+        lambda: verify_enhanced_bound(task, two, OracleLoss("two_stage_psi",
+                                                            psi=PsiSpec(q=0.5)),
+                                      2.0, "theorem_mm", profile=profile),
+    ]
+    for check in checks:
+        try:
+            rep = check()
+        except ValueError:
+            continue
+        assert not rep.ok, rep
