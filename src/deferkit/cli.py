@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -78,9 +79,39 @@ def _load_config(path: str, allowed: dict) -> dict:
 _REQUIRED = object()
 
 
+def _check_minima(cfg: dict, minima: dict) -> None:
+    """Raises ConfigError naming the first field that has the wrong type or
+    lies below its least value. An int least value asks for an integer, a
+    float one for any finite number."""
+    for name, least in minima.items():
+        value = cfg[name]
+        kind = int if isinstance(least, int) else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or (isinstance(value, float) and not math.isfinite(value))
+                or value < least):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{name} must be {what} >= {least}, got {value!r}")
+
+
+def _train_config(**fields) -> TrainConfig:
+    try:
+        return TrainConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _train_minima(cfg: dict) -> dict:
+    """Least values of the trainer fields shared by train and sweep."""
+    minima = {"epochs": 1, "learning_rate": 0.0}
+    if cfg["batch_size"] != "full":
+        minima["batch_size"] = 1
+    return minima
+
+
 def _mog_config(cfg: dict) -> MogConfig:
-    return MogConfig(dim=int(cfg["dim"]), components=int(cfg["components"]),
-                     n=int(cfg["n"]), n_e=int(cfg["n_e"]))
+    _check_minima(cfg, {"dim": 1, "components": 1, "n": 2, "n_e": 1})
+    return MogConfig(dim=cfg["dim"], components=cfg["components"],
+                     n=cfg["n"], n_e=cfg["n_e"])
 
 
 def _save_dataset(path: Path, dataset: LabeledDataset, seed: int,
@@ -110,8 +141,9 @@ def cmd_gen_data(args) -> int:
         "kind": _REQUIRED, "num_samples": _REQUIRED, "dim": 16,
         "components": 8, "n": 4, "n_e": 2, "ranges": None,
     })
+    _check_minima(cfg, {"num_samples": 1})
     mog = _mog_config(cfg)
-    num = int(cfg["num_samples"])
+    num = cfg["num_samples"]
     if cfg["kind"] == "mog_single":
         dataset, _ = gen_realizable_mog(mog, num, args.seed)
     elif cfg["kind"] == "mog_two":
@@ -141,22 +173,28 @@ def cmd_train(args) -> int:
         "epochs": 500, "batch_size": "full", "optimizer": "gd",
         "momentum": 0.9, "standardize": True,
     })
+    if cfg["model"] not in ("linear", "mlp"):
+        raise ConfigError(f"unknown model {cfg['model']!r}")
+    minima = dict(_train_minima(cfg), momentum=0.0)
+    if cfg["model"] == "mlp":
+        minima["hidden"] = 1
+    _check_minima(cfg, minima)
+    if not isinstance(cfg["standardize"], bool):
+        raise ConfigError(f"standardize must be true or false, got {cfg['standardize']!r}")
+    tc = _train_config(learning_rate=float(cfg["learning_rate"]),
+                       epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                       seed=args.seed, optimizer=cfg["optimizer"],
+                       momentum=float(cfg["momentum"]),
+                       standardize=cfg["standardize"])
     dataset = load_dataset(cfg["data"])
     selector = _selector_from_config(cfg)
     if selector.stage != dataset.stage:
         raise ConfigError("loss stage does not match dataset stage")
-    tc = TrainConfig(learning_rate=float(cfg["learning_rate"]),
-                     epochs=int(cfg["epochs"]), batch_size=cfg["batch_size"],
-                     seed=args.seed, optimizer=cfg["optimizer"],
-                     momentum=float(cfg["momentum"]),
-                     standardize=bool(cfg["standardize"]))
     if cfg["model"] == "linear":
         scorer = init_linear(dataset.features.shape[1], dataset.output_width, args.seed)
-    elif cfg["model"] == "mlp":
-        scorer = init_mlp(dataset.features.shape[1], int(cfg["hidden"]),
-                          dataset.output_width, args.seed)
     else:
-        raise ConfigError(f"unknown model {cfg['model']!r}")
+        scorer = init_mlp(dataset.features.shape[1], cfg["hidden"],
+                          dataset.output_width, args.seed)
     fitted, trajectory = train(scorer, dataset, selector, tc)
     out = Path(args.out)
     out.write_text(scorer_to_json(fitted) + "\n")
@@ -217,12 +255,22 @@ def cmd_sweep(args) -> int:
     bad = set(cfg["methods"]) - set(SWEEP_METHODS)
     if bad:
         raise ConfigError(f"unknown sweep methods: {sorted(bad)}")
+    if not isinstance(cfg["sizes"], list):
+        raise ConfigError("sizes must be a list")
+    for size in cfg["sizes"]:
+        _check_minima({"sizes": size}, {"sizes": 1})
+    _check_minima(cfg, dict(_train_minima(cfg), trials=1, test_samples=1))
+    # each cell builds its own TrainConfig; check the shared fields here
+    _train_config(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
+                  optimizer=cfg["optimizer"], batch_size=cfg["batch_size"])
     mog = _mog_config(cfg)
-    jobs = [(args.seed, m, int(s), t, mog, int(cfg["epochs"]),
-             float(cfg["learning_rate"]), int(cfg["test_samples"]),
+    jobs = [(args.seed, m, s, t, mog, cfg["epochs"],
+             float(cfg["learning_rate"]), cfg["test_samples"],
              cfg["optimizer"], cfg["batch_size"])
             for m in cfg["methods"] for s in cfg["sizes"]
-            for t in range(int(cfg["trials"]))]
+            for t in range(cfg["trials"])]
+    if not jobs:
+        raise ConfigError("sweep config runs no cells")
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_run_cell_star, jobs)
@@ -257,10 +305,7 @@ def cmd_verify(args) -> int:
     bad = set(cfg["families"]) - set(_VERIFY_FAMILIES)
     if bad:
         raise ConfigError(f"unknown verify families: {sorted(bad)}")
-    for name, least in _VERIFY_MINIMA.items():
-        value = cfg[name]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_minima(cfg, _VERIFY_MINIMA)
     rows: list[tuple] = []
     violations = 0
     # families with the same generator arguments check the same tasks

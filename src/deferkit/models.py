@@ -22,8 +22,6 @@ __all__ = [
     "LabeledDataset",
     "LossSelector",
     "TrainingDiverged",
-    "forward",
-    "forward_batch",
     "init_linear",
     "init_mlp",
     "train",
@@ -114,15 +112,6 @@ def init_mlp(input_dim: int, hidden_dim: int, output_width: int, seed: int) -> M
     return MlpScorer(w1, np.zeros(hidden_dim), w2, np.zeros(output_width), seed)
 
 
-def forward(scorer: Scorer, features_row) -> np.ndarray:
-    """Scores for a single feature row."""
-    return scorer.scores(np.atleast_2d(features_row))[0]
-
-
-def forward_batch(scorer: Scorer, features) -> np.ndarray:
-    return scorer.scores(features)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.5
@@ -163,8 +152,13 @@ class LabeledDataset:
             raise ValueError("inconsistent row counts")
         if self.costs.shape[1] != self.shape.n_e:
             raise ValueError("cost width != n_e")
-        if np.any(self.costs < 0) or np.any(self.costs > 1):
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
+        # written so that NaN fails: every comparison with NaN is false
+        if not ((self.costs >= 0) & (self.costs <= 1)).all():
             raise ValueError("costs must lie in [0, 1]")
+        if not ((self.labels >= 0) & (self.labels < self.shape.n)).all():
+            raise ValueError(f"labels must lie in [0, {self.shape.n})")
         if self.stage not in ("single", "two"):
             raise ValueError(f"unknown stage {self.stage!r}")
 
@@ -268,10 +262,13 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
 
     Returns the trained scorer and a (epochs, 2) trajectory of
     (mean surrogate loss, mean deferral loss), both evaluated on the full
-    training set after each epoch's update.
+    training set after each epoch's update. When one batch holds every row,
+    an epoch makes one loss+grad call: its evaluation feeds the next step.
     """
     if selector.stage != dataset.stage:
         raise ValueError(f"loss stage {selector.stage!r} != dataset stage {dataset.stage!r}")
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
     model = scorer.copy()
     x = dataset.features
     std = Standardizer.fit(x) if config.standardize else None
@@ -283,14 +280,23 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
     velocity = [np.zeros_like(p) for p in model.params()]
     trajectory = np.empty((config.epochs, 2))
 
+    if batch == m:
+        sur, gout = selector.loss_and_grad(model.scores(x), dataset.labels,
+                                           dataset.costs, dataset.shape)
     for epoch in range(config.epochs):
-        order = np.arange(m) if batch == m else shuffle_rng.permutation(m)
+        if batch < m:
+            order = shuffle_rng.permutation(m)
         for start in range(0, m, batch):
-            idx = order[start:start + batch]
-            xb = x[idx]
-            scores = model.scores(xb)
-            loss_vals, gout = selector.loss_and_grad(
-                scores, dataset.labels[idx], dataset.costs[idx], dataset.shape)
+            if batch == m:
+                # the step runs at the parameters that the last evaluation
+                # scored on every row, so it reuses that loss and gradient
+                xb, loss_vals = x, sur
+            else:
+                idx = order[start:start + batch]
+                xb = x[idx]
+                loss_vals, gout = selector.loss_and_grad(
+                    model.scores(xb), dataset.labels[idx], dataset.costs[idx],
+                    dataset.shape)
             if not np.all(np.isfinite(loss_vals)):
                 raise TrainingDiverged(epoch)
             grads = _backprop(model, xb, gout)
@@ -304,8 +310,8 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
                     p -= config.learning_rate * g
 
         full_scores = model.scores(x)
-        sur, _ = selector.loss_and_grad(full_scores, dataset.labels,
-                                        dataset.costs, dataset.shape)
+        sur, gout = selector.loss_and_grad(full_scores, dataset.labels,
+                                           dataset.costs, dataset.shape)
         if dataset.stage == "single":
             tgt = losses.deferral_loss_batch(full_scores, dataset.labels,
                                              dataset.costs, dataset.shape)

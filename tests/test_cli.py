@@ -120,6 +120,60 @@ def test_verify_checking_nothing_fails(tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def two_stage_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("data")
+    data = root / "data.npz"
+    cfg = write(root / "gen.json", {"version": 1, "kind": "mog_two", "num_samples": 50})
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    return str(data)
+
+
+@pytest.mark.parametrize("command,field,value,extra", [
+    ("gen-data", "num_samples", -5, {}),
+    ("gen-data", "num_samples", "ten", {}),
+    ("gen-data", "dim", 0, {}),
+    ("train", "epochs", 0, {}),
+    ("train", "epochs", "ten", {}),
+    ("train", "batch_size", 0, {}),
+    ("train", "batch_size", "half", {}),
+    ("train", "learning_rate", -1, {}),
+    ("train", "learning_rate", "fast", {}),
+    ("train", "momentum", -0.5, {}),
+    ("train", "hidden", 0, {"model": "mlp"}),
+    ("train", "optimizer", "adam", {}),
+    ("train", "standardize", "no", {}),
+    ("sweep", "epochs", 0, {}),
+    ("sweep", "sizes", [0], {}),
+    ("sweep", "sizes", 100, {}),
+    ("sweep", "test_samples", 0, {}),
+    ("sweep", "batch_size", 0, {}),
+    ("sweep", "n", 1, {}),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, two_stage_data,
+                                          command, field, value, extra):
+    base = {
+        "gen-data": {"kind": "mog_single", "num_samples": 50},
+        "train": {"data": two_stage_data, "loss": "two_stage_psi", "q": 0.5,
+                  "epochs": 2},
+        "sweep": {"sizes": [50], "trials": 1, "epochs": 1, "test_samples": 20,
+                  "methods": ["ours_q1"]},
+    }[command]
+    cfg = write(tmp_path / "c.json", dict(base, version=1, **extra, **{field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("field,value", [("trials", 0), ("methods", []), ("sizes", [])])
+def test_sweep_running_no_cell_fails(tmp_path, field, value):
+    cfg = write(tmp_path / "s.json", {"version": 1, field: value})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_verify_generates_each_task_once(tmp_path, monkeypatch):
     # the three two_stage_q* families share their tasks
     from deferkit import cli

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from deferkit import losses
 from deferkit.losses import PhiKind, PhiSpec, ProblemShape, PsiSpec
 from deferkit.models import (
     LabeledDataset,
     LinearScorer,
     LossSelector,
+    Standardizer,
     TrainConfig,
     TrainingDiverged,
+    _backprop,
+    fold_standardizer,
     init_linear,
     init_mlp,
     realized_deferral_loss,
@@ -16,6 +20,7 @@ from deferkit.models import (
     system_accuracy,
     train,
 )
+from deferkit.rng import substream
 from deferkit.synthdata import MogConfig, gen_realizable_mog, gen_realizable_two_stage
 
 
@@ -85,12 +90,123 @@ def test_gd_trajectory_non_increasing_on_convex_instance():
     assert np.all(np.diff(surrogate) <= 1e-9)
 
 
+def reference_train(scorer, dataset, selector, config):
+    """The trainer before full-batch steps reused the last evaluation: every
+    step makes its own forward pass and loss+grad call, and each epoch's
+    evaluation discards its gradient."""
+    model = scorer.copy()
+    x = dataset.features
+    std = Standardizer.fit(x) if config.standardize else None
+    if std is not None:
+        x = std.apply(x)
+    m = len(dataset)
+    batch = m if config.batch_size == "full" else min(int(config.batch_size), m)
+    shuffle_rng = substream(config.seed, "train-shuffle")
+    velocity = [np.zeros_like(p) for p in model.params()]
+    trajectory = np.empty((config.epochs, 2))
+    for epoch in range(config.epochs):
+        order = np.arange(m) if batch == m else shuffle_rng.permutation(m)
+        for start in range(0, m, batch):
+            idx = order[start:start + batch]
+            xb = x[idx]
+            loss_vals, gout = selector.loss_and_grad(
+                model.scores(xb), dataset.labels[idx], dataset.costs[idx], dataset.shape)
+            if not np.all(np.isfinite(loss_vals)):
+                raise TrainingDiverged(epoch)
+            grads = _backprop(model, xb, gout)
+            for p, g, v in zip(model.params(), grads, velocity):
+                if config.optimizer == "momentum":
+                    v *= config.momentum
+                    v += g
+                    p -= config.learning_rate * v
+                else:
+                    p -= config.learning_rate * g
+        full_scores = model.scores(x)
+        sur, _ = selector.loss_and_grad(full_scores, dataset.labels,
+                                        dataset.costs, dataset.shape)
+        if dataset.stage == "single":
+            tgt = losses.deferral_loss_batch(full_scores, dataset.labels,
+                                             dataset.costs, dataset.shape)
+        else:
+            tgt = losses.two_stage_deferral_loss_batch(full_scores, dataset.costs)
+        if not np.all(np.isfinite(sur)):
+            raise TrainingDiverged(epoch)
+        trajectory[epoch] = (sur.mean(), tgt.mean())
+    if std is not None:
+        model = fold_standardizer(model, std)
+    return model, trajectory
+
+
+SELECTORS = [
+    LossSelector("surrogate_single", psi=PsiSpec(q=0.7)),
+    LossSelector("two_stage_psi", psi=PsiSpec(q=0.5)),
+    LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.LOGISTIC)),
+]
+
+
+@pytest.mark.parametrize("batch_size", ["full", 64, 69, 16])
+@pytest.mark.parametrize("optimizer", ["gd", "momentum"])
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+@pytest.mark.parametrize("selector", SELECTORS, ids=lambda s: s.name)
+def test_train_matches_reference_loop(selector, model, optimizer, batch_size):
+    # the dataset has 64 rows, so "full", 64 and 69 are all full-batch
+    ds = small_single_dataset() if selector.stage == "single" else small_two_dataset()
+    width = ds.output_width
+    sc = init_linear(4, width, seed=8) if model == "linear" else init_mlp(4, 6, width, seed=8)
+    tc = TrainConfig(learning_rate=0.5, epochs=7, seed=8, optimizer=optimizer,
+                     batch_size=batch_size)
+    fitted, traj = train(sc, ds, selector, tc)
+    want, want_traj = reference_train(sc, ds, selector, tc)
+    for got_p, want_p in zip(fitted.params(), want.params()):
+        np.testing.assert_array_equal(got_p, want_p)
+    np.testing.assert_array_equal(traj, want_traj)
+
+
+@pytest.mark.parametrize("batch_size,calls", [("full", 5 + 1), (16, 5 * (4 + 1))])
+def test_full_batch_epoch_makes_one_loss_grad_call(monkeypatch, batch_size, calls):
+    counted = []
+    original = LossSelector.loss_and_grad
+
+    def counting(self, *args):
+        counted.append(len(args[0]))
+        return original(self, *args)
+
+    monkeypatch.setattr(LossSelector, "loss_and_grad", counting)
+    ds = small_single_dataset()
+    train(init_linear(4, 5, seed=9), ds, LossSelector("surrogate_mae"),
+          TrainConfig(epochs=5, seed=9, batch_size=batch_size))
+    # full batch: one evaluation before the first step and one per epoch;
+    # minibatch: four 16-row steps and one evaluation per epoch
+    assert len(counted) == calls
+
+
+def test_train_rejects_empty_dataset():
+    empty = LabeledDataset(features=np.empty((0, 4)), labels=np.empty(0, dtype=int),
+                           costs=np.empty((0, 2)), shape=ProblemShape(3, 2))
+    with pytest.raises(ValueError, match="empty"):
+        train(init_linear(4, 5, seed=0), empty, LossSelector("surrogate_mae"),
+              TrainConfig(epochs=1))
+
+
 def test_divergence_raises_with_epoch():
     ds = small_two_dataset()
     sc = init_linear(4, 2, seed=4)
     sel = LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.EXPONENTIAL))
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
-        train(sc, ds, sel, TrainConfig(learning_rate=1e12, epochs=50, seed=4))
+    # a scorer whose initial scores already overflow fails at the first step
+    huge = LinearScorer(np.array([[1e300] * 4, [-1e300] * 4]), np.zeros(2), seed=4)
+    epochs = []
+    for start, lr, batch_size in [(sc, 1e12, "full"), (sc, 1e12, 16), (sc, 3.0, "full"),
+                                  (sc, 3.0, 16), (huge, 0.1, "full")]:
+        tc = TrainConfig(learning_rate=lr, epochs=50, seed=4, batch_size=batch_size,
+                         optimizer="momentum")
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged) as want:
+                reference_train(start, ds, sel, tc)
+            with pytest.raises(TrainingDiverged) as got:
+                train(start, ds, sel, tc)
+        assert got.value.epoch == want.value.epoch
+        epochs.append(got.value.epoch)
+    assert 0 in epochs and 1 in epochs
 
 
 def test_system_accuracy_extremes():
@@ -148,6 +264,19 @@ def test_dataset_validation():
         LabeledDataset(features=np.zeros((2, 3)), labels=np.array([0]),
                        costs=np.ones((2, 2)), shape=ProblemShape(2, 2),
                        stage="single")
+    nan, inf = np.nan, np.inf
+    for features, labels, costs in [
+        ([[nan, 1.0]], [0], [[nan, 0.5]]),
+        ([[nan, 1.0]], [0], [[0.0, 0.5]]),
+        ([[inf, 1.0]], [0], [[0.0, 0.5]]),
+        ([[0.0, 1.0]], [0], [[nan, 0.5]]),
+        ([[0.0, 1.0]], [0], [[inf, 0.5]]),
+        ([[0.0, 1.0]], [7], [[0.0, 0.5]]),
+        ([[0.0, 1.0]], [2], [[0.0, 0.5]]),
+        ([[0.0, 1.0]], [-1], [[0.0, 0.5]]),
+    ]:
+        with pytest.raises(ValueError):
+            LabeledDataset(features, labels, costs, ProblemShape(2, 2))
 
 
 def test_loss_selector_validation():
