@@ -17,6 +17,7 @@ import json
 import math
 import multiprocessing
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,21 @@ def load_dataset(path: str) -> LabeledDataset:
                           stage=str(doc["stage"]))
 
 
+def _expert_ranges(mog: MogConfig, ranges) -> ExpertRangeSpec:
+    """Checks that ``ranges`` holds one [lo, hi] pair of integers with
+    0 <= lo < hi <= n per expert."""
+    def is_range(r) -> bool:
+        return (isinstance(r, list) and len(r) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
+                and 0 <= r[0] < r[1] <= mog.n)
+
+    if not (isinstance(ranges, list) and len(ranges) == mog.n_e
+            and all(is_range(r) for r in ranges)):
+        raise ConfigError(f"ranges must be a list of n_e = {mog.n_e} pairs [lo, hi] "
+                          f"of integers with 0 <= lo < hi <= n = {mog.n}, got {ranges!r}")
+    return ExpertRangeSpec(tuple(tuple(r) for r in ranges))
+
+
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, {
         "kind": _REQUIRED, "num_samples": _REQUIRED, "dim": 16,
@@ -149,10 +165,8 @@ def cmd_gen_data(args) -> int:
     elif cfg["kind"] == "mog_two":
         dataset, _ = gen_realizable_two_stage(mog, num, args.seed)
     elif cfg["kind"] == "range_experts":
-        if cfg["ranges"] is None:
-            raise ConfigError("range_experts requires 'ranges'")
-        spec = ExpertRangeSpec(tuple(tuple(r) for r in cfg["ranges"]))
-        dataset = gen_class_range_experts(mog, spec, num, args.seed)
+        dataset = gen_class_range_experts(mog, _expert_ranges(mog, cfg["ranges"]),
+                                          num, args.seed)
     else:
         raise ConfigError(f"unknown data kind {cfg['kind']!r}")
     _save_dataset(Path(args.out), dataset, args.seed, Path(args.config).read_text())
@@ -217,32 +231,36 @@ def _sweep_selector(method: str) -> LossSelector:
     raise ConfigError(f"unknown sweep method {method!r}")
 
 
-def run_sweep_cell(master_seed: int, method: str, size: int, trial: int,
-                   mog: MogConfig, epochs: int, learning_rate: float,
-                   test_samples: int, optimizer: str = "momentum",
-                   batch_size: int | str = 128) -> tuple:
-    """One (method, size, trial) cell: fresh realizable data, one linear
-    scorer, test metrics on held-out samples from the same mixture."""
-    seed = rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial)
+def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: int,
+                    mog: MogConfig, epochs: int, learning_rate: float,
+                    test_samples: int, optimizer: str = "momentum",
+                    batch_size: int | str = 128) -> list[tuple]:
+    """One (size, trial) of the sweep: one draw of realizable data, split into
+    train and held-out test rows, on which each method trains its own linear
+    scorer. Returns one row per method."""
     data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
     train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
     test_set = replace_rows(train_set, np.arange(size, size + test_samples))
     train_set = replace_rows(train_set, np.arange(size))
-    selector = _sweep_selector(method)
-    scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
-    # minibatch updates matter here: full-batch descent stalls on the
-    # saturated plateaus of the single-stage surrogates on some draws
-    tc = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
-                     optimizer=optimizer, batch_size=batch_size)
-    fitted, _ = train(scorer, train_set, selector, tc)
-    return (method, size, trial, seed,
-            float(realized_deferral_loss(fitted, train_set).mean()),
-            float(realized_deferral_loss(fitted, test_set).mean()),
-            system_accuracy(fitted, test_set))
+    rows = []
+    for method in methods:
+        seed = rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial)
+        selector = _sweep_selector(method)
+        scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
+        # minibatch updates matter here: full-batch descent stalls on the
+        # saturated plateaus of the single-stage surrogates on some draws
+        tc = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
+                         optimizer=optimizer, batch_size=batch_size)
+        fitted, _ = train(scorer, train_set, selector, tc)
+        rows.append((method, size, trial, seed,
+                     float(realized_deferral_loss(fitted, train_set).mean()),
+                     float(realized_deferral_loss(fitted, test_set).mean()),
+                     system_accuracy(fitted, test_set)))
+    return rows
 
 
-def _run_cell_star(job):
-    return run_sweep_cell(*job)
+def _run_trial_star(job):
+    return run_sweep_trial(*job)
 
 
 def cmd_sweep(args) -> int:
@@ -264,21 +282,22 @@ def cmd_sweep(args) -> int:
     _train_config(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
                   optimizer=cfg["optimizer"], batch_size=cfg["batch_size"])
     mog = _mog_config(cfg)
-    jobs = [(args.seed, m, s, t, mog, cfg["epochs"],
+    # one job per (size, trial): its methods share that job's data draw
+    jobs = [(args.seed, cfg["methods"], s, t, mog, cfg["epochs"],
              float(cfg["learning_rate"]), cfg["test_samples"],
              cfg["optimizer"], cfg["batch_size"])
-            for m in cfg["methods"] for s in cfg["sizes"]
-            for t in range(cfg["trials"])]
-    if not jobs:
+            for s in cfg["sizes"] for t in range(cfg["trials"])]
+    if not jobs or not cfg["methods"]:
         raise ConfigError("sweep config runs no cells")
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_run_cell_star, jobs)
+            trials = pool.map(_run_trial_star, jobs)
     else:
-        results = [run_sweep_cell(*job) for job in jobs]
-    # cells are independent and keyed by derived seeds, so sorting makes the
-    # output identical for any --jobs value
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
+        trials = [run_sweep_trial(*job) for job in jobs]
+    # rows are keyed by derived seeds, so sorting makes the output identical
+    # for any --jobs value
+    results = sorted((row for rows in trials for row in rows),
+                     key=lambda r: (r[0], r[1], r[2]))
     _write_csv(Path(args.out),
                ["method", "size", "trial", "seed", "train_deferral",
                 "test_deferral", "test_accuracy"], results)
@@ -341,23 +360,23 @@ def cmd_verify(args) -> int:
     return 3 if violations else 0
 
 
+_COMMANDS = {
+    "gen-data": cmd_gen_data,
+    "train": cmd_train,
+    "sweep": cmd_sweep,
+    "verify": cmd_verify,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # every command takes the same options, so one parser serves them all
     parser = argparse.ArgumentParser(prog="deferkit")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "gen-data": cmd_gen_data,
-        "train": cmd_train,
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-    }
-    for name, fn in specs.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -368,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on bad arguments; remap to the config code
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

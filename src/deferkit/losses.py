@@ -72,19 +72,21 @@ class PsiSpec:
         if not 0.0 < self.clamp_epsilon <= 1e-6:
             raise ValueError("clamp_epsilon must lie in (0, 1e-6]")
 
+    # np.minimum(np.maximum(...)) is np.clip (NaN included) without the
+    # Python wrapper np.clip adds to every call
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if self.q == 0.0:
-            return -np.log(np.clip(u, self.clamp_epsilon, 1.0))
-        return (1.0 - np.clip(u, 0.0, 1.0) ** self.q) / self.q
+            return -np.log(np.minimum(np.maximum(u, self.clamp_epsilon), 1.0))
+        return (1.0 - np.minimum(np.maximum(u, 0.0), 1.0) ** self.q) / self.q
 
     def deriv(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if self.q == 0.0:
-            return -1.0 / np.clip(u, self.clamp_epsilon, 1.0)
+            return -1.0 / np.minimum(np.maximum(u, self.clamp_epsilon), 1.0)
         if self.q == 1.0:
             return -np.ones_like(u)
-        return -np.clip(u, self.clamp_epsilon, 1.0) ** (self.q - 1.0)
+        return -np.minimum(np.maximum(u, self.clamp_epsilon), 1.0) ** (self.q - 1.0)
 
 
 class PhiKind(str, Enum):
@@ -121,23 +123,27 @@ class PhiSpec:
 
 def _as_scores(scores, width: int | None = None) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("invalid scores")
     if width is not None and s.shape[-1] != width:
         raise ValueError(f"score width {s.shape[-1]} != expected {width}")
     return s
 
 
-def softmax(scores) -> np.ndarray:
-    """Stable softmax over the last axis (max-shifted before exponentiation)."""
-    s = _as_scores(scores)
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """:func:`softmax` of scores that have already passed :func:`_as_scores`."""
     z = s - s.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def softmax(scores) -> np.ndarray:
+    """Stable softmax over the last axis (max-shifted before exponentiation)."""
+    return _softmax(_as_scores(scores))
+
+
 def _check_labels(y: np.ndarray, n: int) -> None:
-    if np.any(y < 0) or np.any(y >= n):
+    if ((y < 0) | (y >= n)).any():
         raise ValueError(f"label out of range [0, {n})")
 
 
@@ -213,7 +219,7 @@ def _single_stage_terms(scores, y, costs, shape: ProblemShape):
     y = np.atleast_1d(np.asarray(y, dtype=int))
     c = np.atleast_2d(np.asarray(costs, dtype=float))
     _check_labels(y, shape.n)
-    p = softmax(s)
+    p = _softmax(s)
     rows = np.arange(len(y))
     u0 = p[rows, y]                          # softmax mass on the true label
     uj = u0[:, None] + p[:, shape.n:]        # mass on {label, expert j}
@@ -286,7 +292,7 @@ def _baseline_terms(scores, y, costs, shape: ProblemShape):
     y = np.atleast_1d(np.asarray(y, dtype=int))
     c = np.atleast_2d(np.asarray(costs, dtype=float))
     _check_labels(y, shape.n)
-    p = softmax(s)
+    p = _softmax(s)
     return p, np.arange(len(y)), y, 1.0 - c
 
 
@@ -406,7 +412,7 @@ def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
     if n_e < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
     b = expert_brackets(c, n_e)
-    return (b * psi.value(softmax(s))).sum(axis=1)
+    return (b * psi.value(_softmax(s))).sum(axis=1)
 
 
 def two_stage_surrogate_psi(scores, costs, psi: PsiSpec) -> float:
@@ -422,7 +428,7 @@ def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tupl
     if n_e < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
     b = expert_brackets(c, n_e)
-    p = softmax(s)
+    p = _softmax(s)
     loss = (b * psi.value(p)).sum(axis=1)
     q = b * psi.deriv(p) * p
     return loss, q - p * q.sum(axis=1, keepdims=True)

@@ -170,6 +170,9 @@ class LabeledDataset:
         return self.shape.augmented_size if self.stage == "single" else self.shape.n_e
 
 
+_MAE = PsiSpec(q=1.0)
+
+
 @dataclass(frozen=True)
 class LossSelector:
     """Names one of the surrogate losses together with its Psi/Phi spec."""
@@ -198,8 +201,7 @@ class LossSelector:
         if self.name == "surrogate_single":
             return losses.surrogate_single_with_grad_batch(scores, y, c, shp, self.psi)
         if self.name == "surrogate_mae":
-            return losses.surrogate_single_with_grad_batch(scores, y, c, shp,
-                                                           PsiSpec(q=1.0))
+            return losses.surrogate_single_with_grad_batch(scores, y, c, shp, _MAE)
         if self.name == "baseline_verma":
             return losses.baseline_verma_with_grad_batch(scores, y, c, shp)
         if self.name == "baseline_mao":
@@ -270,6 +272,8 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     model = scorer.copy()
+    if not all(np.isfinite(p).all() for p in model.params()):
+        raise ValueError("scorer parameters must be finite")
     x = dataset.features
     std = Standardizer.fit(x) if config.standardize else None
     if std is not None:

@@ -57,7 +57,7 @@ from deferkit.oracles import (
     verify_enhanced_bound,
     verify_lemma_noise,
 )
-from deferkit.cli import run_sweep_cell
+from deferkit.cli import SWEEP_METHODS, run_sweep_trial
 from deferkit.synthdata import (
     MogConfig,
     gen_random_discrete_task,
@@ -353,12 +353,12 @@ def test_criterion_8_realizable_learning_curves():
     baselines trail by at least 0.05."""
     t0 = time.time()
     mog = MogConfig()
-    means = {}
-    for method in ("ours_q07", "ours_q1", "verma23", "mao24"):
-        accs = [run_sweep_cell(77, method, 16_000, trial, mog, epochs=200,
-                               learning_rate=0.3, test_samples=10_000)[-1]
-                for trial in range(5)]
-        means[method] = float(np.mean(accs))
+    rows = [row for trial in range(5)
+            for row in run_sweep_trial(77, SWEEP_METHODS, 16_000, trial, mog,
+                                       epochs=200, learning_rate=0.3,
+                                       test_samples=10_000)]
+    means = {method: float(np.mean([r[-1] for r in rows if r[0] == method]))
+             for method in SWEEP_METHODS}
     assert means["ours_q07"] >= 0.98, means
     assert means["ours_q1"] >= 0.98, means
     assert means["verma23"] <= means["ours_q1"] - 0.05, means

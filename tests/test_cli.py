@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from deferkit import cli, rng
 from deferkit.cli import load_dataset, main
+from deferkit.models import (TrainConfig, init_linear, realized_deferral_loss,
+                             replace_rows, system_accuracy, train)
+from deferkit.synthdata import MogConfig, gen_realizable_mog
 
 
 def write(path, doc):
@@ -149,6 +153,14 @@ def two_stage_data(tmp_path_factory):
     ("sweep", "test_samples", 0, {}),
     ("sweep", "batch_size", 0, {}),
     ("sweep", "n", 1, {}),
+    ("gen-data", "ranges", [[0, 2]], {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", [[0, 9], [2, 4]], {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", "abc", {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", [[2, 1], [0, 2]], {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", [[0, 2.5], [0, 2]], {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", [[0, True], [0, 2]], {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", [[-1, 2], [0, 2]], {"kind": "range_experts", "n": 6}),
+    ("gen-data", "ranges", [[0, 2, 4], [0, 2]], {"kind": "range_experts", "n": 6}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, two_stage_data,
                                           command, field, value, extra):
@@ -212,3 +224,49 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert float(val) == float(format(float(val), ".17g"))
     # LF line endings, no CR
     assert b"\r" not in out.read_bytes()
+
+
+def reference_sweep_cell(master_seed, method, size, trial, mog, epochs,
+                         learning_rate, test_samples, optimizer, batch_size):
+    """The sweep cell before one draw served every method of a (size, trial):
+    each (method, size, trial) generates its own data."""
+    seed = rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial)
+    data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
+    train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
+    test_set = replace_rows(train_set, np.arange(size, size + test_samples))
+    train_set = replace_rows(train_set, np.arange(size))
+    scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
+    tc = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
+                     optimizer=optimizer, batch_size=batch_size)
+    fitted, _ = train(scorer, train_set, cli._sweep_selector(method), tc)
+    return (method, size, trial, seed,
+            float(realized_deferral_loss(fitted, train_set).mean()),
+            float(realized_deferral_loss(fitted, test_set).mean()),
+            system_accuracy(fitted, test_set))
+
+
+@pytest.mark.parametrize("size", [200, 300])
+@pytest.mark.parametrize("trial", [0, 1])
+def test_sweep_trial_matches_per_cell_reference(size, trial):
+    mog = MogConfig()
+    args = (size, trial, mog, 3, 0.3, 150, "momentum", 64)
+    expected = [reference_sweep_cell(5, m, *args) for m in cli.SWEEP_METHODS]
+    assert cli.run_sweep_trial(5, cli.SWEEP_METHODS, *args) == expected
+
+
+def test_sweep_draws_each_size_and_trial_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, sorted(kwargs.items())))
+        return gen(*args, **kwargs)
+
+    gen = cli.gen_realizable_mog
+    monkeypatch.setattr(cli, "gen_realizable_mog", counting)
+    cfg = write(tmp_path / "s.json",
+                {"version": 1, "sizes": [200, 300], "trials": 2, "epochs": 3,
+                 "test_samples": 150, "batch_size": 64})
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 4 and len({repr(c) for c in calls}) == 4
+    assert len(out.read_text().splitlines()) == 1 + 4 * len(cli.SWEEP_METHODS)

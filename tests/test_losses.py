@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deferkit import losses
 from deferkit.losses import (
     PhiKind,
     PhiSpec,
@@ -261,3 +262,117 @@ def test_loss_range_invariants():
             0.0 <= deferral_loss(scores, y, costs, shape) <= 1.0
         assert surrogate_mae(scores, y, costs, shape) >= -1e-12
         assert baseline_verma(scores, y, costs, shape) >= -1e-12
+
+
+def clip_value(psi, u):
+    """PsiSpec.value written with np.clip, as before the clamp used
+    np.minimum/np.maximum."""
+    if psi.q == 0.0:
+        return -np.log(np.clip(u, psi.clamp_epsilon, 1.0))
+    return (1.0 - np.clip(u, 0.0, 1.0) ** psi.q) / psi.q
+
+
+def clip_deriv(psi, u):
+    if psi.q == 0.0:
+        return -1.0 / np.clip(u, psi.clamp_epsilon, 1.0)
+    if psi.q == 1.0:
+        return -np.ones_like(u)
+    return -np.clip(u, psi.clamp_epsilon, 1.0) ** (psi.q - 1.0)
+
+
+_EDGE_U = [0.0, -0.0, 1e-12, 5e-13, 1.0, 1.0 + 1e-16, -1e-300, -2.0, 3.0,
+           np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       u=st.lists(st.one_of(st.sampled_from(_EDGE_U), st.floats(-2.0, 3.0),
+                            st.floats()), min_size=1, max_size=16))
+def test_psi_clamp_equals_clip(q, u):
+    psi = PsiSpec(q=q)
+    u = np.array(u)
+    # same bits, so the same NaNs and signed zeros
+    for got, want in ((psi.value(u), clip_value(psi, u)),
+                      (psi.deriv(u), clip_deriv(psi, u))):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_SHAPE = ProblemShape(3, 2)
+_PSI = PsiSpec(q=0.7)
+_PHI = PhiSpec(PhiKind.LOGISTIC)
+# every batch kernel with its arguments after (scores, labels, costs)
+_LABELED_KERNELS = [
+    (losses.deferral_loss_batch, ()),
+    (losses.deferral_loss_alt_batch, ()),
+    (losses.surrogate_single_batch, (_PSI,)),
+    (losses.surrogate_single_with_grad_batch, (_PSI,)),
+    (losses.surrogate_single_grad_batch, (_PSI,)),
+    (losses.surrogate_mae_batch, ()),
+    (losses.surrogate_mae_grad_batch, ()),
+    (losses.baseline_mao_batch, (_PSI,)),
+    (losses.baseline_mao_with_grad_batch, (_PSI,)),
+    (losses.baseline_mao_grad_batch, (_PSI,)),
+    (losses.baseline_verma_batch, ()),
+    (losses.baseline_verma_with_grad_batch, ()),
+    (losses.baseline_verma_grad_batch, ()),
+]
+# ... and after (scores, costs)
+_TWO_STAGE_KERNELS = [
+    (losses.two_stage_deferral_loss_batch, ()),
+    (losses.two_stage_surrogate_phi_batch, (_PHI,)),
+    (losses.two_stage_surrogate_phi_with_grad_batch, (_PHI,)),
+    (losses.two_stage_surrogate_phi_grad_batch, (_PHI,)),
+    (losses.two_stage_surrogate_psi_batch, (_PSI,)),
+    (losses.two_stage_surrogate_psi_with_grad_batch, (_PSI,)),
+    (losses.two_stage_surrogate_psi_grad_batch, (_PSI,)),
+]
+_KERNELS = ([(fn, extra, True) for fn, extra in _LABELED_KERNELS]
+            + [(fn, extra, False) for fn, extra in _TWO_STAGE_KERNELS])
+
+
+def call_kernel(kernel, scores, labels, costs):
+    fn, extra, labeled = kernel
+    if labeled:
+        return fn(scores, labels, costs, _SHAPE, *extra)
+    return fn(scores, costs, *extra)
+
+
+def kernel_inputs(kernel, m, seed):
+    g = np.random.default_rng(seed)
+    width = _SHAPE.augmented_size if kernel[2] else _SHAPE.n_e
+    return (g.standard_normal((m, width)), g.integers(0, _SHAPE.n, size=m),
+            g.uniform(0.0, 1.0, size=(m, _SHAPE.n_e)))
+
+
+_kernel_ids = [k[0].__name__ for k in _KERNELS]
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=_kernel_ids)
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 6), where=st.integers(0, 10**6), seed=st.integers(0, 2**16),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_kernels_reject_non_finite_scores(kernel, m, where, seed, bad):
+    scores, labels, costs = kernel_inputs(kernel, m, seed)
+    scores.flat[where % scores.size] = bad
+    with pytest.raises(ValueError, match="invalid scores"):
+        call_kernel(kernel, scores, labels, costs)
+
+
+@pytest.mark.parametrize("kernel", [k for k in _KERNELS if k[2]],
+                         ids=[i for i, k in zip(_kernel_ids, _KERNELS) if k[2]])
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 6), where=st.integers(0, 10**6), seed=st.integers(0, 2**16),
+       bad=st.one_of(st.integers(-10**6, -1), st.integers(_SHAPE.n, 10**6)))
+def test_kernels_reject_out_of_range_labels(kernel, m, where, seed, bad):
+    scores, labels, costs = kernel_inputs(kernel, m, seed)
+    labels[where % m] = bad
+    with pytest.raises(ValueError, match="label out of range"):
+        call_kernel(kernel, scores, labels, costs)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=_kernel_ids)
+def test_kernels_accept_an_empty_batch(kernel):
+    scores, labels, costs = kernel_inputs(kernel, 0, 0)
+    out = call_kernel(kernel, scores, labels, costs)
+    for arr in out if isinstance(out, tuple) else (out,):
+        assert arr.size == 0 and len(arr) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferkit import losses
 from deferkit.losses import PhiKind, PhiSpec, ProblemShape, PsiSpec
@@ -207,6 +209,35 @@ def test_divergence_raises_with_epoch():
         assert got.value.epoch == want.value.epoch
         epochs.append(got.value.epoch)
     assert 0 in epochs and 1 in epochs
+
+
+ALL_SELECTORS = [
+    LossSelector("surrogate_single", psi=PsiSpec(q=0.7)),
+    LossSelector("surrogate_mae"),
+    LossSelector("baseline_verma"),
+    LossSelector("baseline_mao", psi=PsiSpec(q=0.0)),
+    LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.LOGISTIC)),
+    LossSelector("two_stage_psi", psi=PsiSpec(q=0.5)),
+]
+
+
+@pytest.mark.parametrize("batch_size", ["full", 4])
+@pytest.mark.parametrize("selector", ALL_SELECTORS, ids=lambda s: s.name)
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from(["linear", "mlp"]), param=st.integers(0, 3),
+       where=st.integers(0, 10**6), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_train_fails_closed_on_non_finite_parameters(selector, batch_size, model,
+                                                     param, where, bad):
+    ds = small_single_dataset(16) if selector.stage == "single" else small_two_dataset(16)
+    width = ds.output_width
+    sc = init_linear(4, width, seed=3) if model == "linear" else init_mlp(4, 5, width, seed=3)
+    p = sc.params()[param % len(sc.params())]
+    p.flat[where % p.size] = bad
+    tc = TrainConfig(learning_rate=0.5, epochs=2, seed=3, batch_size=batch_size,
+                     optimizer="momentum")
+    with np.errstate(all="ignore"):
+        with pytest.raises((ValueError, TrainingDiverged)):
+            train(sc, ds, selector, tc)
 
 
 def test_system_accuracy_extremes():
