@@ -8,6 +8,8 @@ check the per-point and aggregated consistency inequalities; a slack below
 floating-point noise, and a NaN or infinite slack as a violation. Per-point
 functions take ``k``: an int gives that point's value, any other index
 (``slice(None)``, an index array) those points' values on a leading axis.
+Hypotheses stacked on leading axes, ``(H, K, width)``, get one value per
+hypothesis on those axes from the per-point oracles and the bound verifiers.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class DiscreteTask:
 class TabularHypothesis:
     """One score vector per support point; realizes the complete class."""
 
-    scores: np.ndarray  # (K, width)
+    scores: np.ndarray  # (K, width), or (H, K, width) for H stacked hypotheses
 
     def __post_init__(self) -> None:
         self.scores = np.asarray(self.scores, dtype=float)
@@ -115,7 +117,7 @@ class TabularHypothesis:
 
     def action(self, k):
         """Argmax action at point k (or at each point of an index k)."""
-        return np.argmax(self.scores[k], axis=-1)
+        return np.argmax(self.scores[..., k, :], axis=-1)
 
     def actions(self) -> np.ndarray:
         return self.action(slice(None))
@@ -123,8 +125,13 @@ class TabularHypothesis:
 
 def _check_width(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> None:
     want = task.shape.augmented_size if stage == "single" else task.shape.n_e
-    if hyp.scores.shape != (task.num_points, want):
-        raise ValueError(f"hypothesis shape {hyp.scores.shape} != ({task.num_points}, {want})")
+    if hyp.scores.shape[-2:] != (task.num_points, want):
+        raise ValueError(f"hypothesis shape {hyp.scores.shape} != (..., {task.num_points}, {want})")
+
+
+def _one_hypothesis(hyp: TabularHypothesis) -> None:
+    if hyp.scores.ndim != 2:
+        raise ValueError(f"needs one hypothesis, got a stack of shape {hyp.scores.shape}")
 
 
 def _per_point(x):
@@ -132,15 +139,18 @@ def _per_point(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _dot(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``p @ v`` over the last axis, broadcast, rounded as the 1-D product is."""
+    return np.matmul(p[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def _vecmat(p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``p @ m`` per point, rounded as the 1-D product is (one BLAS call per
-    point); a vector m gives the dot product."""
-    if m.ndim == p.ndim:
-        return np.matmul(p[..., None, :], m[..., :, None])[..., 0, 0]
+    """``p @ m`` per point, rounded as the 1-D product is."""
     return np.matmul(p[..., None, :], m)[..., 0, :]
 
 
 def _pick(values: np.ndarray, actions) -> np.ndarray:
+    values = np.broadcast_to(values, actions.shape + values.shape[-1:])
     return np.take_along_axis(values, actions[..., None], axis=-1)[..., 0]
 
 
@@ -227,22 +237,22 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
                       loss: OracleLoss):
     """Expected loss at point k under the label conditional."""
     _check_width(task, hyp, loss.stage)
-    s = hyp.scores[k]
+    s = hyp.scores[..., k, :]
     p = task.conditionals[k]
     if loss.name == "def":
         out = 1.0 - _pick(augmented_values(task, k), hyp.action(k))
     elif loss.name == "tdef":
         out = _pick(expected_costs(task, k), hyp.action(k))
     elif loss.name == "mae":
-        # one row per (point, label): the point's scores against that label
-        width = s.shape[-1]
-        rows = np.broadcast_to(s[..., None, :], p.shape + (width,)).reshape(-1, width)
-        labels = np.broadcast_to(np.arange(task.shape.n), p.shape).ravel()
-        vals = losses.surrogate_mae_batch(rows, labels, task.costs[k].reshape(-1, task.shape.n_e),
-                                          task.shape)
-        out = _vecmat(p, vals.reshape(p.shape))
+        # one row per (hypothesis, point, label): the scores against that label
+        lead = s.shape[:-1] + (task.shape.n,)
+        rows = np.broadcast_to(s[..., None, :], lead + s.shape[-1:]).reshape(-1, s.shape[-1])
+        labels = np.broadcast_to(np.arange(task.shape.n), lead).ravel()
+        costs = np.broadcast_to(task.costs[k], lead + task.costs.shape[-1:])
+        vals = losses.surrogate_mae_batch(rows, labels, costs.reshape(-1, task.shape.n_e), task.shape)
+        out = _dot(p, vals.reshape(lead))
     elif loss.name == "two_stage_psi":
-        out = _vecmat(_qbar(task, k), loss.psi.value(losses.softmax(s)))
+        out = _dot(_qbar(task, k), loss.psi.value(losses.softmax(s)))
     else:
         e = expected_costs(task, k)
         margin = s[..., 0] - s[..., 1]
@@ -380,12 +390,14 @@ def grid_min_simplex(fn, width: int, resolution: float = 0.02) -> float:
 
 def generalization_error(task: DiscreteTask, hyp: TabularHypothesis,
                          loss: OracleLoss) -> float:
+    _one_hypothesis(hyp)
     return float(task.mu @ conditional_error(task, hyp, slice(None), loss))
 
 
 def empirical_excess(task: DiscreteTask, hyp: TabularHypothesis,
                      loss: OracleLoss) -> float:
     """Excess error over the tabular-class optimum, by exact summation."""
+    _one_hypothesis(hyp)
     return float(task.mu @ conditional_regret_surrogate(task, hyp, slice(None), loss))
 
 
@@ -420,17 +432,27 @@ def _slack_ok(slack):
 
 @dataclass
 class RegretReport:
-    """Per-point bound check plus the aggregated excess-error statement."""
+    """Per-point bound check plus the aggregated excess-error statement; with
+    the premise unmet the bound claims nothing and only a non-finite lhs is a
+    violation. Stacked hypotheses lead every field: ``report[h]`` is one."""
 
-    target_regrets: np.ndarray
+    target_regrets: np.ndarray   # (K,) or (H, K)
     surrogate_regrets: np.ndarray
     rhs: np.ndarray
-    excess_target: float
+    excess_target: float         # a float, or (H,)
     excess_surrogate: float
     aggregate_rhs: float
     label: str = ""
     premise_met: bool = True
     note: str = ""
+
+    def __getitem__(self, h) -> "RegretReport":
+        return RegretReport(self.target_regrets[h], self.surrogate_regrets[h], self.rhs[h],
+                            float(self.excess_target[h]), float(self.excess_surrogate[h]),
+                            float(self.aggregate_rhs[h]), self.label, self.premise_met, self.note)
+
+    def _ok(self, lhs, rhs) -> np.ndarray:
+        return np.asarray(_slack_ok(rhs - lhs) if self.premise_met else np.isfinite(lhs))
 
     @property
     def slack(self) -> np.ndarray:
@@ -442,27 +464,26 @@ class RegretReport:
 
     @property
     def violations(self) -> int:
-        if not self.premise_met:
-            return 0
-        return (int(np.count_nonzero(~_slack_ok(self.slack)))
-                + int(not _slack_ok(self.aggregate_slack)))
+        return (int(np.count_nonzero(~self._ok(self.target_regrets, self.rhs)))
+                + int(np.count_nonzero(~self._ok(self.excess_target, self.aggregate_rhs))))
 
     @property
     def max_negative_slack(self) -> float:
-        return float(min(self.slack.min(initial=0.0), self.aggregate_slack, 0.0))
+        return float(min(self.slack.min(initial=0.0), np.min(self.aggregate_slack), 0.0))
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
 
     def csv_rows(self, task_id: str) -> list[tuple]:
-        slack, ok = self.slack, _slack_ok(self.slack)
+        """One row per point, then the aggregate row, of one hypothesis."""
+        slack, ok = self.slack, self._ok(self.target_regrets, self.rhs)
         rows = [(task_id, k, float(self.target_regrets[k]), float(self.rhs[k]),
                  float(slack[k]), "ok" if ok[k] else "violation")
                 for k in range(len(self.target_regrets))]
         rows.append((task_id, -1, self.excess_target, self.aggregate_rhs,
                      self.aggregate_slack,
-                     "ok" if _slack_ok(self.aggregate_slack) else "violation"))
+                     "ok" if self._ok(self.excess_target, self.aggregate_rhs) else "violation"))
         return rows
 
 
@@ -475,12 +496,13 @@ def _per_point_regrets(task, hyp, target: OracleLoss, surrogate: OracleLoss):
 def _regret_report(task, hyp, target: OracleLoss, surrogate: OracleLoss,
                    gamma, label: str) -> RegretReport:
     """Bound target regret <= gamma(surrogate regret), per point and on the
-    mu-weighted excesses."""
+    mu-weighted excesses, for each stacked hypothesis."""
     tgt, sur = _per_point_regrets(task, hyp, target, surrogate)
+    excess_sur = _dot(task.mu, sur)
     return RegretReport(
         target_regrets=tgt, surrogate_regrets=sur, rhs=gamma(sur),
-        excess_target=float(task.mu @ tgt), excess_surrogate=float(task.mu @ sur),
-        aggregate_rhs=float(gamma(task.mu @ sur)), label=label)
+        excess_target=_per_point(_dot(task.mu, tgt)), excess_surrogate=_per_point(excess_sur),
+        aggregate_rhs=_per_point(gamma(excess_sur)), label=label)
 
 
 def verify_bound_single_mae(task: DiscreteTask, hyp: TabularHypothesis) -> RegretReport:
@@ -537,8 +559,11 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
             return np.where(t > 0, np.inf, 0.0)
         return scale * np.sqrt(2.0 * t / denom)
 
-    return _regret_report(task, hyp, OracleLoss("tdef"), OracleLoss("two_stage_phi", phi=phi),
-                          gamma, f"two_expert_{phi.kind.value}")
+    report = _regret_report(task, hyp, OracleLoss("tdef"), OracleLoss("two_stage_phi", phi=phi),
+                            gamma, f"two_expert_{phi.kind.value}")
+    if denom <= 0.0:
+        report.premise_met, report.note = False, "lower costs sum to 0: the bound is vacuous"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +641,7 @@ def _disagreement(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> np.
 def verify_lemma_noise(task: DiscreteTask, hyp: TabularHypothesis,
                        profile: NoiseProfile, stage: str) -> ChainReport:
     """Checks Pr[disagree] <= c E[margin * disagree]^alpha <= c excess^alpha."""
+    _one_hypothesis(hyp)
     disagree = _disagreement(task, hyp, stage)
     margins = minimal_margin(task, stage)
     target = OracleLoss("def" if stage == "single" else "tdef")
@@ -656,6 +682,7 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
     regret^(1/s) at every support point. Tabular hypotheses make the target
     minimizability gap vanish, as theorem_mm requires.
     """
+    _one_hypothesis(hyp)
     if s < 1.0:
         raise ValueError("s must be >= 1")
     stage = "single" if surrogate.stage == "single" else "two"

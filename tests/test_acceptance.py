@@ -177,7 +177,8 @@ def test_criterion_2_gradients_vs_finite_differences():
 
 def test_criterion_3_single_stage_factor_bound():
     """Deferral regret <= (n + n_e) x q=1 surrogate regret per point and in
-    aggregate, on 1000 random tasks x 10 tabular hypotheses each."""
+    aggregate, on 1000 random tasks x 10 tabular hypotheses each; each task's
+    10 hypotheses are one stacked check of the same draws."""
     t0 = time.time()
     violations = 0
     worst_slack = 0.0
@@ -185,11 +186,10 @@ def test_criterion_3_single_stage_factor_bound():
         task = gen_random_discrete_task(100, i, n_max=4, ne_max=3, k_max=6)
         g = np.random.default_rng(i)
         width = task.shape.augmented_size
-        for _ in range(10):
-            hyp = TabularHypothesis(g.standard_normal((task.num_points, width)))
-            rep = verify_bound_single_mae(task, hyp)
-            violations += rep.violations
-            worst_slack = min(worst_slack, rep.max_negative_slack)
+        hyp = TabularHypothesis(g.standard_normal((10, task.num_points, width)))
+        rep = verify_bound_single_mae(task, hyp)
+        violations += rep.violations
+        worst_slack = min(worst_slack, rep.max_negative_slack)
     assert violations == 0, f"{violations} violations beyond -1e-9"
     elapsed = time.time() - t0
     budget(3, elapsed, 120.0)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -200,6 +202,43 @@ def test_verify_generates_each_task_once(tmp_path, monkeypatch):
     cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 1})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert len(calls) == 9 and len({repr(c) for c in calls}) == 9
+
+
+def test_verify_checks_each_task_and_family_in_one_call(tmp_path, monkeypatch):
+    # all hypotheses of a (task, family) are one stacked check, whose target
+    # and surrogate regrets take one conditional minimum each
+    from deferkit import oracles
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("verify_bound_single_mae", "verify_bound_two_stage",
+                 "verify_bound_two_expert_phi"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    monkeypatch.setattr(oracles, "conditional_min_surrogate",
+                        counting("cond_min", oracles.conditional_min_surrogate))
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 4})
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == {"verify_bound_single_mae": 3, "verify_bound_two_stage": 9,
+                     "verify_bound_two_expert_phi": 3, "cond_min": 2 * 15}
+    task_ids = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
+    assert task_ids == {f"task{i}_h{h}" for i in range(3) for h in range(4)}
+
+
+def test_verify_output_is_pinned(tmp_path):
+    # sha256 of the CSV that checking one hypothesis per call wrote for this
+    # config (20 tasks, all five families, 5 hypotheses each): the stacked
+    # check must keep every byte
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 20})
+    out = tmp_path / "bounds.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "56912f696dd3531fb251890626baa04a9082a22274eaf459eb316c4cb325f997")
 
 
 def test_sweep_parallel_output_is_byte_identical(tmp_path):

@@ -23,6 +23,7 @@ from deferkit.oracles import (
     empirical_excess,
     expected_costs,
     fit_tsybakov_B,
+    generalization_error,
     grid_min_simplex,
     minimal_margin,
     minimizability_gap,
@@ -361,6 +362,105 @@ def test_all_points_equal_stacked_per_point(loss, seed):
     assert np.array_equal(bayes_two_stage(task).actions(), [np.argmin(r) for r in e])
 
 
+VERIFY_FAMILIES = {
+    "single_mae": verify_bound_single_mae,
+    "two_stage_q0": lambda task, hyp: verify_bound_two_stage(task, hyp, 0.0),
+    "two_stage_q05": lambda task, hyp: verify_bound_two_stage(task, hyp, 0.5),
+    "two_stage_q1": lambda task, hyp: verify_bound_two_stage(task, hyp, 1.0),
+    "two_expert_logistic": lambda task, hyp: verify_bound_two_expert_phi(
+        task, hyp, PhiSpec(PhiKind.LOGISTIC)),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VERIFY_FAMILIES)), st.sampled_from([1, 3]),
+       st.integers(0, 2**31 - 1))
+def test_stacked_report_slices_equal_single_reports(family, num_hyps, seed):
+    # one check of H stacked hypotheses: report[h] is, bit for bit, the
+    # report of hypothesis h checked on its own
+    if family == "single_mae":
+        task = gen_random_discrete_task(seed, 0)
+        width = task.shape.augmented_size
+    else:
+        ne_max = 2 if family == "two_expert_logistic" else 3
+        task = gen_random_discrete_task(seed, 0, ne_max=ne_max,
+                                        constraint="theorem7_premise")
+        width = task.shape.n_e
+    scores = np.random.default_rng(seed).standard_normal((num_hyps, task.num_points, width))
+    check = VERIFY_FAMILIES[family]
+    stacked = check(task, TabularHypothesis(scores))
+    assert stacked.target_regrets.shape == (num_hyps, task.num_points)
+    for h in range(num_hyps):
+        got, want = stacked[h], check(task, TabularHypothesis(scores[h]))
+        for name in ("target_regrets", "surrogate_regrets", "rhs", "slack"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        for name in ("excess_target", "excess_surrogate", "aggregate_rhs",
+                     "aggregate_slack", "max_negative_slack"):
+            assert type(getattr(got, name)) is float, name
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert (got.label, got.premise_met, got.note) == (want.label, want.premise_met,
+                                                          want.note)
+        assert got.violations == want.violations
+        assert got.csv_rows(f"t{h}") == want.csv_rows(f"t{h}")
+    assert stacked.violations == sum(stacked[h].violations for h in range(num_hyps))
+    assert stacked.max_negative_slack == min(stacked[h].max_negative_slack
+                                             for h in range(num_hyps))
+    # a NaN slack in one slice, per point or in aggregate, fails the stack
+    g = np.random.default_rng(seed)
+    h, k = g.integers(num_hyps), g.integers(task.num_points)
+    for name, index in (("rhs", (h, k)), ("aggregate_rhs", h)):
+        broken = check(task, TabularHypothesis(scores))
+        getattr(broken, name)[index] = np.nan
+        assert not broken.ok and not broken[h].ok
+        assert broken.violations == stacked.violations + 1
+
+
+def test_single_hypothesis_functions_reject_a_stack():
+    task = gen_random_discrete_task(43, 0, constraint="positive_margin")
+    g = np.random.default_rng(43)
+    stack = TabularHypothesis(g.standard_normal((2, task.num_points,
+                                                 task.shape.augmented_size)))
+    profile = fit_tsybakov_B(minimal_margin(task, "single"), task.mu, 0.5)
+    checks = [
+        lambda: generalization_error(task, stack, OracleLoss("def")),
+        lambda: empirical_excess(task, stack, OracleLoss("def")),
+        lambda: minimizability_gap(task, OracleLoss("def"), "fixed_family", [stack]),
+        lambda: verify_lemma_noise(task, stack, profile, "single"),
+        lambda: verify_enhanced_bound(task, stack, OracleLoss("mae"), 2.0,
+                                      "theorem_multi"),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="one hypothesis"):
+            check()
+
+
+def test_two_expert_bound_without_lower_costs_is_vacuous():
+    # each expert has a zero cost somewhere, so gamma is +inf: the bound
+    # claims nothing and a zero target regret is no violation
+    task = DiscreteTask(np.array([0.5, 0.5]), np.full((2, 2), 0.5),
+                        np.array([[[0.0, 0.6], [0.2, 0.4]],
+                                  [[0.7, 0.0], [0.3, 0.2]]]), ProblemShape(2, 2))
+    hyp = bayes_two_stage(task)
+    rep = verify_bound_two_expert_phi(task, hyp, PhiSpec(PhiKind.LOGISTIC))
+    assert not rep.premise_met and rep.note
+    np.testing.assert_array_equal(rep.target_regrets, [0.0, 0.0])
+    assert np.all(rep.surrogate_regrets > 0) and np.all(rep.rhs == np.inf)
+    assert rep.ok and rep.violations == 0
+    assert [row[-1] for row in rep.csv_rows("t")] == ["ok"] * 3
+    # a stack of that hypothesis and a wrong one: still no violation
+    wrong = TabularHypothesis(hyp.scores[:, ::-1])
+    stacked = verify_bound_two_expert_phi(
+        task, TabularHypothesis(np.stack([hyp.scores, wrong.scores])),
+        PhiSpec(PhiKind.LOGISTIC))
+    assert not stacked.premise_met and stacked.ok
+    assert np.all(stacked.target_regrets[1] > 0)
+
+
 def test_single_point_calls_return_floats():
     task = gen_random_discrete_task(41, 0)
     hyp = bayes_deferral(task)
@@ -457,3 +557,20 @@ def test_verifiers_fail_closed_on_nan(field, seed):
         except ValueError:
             continue
         assert not rep.ok, rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(NON_FINITE, st.integers(0, 3), st.booleans())
+def test_unmet_premise_keeps_non_finite_target_regret_a_violation(bad, point, aggregate):
+    regrets = np.full(4, 0.1)
+    fields = dict(target_regrets=regrets.copy(), surrogate_regrets=regrets.copy(),
+                  rhs=np.full(4, np.inf), excess_target=0.1, excess_surrogate=0.1,
+                  aggregate_rhs=np.inf, premise_met=False)
+    assert RegretReport(**fields).ok
+    if aggregate:
+        fields["excess_target"] = bad
+    else:
+        fields["target_regrets"][point] = bad
+    rep = RegretReport(**fields)
+    assert rep.violations == 1
+    assert [row[-1] for row in rep.csv_rows("t")].count("violation") == 1
