@@ -3,11 +3,11 @@ multiple experts, in single-stage and two-stage form."""
 
 __version__ = "0.1.0"
 
-from .losses import (PhiKind, PhiSpec, ProblemShape, PsiSpec, deferral_loss,
-                     softmax, surrogate_mae, surrogate_single,
+from .losses import (LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec,
+                     deferral_loss, softmax, surrogate_mae, surrogate_single,
                      two_stage_deferral_loss, two_stage_surrogate_phi,
                      two_stage_surrogate_psi)
-from .models import (LabeledDataset, LinearScorer, LossSelector, MlpScorer,
+from .models import (LabeledDataset, LinearScorer, MlpScorer,
                      TrainConfig, TrainingDiverged, init_linear, init_mlp,
                      system_accuracy, train)
 from .oracles import (DiscreteTask, NoiseProfile, RegretReport,
@@ -21,11 +21,11 @@ from .synthdata import (ExpertRangeSpec, MogConfig, gen_random_discrete_task,
 
 __all__ = [
     "__version__",
-    "PhiKind", "PhiSpec", "ProblemShape", "PsiSpec",
+    "LossSelector", "PhiKind", "PhiSpec", "ProblemShape", "PsiSpec",
     "deferral_loss", "softmax", "surrogate_mae", "surrogate_single",
     "two_stage_deferral_loss", "two_stage_surrogate_phi",
     "two_stage_surrogate_psi",
-    "LabeledDataset", "LinearScorer", "LossSelector", "MlpScorer",
+    "LabeledDataset", "LinearScorer", "MlpScorer",
     "TrainConfig", "TrainingDiverged", "init_linear", "init_mlp",
     "system_accuracy", "train",
     "DiscreteTask", "NoiseProfile", "RegretReport", "TabularHypothesis",

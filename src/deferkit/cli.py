@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rng
-from .losses import PhiKind, PhiSpec, ProblemShape, PsiSpec
-from .models import (LabeledDataset, LossSelector, TrainConfig, init_linear,
+from .losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
+from .models import (LabeledDataset, TrainConfig, init_linear,
                      init_mlp, replace_rows, scorer_to_json, system_accuracy,
                      train, realized_deferral_loss)
 from .oracles import (TabularHypothesis, verify_bound_single_mae,
@@ -35,7 +35,14 @@ from .synthdata import (ExpertRangeSpec, MogConfig, gen_class_range_experts,
                         gen_random_discrete_task)
 
 SWEEP_SIZES = (250, 500, 1000, 2000, 4000, 8000, 16000)
-SWEEP_METHODS = ("ours_q07", "ours_q1", "verma23", "mao24")
+SWEEP_SELECTORS = {
+    "ours_q07": LossSelector("surrogate_single", psi=PsiSpec(q=0.7)),
+    "ours_q1": LossSelector("surrogate_mae"),
+    "verma23": LossSelector("baseline_verma"),
+    # the published comparison uses the logistic auxiliary, i.e. q = 0
+    "mao24": LossSelector("baseline_mao", psi=PsiSpec(q=0.0)),
+}
+SWEEP_METHODS = tuple(SWEEP_SELECTORS)
 
 
 class ConfigError(ValueError):
@@ -175,10 +182,18 @@ def cmd_gen_data(args) -> int:
 
 
 def _selector_from_config(cfg: dict) -> LossSelector:
-    name = cfg["loss"]
-    psi = PsiSpec(q=float(cfg["q"])) if cfg["q"] is not None else None
-    phi = PhiSpec(PhiKind(cfg["phi"])) if cfg["phi"] is not None else None
-    return LossSelector(name=name, psi=psi, phi=phi)
+    """The surrogate a train config names; an error names the field at fault."""
+    if cfg["q"] is not None:
+        _check_minima(cfg, {"q": 0.0})
+    try:
+        psi = None if cfg["q"] is None else PsiSpec(q=float(cfg["q"]))
+        phi = None if cfg["phi"] is None else PhiSpec(cfg["phi"])
+        selector = LossSelector(cfg["loss"], psi=psi, phi=phi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if selector.is_target:
+        raise ConfigError(f"loss {selector.name!r} is a target loss; train needs a surrogate")
+    return selector
 
 
 def cmd_train(args) -> int:
@@ -219,19 +234,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_selector(method: str) -> LossSelector:
-    if method == "ours_q07":
-        return LossSelector("surrogate_single", psi=PsiSpec(q=0.7))
-    if method == "ours_q1":
-        return LossSelector("surrogate_mae")
-    if method == "verma23":
-        return LossSelector("baseline_verma")
-    if method == "mao24":
-        # the published comparison uses the logistic auxiliary, i.e. q = 0
-        return LossSelector("baseline_mao", psi=PsiSpec(q=0.0))
-    raise ConfigError(f"unknown sweep method {method!r}")
-
-
 def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: int,
                     mog: MogConfig, epochs: int, learning_rate: float,
                     test_samples: int, optimizer: str = "momentum",
@@ -246,13 +248,12 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
     rows = []
     for method in methods:
         seed = rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial)
-        selector = _sweep_selector(method)
         scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
         # minibatch updates matter here: full-batch descent stalls on the
         # saturated plateaus of the single-stage surrogates on some draws
         tc = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
                          optimizer=optimizer, batch_size=batch_size)
-        fitted, _ = train(scorer, train_set, selector, tc)
+        fitted, _ = train(scorer, train_set, SWEEP_SELECTORS[method], tc)
         rows.append((method, size, trial, seed,
                      float(realized_deferral_loss(fitted, train_set).mean()),
                      float(realized_deferral_loss(fitted, test_set).mean()),

@@ -1,9 +1,18 @@
 """Target and surrogate losses for multiple-expert deferral.
 
-All operations are pure functions. Scalar signatures take a single score
-vector; the ``*_batch`` variants operate on ``(m, width)`` score matrices
-and are what the trainer uses. Argmax ties always break to the lowest
-index.
+:class:`LossSelector` is the one table of losses. It names each loss by the
+name configs use, gives its stage and carries the Psi or Phi spec it takes.
+Each surrogate has one batch kernel for its values, ``<loss>_batch``, and
+one for its values and score gradients, ``<loss>_with_grad_batch``. Both
+run the same arithmetic, so their values agree bit for bit. Verma's baseline
+has no value kernel of its own: its value is :func:`baseline_mao_batch` at
+q = 0.
+
+Batch kernels take ``(m, width)`` scores (a single score vector is one row)
+with one label and one cost row per score row, and raise ``ValueError`` on
+any other shape. The scalar forms the package exports run the batch kernel
+on one row. Argmax ties always break to the lowest index. All operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -18,25 +27,15 @@ __all__ = [
     "PsiSpec",
     "PhiKind",
     "PhiSpec",
+    "LossSelector",
     "softmax",
     "deferral_loss",
-    "deferral_loss_alt",
     "two_stage_deferral_loss",
     "surrogate_single",
-    "surrogate_single_grad",
     "surrogate_mae",
-    "surrogate_mae_grad",
-    "baseline_verma",
-    "baseline_verma_grad",
-    "baseline_mao",
-    "baseline_mao_grad",
     "two_stage_surrogate_phi",
-    "two_stage_surrogate_phi_grad",
     "two_stage_surrogate_psi",
-    "two_stage_surrogate_psi_grad",
 ]
-
-
 @dataclass(frozen=True)
 class ProblemShape:
     """Number of class labels and experts; the joint output width is n + n_e."""
@@ -102,7 +101,11 @@ class PhiSpec:
     kind: PhiKind = PhiKind.LOGISTIC
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", PhiKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", PhiKind(self.kind))
+        except ValueError:
+            raise ValueError(f"phi must be one of {[k.value for k in PhiKind]}, "
+                             f"got {self.kind!r}") from None
 
     def value(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -121,12 +124,10 @@ class PhiSpec:
         return np.where(t < 1.0, -1.0, 0.0)
 
 
-def _as_scores(scores, width: int | None = None) -> np.ndarray:
+def _as_scores(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("invalid scores")
-    if width is not None and s.shape[-1] != width:
-        raise ValueError(f"score width {s.shape[-1]} != expected {width}")
     return s
 
 
@@ -142,14 +143,30 @@ def softmax(scores) -> np.ndarray:
     return _softmax(_as_scores(scores))
 
 
-def _check_labels(y: np.ndarray, n: int) -> None:
-    if ((y < 0) | (y >= n)).any():
-        raise ValueError(f"label out of range [0, {n})")
+def _labeled_inputs(scores, y, costs, shape: ProblemShape):
+    """A single-stage batch, checked: finite ``(m, n + n_e)`` scores, m labels
+    in [0, n) and ``(m, n_e)`` costs."""
+    s = np.atleast_2d(_as_scores(scores))
+    y = np.atleast_1d(np.asarray(y, dtype=int))
+    c = np.atleast_2d(np.asarray(costs, dtype=float))
+    m = len(s)
+    if s.shape != (m, shape.augmented_size) or y.shape != (m,) or c.shape != (m, shape.n_e):
+        raise ValueError(f"need scores (m, {shape.augmented_size}), labels (m,) and costs "
+                         f"(m, {shape.n_e}); got {s.shape}, {y.shape} and {c.shape}")
+    if ((y < 0) | (y >= shape.n)).any():
+        raise ValueError(f"label out of range [0, {shape.n})")
+    return s, y, c
 
 
-def _argmax_low(scores: np.ndarray) -> np.ndarray:
-    # np.argmax already breaks ties to the lowest index
-    return np.argmax(scores, axis=-1)
+def _two_stage_inputs(scores, costs):
+    """A two-stage batch, checked: finite ``(m, n_e)`` scores and costs of
+    the same shape."""
+    s = np.atleast_2d(_as_scores(scores))
+    c = np.atleast_2d(np.asarray(costs, dtype=float))
+    if s.ndim != 2 or c.shape != s.shape:
+        raise ValueError(f"scores {s.shape} and costs {c.shape} differ: need one cost "
+                         "row per score row and cost width = score width")
+    return s, c
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +177,8 @@ def _argmax_low(scores: np.ndarray) -> np.ndarray:
 def deferral_loss_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     """Single-stage deferral loss: zero-one error when predicting, expert
     cost when the argmax lands on an expert slot."""
-    s = np.atleast_2d(_as_scores(scores, shape.augmented_size))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    _check_labels(y, shape.n)
-    pred = _argmax_low(s)
+    s, y, c = _labeled_inputs(scores, y, costs, shape)
+    pred = np.argmax(s, axis=-1)
     rows = np.arange(len(y))
     defer = pred >= shape.n
     out = np.where(pred == y, 0.0, 1.0)
@@ -172,41 +186,22 @@ def deferral_loss_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     return out
 
 
-def deferral_loss(scores, y: int, costs, shape: ProblemShape) -> float:
-    return float(deferral_loss_batch(scores, [y], [costs], shape)[0])
-
-
 def deferral_loss_alt_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     """Rewritten deferral loss: a miss term weighted by the cost sum plus
     per-expert terms that vanish exactly at the chosen expert. Must agree
     with :func:`deferral_loss_batch` on all inputs."""
-    s = np.atleast_2d(_as_scores(scores, shape.augmented_size))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    _check_labels(y, shape.n)
-    pred = _argmax_low(s)
+    s, y, c = _labeled_inputs(scores, y, costs, shape)
+    pred = np.argmax(s, axis=-1)
     miss = (pred != y).astype(float)
     bracket = c.sum(axis=1) + 1.0 - shape.n_e
     not_j = (pred[:, None] != (shape.n + np.arange(shape.n_e))[None, :]).astype(float)
     return bracket * miss + ((1.0 - c) * not_j).sum(axis=1) * miss
 
 
-def deferral_loss_alt(scores, y: int, costs, shape: ProblemShape) -> float:
-    return float(deferral_loss_alt_batch(scores, [y], [costs], shape)[0])
-
-
 def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
     """Two-stage deferral loss: cost of the expert with the highest score."""
-    s = np.atleast_2d(_as_scores(scores))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    if s.shape != c.shape:
-        raise ValueError(f"score width {s.shape[-1]} != cost width {c.shape[-1]}")
-    pred = _argmax_low(s)
-    return c[np.arange(len(pred)), pred]
-
-
-def two_stage_deferral_loss(scores, costs) -> float:
-    return float(two_stage_deferral_loss_batch([scores], [costs])[0])
+    s, c = _two_stage_inputs(scores, costs)
+    return c[np.arange(len(s)), np.argmax(s, axis=-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +210,7 @@ def two_stage_deferral_loss(scores, costs) -> float:
 
 
 def _single_stage_terms(scores, y, costs, shape: ProblemShape):
-    s = np.atleast_2d(_as_scores(scores, shape.augmented_size))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    _check_labels(y, shape.n)
+    s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _softmax(s)
     rows = np.arange(len(y))
     u0 = p[rows, y]                          # softmax mass on the true label
@@ -226,6 +218,13 @@ def _single_stage_terms(scores, y, costs, shape: ProblemShape):
     a0 = c.sum(axis=1) + 1.0 - shape.n_e     # may be negative; kept as-is
     wj = 1.0 - c
     return p, rows, y, u0, uj, a0, wj
+
+
+def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
+    """Comp-sum deferral surrogate: the miss bracket applied to the true-label
+    softmax mass plus per-expert brackets applied to pairwise masses."""
+    _, _, _, u0, uj, a0, wj = _single_stage_terms(scores, y, costs, shape)
+    return a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=1)
 
 
 def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
@@ -242,26 +241,8 @@ def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
     return loss, grad
 
 
-def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    """Comp-sum deferral surrogate: the miss bracket applied to the true-label
-    softmax mass plus per-expert brackets applied to pairwise masses."""
-    _, _, _, u0, uj, a0, wj = _single_stage_terms(scores, y, costs, shape)
-    return a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=1)
-
-
-def surrogate_single(scores, y: int, costs, shape: ProblemShape, psi: PsiSpec) -> float:
-    return float(surrogate_single_batch(scores, [y], [costs], shape, psi)[0])
-
-
-def surrogate_single_grad_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    return surrogate_single_with_grad_batch(scores, y, costs, shape, psi)[1]
-
-
-def surrogate_single_grad(scores, y: int, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    return surrogate_single_grad_batch(scores, [y], [costs], shape, psi)[0]
-
-
 _MAE = PsiSpec(q=1.0)
+_LOG = PsiSpec(q=0.0)
 
 
 def surrogate_mae_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
@@ -270,41 +251,22 @@ def surrogate_mae_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     return surrogate_single_batch(scores, y, costs, shape, _MAE)
 
 
-def surrogate_mae(scores, y: int, costs, shape: ProblemShape) -> float:
-    return surrogate_single(scores, y, costs, shape, _MAE)
-
-
-def surrogate_mae_grad_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
-    return surrogate_single_grad_batch(scores, y, costs, shape, _MAE)
-
-
-def surrogate_mae_grad(scores, y: int, costs, shape: ProblemShape) -> np.ndarray:
-    return surrogate_single_grad(scores, y, costs, shape, _MAE)
-
-
 # ---------------------------------------------------------------------------
 # baseline surrogates (comparison arms only)
 # ---------------------------------------------------------------------------
 
 
 def _baseline_terms(scores, y, costs, shape: ProblemShape):
-    s = np.atleast_2d(_as_scores(scores, shape.augmented_size))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    _check_labels(y, shape.n)
-    p = _softmax(s)
-    return p, np.arange(len(y)), y, 1.0 - c
+    s, y, c = _labeled_inputs(scores, y, costs, shape)
+    return _softmax(s), np.arange(len(y)), y, 1.0 - c
 
 
 def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
     """Comp-sum cross-entropy-style baseline: separate terms on the label
-    slot and each expert slot, weighted by one minus the expert cost."""
+    slot and each expert slot, weighted by one minus the expert cost. At
+    q = 0 it is the multi-expert cross-entropy of Verma et al."""
     p, rows, y, wj = _baseline_terms(scores, y, costs, shape)
     return psi.value(p[rows, y]) + (wj * psi.value(p[:, shape.n:])).sum(axis=1)
-
-
-def baseline_mao(scores, y: int, costs, shape: ProblemShape, psi: PsiSpec) -> float:
-    return float(baseline_mao_batch(scores, [y], [costs], shape, psi)[0])
 
 
 def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
@@ -322,39 +284,10 @@ def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
     return loss, grad
 
 
-def baseline_mao_grad_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    return baseline_mao_with_grad_batch(scores, y, costs, shape, psi)[1]
-
-
-def baseline_mao_grad(scores, y: int, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    return baseline_mao_grad_batch(scores, [y], [costs], shape, psi)[0]
-
-
-_LOG = PsiSpec(q=0.0)
-
-
-def baseline_verma_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
-    """Multi-expert cross-entropy baseline: negative log mass on the label
-    plus cost-weighted negative logs on expert slots."""
-    p, rows, y, wj = _baseline_terms(scores, y, costs, shape)
-    lp = np.log(np.clip(p, _LOG.clamp_epsilon, 1.0))
-    return -lp[rows, y] - (wj * lp[:, shape.n:]).sum(axis=1)
-
-
-def baseline_verma(scores, y: int, costs, shape: ProblemShape) -> float:
-    return float(baseline_verma_batch(scores, [y], [costs], shape)[0])
-
-
 def baseline_verma_with_grad_batch(scores, y, costs, shape: ProblemShape) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-expert cross-entropy baseline: :func:`baseline_mao_with_grad_batch`
+    at q = 0."""
     return baseline_mao_with_grad_batch(scores, y, costs, shape, _LOG)
-
-
-def baseline_verma_grad_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
-    return baseline_mao_grad_batch(scores, y, costs, shape, _LOG)
-
-
-def baseline_verma_grad(scores, y: int, costs, shape: ProblemShape) -> np.ndarray:
-    return baseline_mao_grad(scores, y, costs, shape, _LOG)
 
 
 # ---------------------------------------------------------------------------
@@ -362,38 +295,25 @@ def baseline_verma_grad(scores, y: int, costs, shape: ProblemShape) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _phi_terms(scores, costs):
+    s, c = _two_stage_inputs(scores, costs)
+    if s.shape[1] != 2:
+        raise ValueError("two_stage_surrogate_phi requires exactly 2 experts")
+    return c, s[:, 0] - s[:, 1]
+
+
 def two_stage_surrogate_phi_batch(scores, costs, phi: PhiSpec) -> np.ndarray:
     """Two-expert margin surrogate: each cost weights the margin loss of the
     opposing score difference."""
-    s = np.atleast_2d(_as_scores(scores, 2))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    if c.shape[-1] != 2:
-        raise ValueError("two_stage_surrogate_phi requires exactly 2 experts")
-    d = s[:, 0] - s[:, 1]
+    c, d = _phi_terms(scores, costs)
     return c[:, 0] * phi.value(-d) + c[:, 1] * phi.value(d)
 
 
-def two_stage_surrogate_phi(scores, costs, phi: PhiSpec) -> float:
-    return float(two_stage_surrogate_phi_batch([scores], [costs], phi)[0])
-
-
 def two_stage_surrogate_phi_with_grad_batch(scores, costs, phi: PhiSpec) -> tuple[np.ndarray, np.ndarray]:
-    s = np.atleast_2d(_as_scores(scores, 2))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    if c.shape[-1] != 2:
-        raise ValueError("two_stage_surrogate_phi requires exactly 2 experts")
-    d = s[:, 0] - s[:, 1]
+    c, d = _phi_terms(scores, costs)
     loss = c[:, 0] * phi.value(-d) + c[:, 1] * phi.value(d)
     g1 = -c[:, 0] * phi.deriv(-d) + c[:, 1] * phi.deriv(d)
     return loss, np.stack([g1, -g1], axis=1)
-
-
-def two_stage_surrogate_phi_grad_batch(scores, costs, phi: PhiSpec) -> np.ndarray:
-    return two_stage_surrogate_phi_with_grad_batch(scores, costs, phi)[1]
-
-
-def two_stage_surrogate_phi_grad(scores, costs, phi: PhiSpec) -> np.ndarray:
-    return two_stage_surrogate_phi_grad_batch([scores], [costs], phi)[0]
 
 
 def expert_brackets(costs: np.ndarray, n_e: int) -> np.ndarray:
@@ -402,41 +322,95 @@ def expert_brackets(costs: np.ndarray, n_e: int) -> np.ndarray:
     return c.sum(axis=-1, keepdims=True) - c - (n_e - 2)
 
 
+def _psi_terms(scores, costs):
+    s, c = _two_stage_inputs(scores, costs)
+    if s.shape[1] < 2:
+        raise ValueError("two-stage surrogate requires at least 2 experts")
+    return expert_brackets(c, s.shape[1]), _softmax(s)
+
+
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
     """Multiple-expert comp-sum surrogate over the expert softmax."""
-    s = np.atleast_2d(_as_scores(scores))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    if s.shape != c.shape:
-        raise ValueError(f"score width {s.shape[-1]} != cost width {c.shape[-1]}")
-    n_e = s.shape[-1]
-    if n_e < 2:
-        raise ValueError("two-stage surrogate requires at least 2 experts")
-    b = expert_brackets(c, n_e)
-    return (b * psi.value(_softmax(s))).sum(axis=1)
-
-
-def two_stage_surrogate_psi(scores, costs, psi: PsiSpec) -> float:
-    return float(two_stage_surrogate_psi_batch([scores], [costs], psi)[0])
+    b, p = _psi_terms(scores, costs)
+    return (b * psi.value(p)).sum(axis=1)
 
 
 def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
-    s = np.atleast_2d(_as_scores(scores))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    if s.shape != c.shape:
-        raise ValueError(f"score width {s.shape[-1]} != cost width {c.shape[-1]}")
-    n_e = s.shape[-1]
-    if n_e < 2:
-        raise ValueError("two-stage surrogate requires at least 2 experts")
-    b = expert_brackets(c, n_e)
-    p = _softmax(s)
+    b, p = _psi_terms(scores, costs)
     loss = (b * psi.value(p)).sum(axis=1)
     q = b * psi.deriv(p) * p
     return loss, q - p * q.sum(axis=1, keepdims=True)
 
 
-def two_stage_surrogate_psi_grad_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
-    return two_stage_surrogate_psi_with_grad_batch(scores, costs, psi)[1]
+# ---------------------------------------------------------------------------
+# the loss table and the scalar forms
+# ---------------------------------------------------------------------------
+
+# name -> (stage, spec): "psi" or "phi" for the spec a loss takes, a PsiSpec
+# for the one a loss fixes, None for a target loss, which takes no spec
+_LOSSES = {
+    "surrogate_single": ("single", "psi"),
+    "surrogate_mae": ("single", _MAE),
+    "baseline_verma": ("single", _LOG),
+    "baseline_mao": ("single", "psi"),
+    "two_stage_phi": ("two", "phi"),
+    "two_stage_psi": ("two", "psi"),
+    "deferral": ("single", None),
+    "two_stage_deferral": ("two", None),
+}
 
 
-def two_stage_surrogate_psi_grad(scores, costs, psi: PsiSpec) -> np.ndarray:
-    return two_stage_surrogate_psi_grad_batch([scores], [costs], psi)[0]
+@dataclass(frozen=True)
+class LossSelector:
+    """One loss of the table, by the name configs use, with the spec it takes.
+
+    surrogate_mae and baseline_verma fix their PsiSpec (q = 1 and q = 0) and
+    fill in ``psi`` themselves. deferral and two_stage_deferral are the
+    target losses: they take no spec and have no gradient.
+    """
+
+    name: str
+    psi: PsiSpec | None = None
+    phi: PhiSpec | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or self.name not in _LOSSES:
+            raise ValueError(f"unknown loss {self.name!r}; the losses are {list(_LOSSES)}")
+        takes = _LOSSES[self.name][1]
+        if isinstance(takes, PsiSpec):
+            if self.psi not in (None, takes):
+                raise ValueError(f"{self.name} fixes q = {takes.q}, got {self.psi!r}")
+            object.__setattr__(self, "psi", takes)
+            takes = "psi"
+        for field, what in (("psi", "q (a PsiSpec)"), ("phi", "phi (a PhiSpec)")):
+            given = getattr(self, field) is not None
+            if given != (field == takes):
+                raise ValueError(f"{self.name} {'takes no' if given else 'requires'} {what}")
+
+    @property
+    def stage(self) -> str:
+        return _LOSSES[self.name][0]
+
+    @property
+    def is_target(self) -> bool:
+        return _LOSSES[self.name][1] is None
+
+
+def _one_row(kernel, row_args: int):
+    """The scalar form of a batch kernel: one score vector and ``row_args``
+    more per-row arguments (label and costs, or costs) in, a float out."""
+    def one_row(scores, *args):
+        rows = [[a] for a in args[:row_args]]
+        return float(kernel([scores], *rows, *args[row_args:])[0])
+
+    one_row.__name__ = one_row.__qualname__ = kernel.__name__.removesuffix("_batch")
+    one_row.__doc__ = f"One row of :func:`{kernel.__name__}`, as a float."
+    return one_row
+
+
+deferral_loss = _one_row(deferral_loss_batch, 2)
+two_stage_deferral_loss = _one_row(two_stage_deferral_loss_batch, 1)
+surrogate_single = _one_row(surrogate_single_batch, 2)
+surrogate_mae = _one_row(surrogate_mae_batch, 2)
+two_stage_surrogate_phi = _one_row(two_stage_surrogate_phi_batch, 1)
+two_stage_surrogate_psi = _one_row(two_stage_surrogate_psi_batch, 1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .losses import PhiSpec, ProblemShape, PsiSpec
+from .losses import LossSelector, ProblemShape
 from .rng import substream
 
 __all__ = [
@@ -20,10 +20,10 @@ __all__ = [
     "MlpScorer",
     "TrainConfig",
     "LabeledDataset",
-    "LossSelector",
     "TrainingDiverged",
     "init_linear",
     "init_mlp",
+    "loss_and_grad",
     "train",
     "system_accuracy",
     "scorer_to_json",
@@ -170,54 +170,32 @@ class LabeledDataset:
         return self.shape.augmented_size if self.stage == "single" else self.shape.n_e
 
 
-_MAE = PsiSpec(q=1.0)
+def loss_and_grad(selector: LossSelector, scores, y: np.ndarray, c: np.ndarray,
+                  shp: ProblemShape):
+    """Per-row surrogate losses and their score gradients, by the selector's
+    row of the loss table."""
+    name = selector.name
+    if name in ("surrogate_single", "surrogate_mae"):
+        return losses.surrogate_single_with_grad_batch(scores, y, c, shp, selector.psi)
+    if name == "baseline_verma":
+        return losses.baseline_verma_with_grad_batch(scores, y, c, shp)
+    if name == "baseline_mao":
+        return losses.baseline_mao_with_grad_batch(scores, y, c, shp, selector.psi)
+    if name == "two_stage_phi":
+        return losses.two_stage_surrogate_phi_with_grad_batch(scores, c, selector.phi)
+    if name == "two_stage_psi":
+        return losses.two_stage_surrogate_psi_with_grad_batch(scores, c, selector.psi)
+    raise ValueError(f"{name} is a target loss: it has no gradient to train on")
 
 
-@dataclass(frozen=True)
-class LossSelector:
-    """Names one of the surrogate losses together with its Psi/Phi spec."""
-
-    name: str
-    psi: PsiSpec | None = None
-    phi: PhiSpec | None = None
-
-    _SINGLE = ("surrogate_single", "surrogate_mae", "baseline_verma", "baseline_mao")
-    _TWO = ("two_stage_phi", "two_stage_psi")
-
-    def __post_init__(self) -> None:
-        if self.name not in self._SINGLE + self._TWO:
-            raise ValueError(f"unknown loss {self.name!r}")
-        if self.name in ("surrogate_single", "baseline_mao", "two_stage_psi") and self.psi is None:
-            raise ValueError(f"{self.name} requires a PsiSpec")
-        if self.name == "two_stage_phi" and self.phi is None:
-            raise ValueError("two_stage_phi requires a PhiSpec")
-
-    @property
-    def stage(self) -> str:
-        return "single" if self.name in self._SINGLE else "two"
-
-    def loss_and_grad(self, scores, y: np.ndarray, c: np.ndarray,
-                      shp: ProblemShape):
-        if self.name == "surrogate_single":
-            return losses.surrogate_single_with_grad_batch(scores, y, c, shp, self.psi)
-        if self.name == "surrogate_mae":
-            return losses.surrogate_single_with_grad_batch(scores, y, c, shp, _MAE)
-        if self.name == "baseline_verma":
-            return losses.baseline_verma_with_grad_batch(scores, y, c, shp)
-        if self.name == "baseline_mao":
-            return losses.baseline_mao_with_grad_batch(scores, y, c, shp, self.psi)
-        if self.name == "two_stage_phi":
-            return losses.two_stage_surrogate_phi_with_grad_batch(scores, c, self.phi)
-        return losses.two_stage_surrogate_psi_with_grad_batch(scores, c, self.psi)
-
-
-def realized_deferral_loss(scorer: Scorer, dataset: LabeledDataset,
-                           features: np.ndarray | None = None) -> np.ndarray:
-    x = dataset.features if features is None else features
-    scores = scorer.scores(x)
+def _deferral_losses(scores: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
     if dataset.stage == "single":
         return losses.deferral_loss_batch(scores, dataset.labels, dataset.costs, dataset.shape)
     return losses.two_stage_deferral_loss_batch(scores, dataset.costs)
+
+
+def realized_deferral_loss(scorer: Scorer, dataset: LabeledDataset) -> np.ndarray:
+    return _deferral_losses(scorer.scores(dataset.features), dataset)
 
 
 def system_accuracy(scorer: Scorer, dataset: LabeledDataset, stage: str | None = None) -> float:
@@ -285,8 +263,8 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
     trajectory = np.empty((config.epochs, 2))
 
     if batch == m:
-        sur, gout = selector.loss_and_grad(model.scores(x), dataset.labels,
-                                           dataset.costs, dataset.shape)
+        sur, gout = loss_and_grad(selector, model.scores(x), dataset.labels,
+                                  dataset.costs, dataset.shape)
     for epoch in range(config.epochs):
         if batch < m:
             order = shuffle_rng.permutation(m)
@@ -298,8 +276,8 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
             else:
                 idx = order[start:start + batch]
                 xb = x[idx]
-                loss_vals, gout = selector.loss_and_grad(
-                    model.scores(xb), dataset.labels[idx], dataset.costs[idx],
+                loss_vals, gout = loss_and_grad(
+                    selector, model.scores(xb), dataset.labels[idx], dataset.costs[idx],
                     dataset.shape)
             if not np.all(np.isfinite(loss_vals)):
                 raise TrainingDiverged(epoch)
@@ -314,13 +292,9 @@ def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
                     p -= config.learning_rate * g
 
         full_scores = model.scores(x)
-        sur, gout = selector.loss_and_grad(full_scores, dataset.labels,
-                                           dataset.costs, dataset.shape)
-        if dataset.stage == "single":
-            tgt = losses.deferral_loss_batch(full_scores, dataset.labels,
-                                             dataset.costs, dataset.shape)
-        else:
-            tgt = losses.two_stage_deferral_loss_batch(full_scores, dataset.costs)
+        sur, gout = loss_and_grad(selector, full_scores, dataset.labels,
+                                  dataset.costs, dataset.shape)
+        tgt = _deferral_losses(full_scores, dataset)
         if not np.all(np.isfinite(sur)):
             raise TrainingDiverged(epoch)
         trajectory[epoch] = (sur.mean(), tgt.mean())

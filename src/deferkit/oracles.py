@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .losses import PhiSpec, ProblemShape, PsiSpec
+from .losses import LossSelector, PhiSpec, ProblemShape, PsiSpec
 
 __all__ = [
     "SLACK_FLOOR",
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 SLACK_FLOOR = 1e-9
+
+# the target loss of each stage
+_DEFERRAL = {"single": LossSelector("deferral"), "two": LossSelector("two_stage_deferral")}
 
 
 @dataclass
@@ -169,11 +172,11 @@ def expected_costs(task: DiscreteTask, k) -> np.ndarray:
 def conditional_regret_def(task: DiscreteTask, hyp: TabularHypothesis, k):
     """Deferral-loss conditional regret: best augmented value minus the value
     of the chosen action."""
-    return conditional_regret_surrogate(task, hyp, k, OracleLoss("def"))
+    return conditional_regret_surrogate(task, hyp, k, _DEFERRAL["single"])
 
 
 def conditional_regret_tdef(task: DiscreteTask, hyp: TabularHypothesis, k):
-    return conditional_regret_surrogate(task, hyp, k, OracleLoss("tdef"))
+    return conditional_regret_surrogate(task, hyp, k, _DEFERRAL["two"])
 
 
 def bayes_deferral(task: DiscreteTask) -> TabularHypothesis:
@@ -190,30 +193,6 @@ def bayes_two_stage(task: DiscreteTask) -> TabularHypothesis:
 # ---------------------------------------------------------------------------
 # conditional surrogate errors and their exact minima
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleLoss:
-    """Loss selector for oracle computations.
-
-    name: 'def' | 'tdef' | 'mae' | 'two_stage_psi' | 'two_stage_phi'
-    """
-
-    name: str
-    psi: PsiSpec | None = None
-    phi: PhiSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in ("def", "tdef", "mae", "two_stage_psi", "two_stage_phi"):
-            raise ValueError(f"unsupported loss {self.name!r}")
-        if self.name == "two_stage_psi" and self.psi is None:
-            raise ValueError("two_stage_psi requires a PsiSpec")
-        if self.name == "two_stage_phi" and self.phi is None:
-            raise ValueError("two_stage_phi requires a PhiSpec")
-
-    @property
-    def stage(self) -> str:
-        return "single" if self.name in ("def", "mae") else "two"
 
 
 def _mae_given_probs(probs: np.ndarray, task: DiscreteTask, k: int) -> float:
@@ -234,16 +213,18 @@ def _qbar(task: DiscreteTask, k) -> np.ndarray:
 
 
 def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
-                      loss: OracleLoss):
-    """Expected loss at point k under the label conditional."""
+                      loss: LossSelector):
+    """Expected loss at point k under the label conditional. The losses with
+    an exact oracle are the two targets, surrogate_mae, two_stage_psi and
+    two_stage_phi."""
     _check_width(task, hyp, loss.stage)
     s = hyp.scores[..., k, :]
     p = task.conditionals[k]
-    if loss.name == "def":
+    if loss.name == "deferral":
         out = 1.0 - _pick(augmented_values(task, k), hyp.action(k))
-    elif loss.name == "tdef":
+    elif loss.name == "two_stage_deferral":
         out = _pick(expected_costs(task, k), hyp.action(k))
-    elif loss.name == "mae":
+    elif loss.name == "surrogate_mae":
         # one row per (hypothesis, point, label): the scores against that label
         lead = s.shape[:-1] + (task.shape.n,)
         rows = np.broadcast_to(s[..., None, :], lead + s.shape[-1:]).reshape(-1, s.shape[-1])
@@ -253,10 +234,12 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
         out = _dot(p, vals.reshape(lead))
     elif loss.name == "two_stage_psi":
         out = _dot(_qbar(task, k), loss.psi.value(losses.softmax(s)))
-    else:
+    elif loss.name == "two_stage_phi":
         e = expected_costs(task, k)
         margin = s[..., 0] - s[..., 1]
         out = e[..., 0] * loss.phi.value(-margin) + e[..., 1] * loss.phi.value(margin)
+    else:
+        raise ValueError(f"no exact oracle for loss {loss.name!r}")
     return _per_point(out)
 
 
@@ -282,23 +265,26 @@ def _psi_min(qbar: np.ndarray, q: float) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # masked-out entries may divide by 0
-def conditional_min_surrogate(task: DiscreteTask, k, loss: OracleLoss):
+def conditional_min_surrogate(task: DiscreteTask, k, loss: LossSelector):
     """Infimum of the conditional surrogate error over all score vectors.
 
-    mae: as a0_y + sum_j (1 - c_yj) = 1, the error is 1 - <augmented values,
-    output probabilities>, least at the best vertex. two_stage_psi:
-    closed-form stationary point for q in [0, 1), vertex minimum for q = 1.
+    surrogate_mae: as a0_y + sum_j (1 - c_yj) = 1, the error is
+    1 - <augmented values, output probabilities>, least at the best vertex.
+    two_stage_psi: closed-form stationary point for q in [0, 1), vertex
+    minimum for q = 1.
     two_stage_phi: the minimal conditional margin risks of Bartlett, Jordan
     & McAuliffe (JASA 2006) for expected costs e0, e1, namely
     (e0 + e1) H(e0 / (e0 + e1)) with H the binary entropy in nats
     (logistic), 2 sqrt(e0 e1) (exponential) and 2 min(e0, e1) (hinge).
     """
-    if loss.name in ("def", "mae"):
+    if loss.name in ("deferral", "surrogate_mae"):
         out = 1.0 - augmented_values(task, k).max(axis=-1)
-    elif loss.name == "tdef":
+    elif loss.name == "two_stage_deferral":
         out = expected_costs(task, k).min(axis=-1)
     elif loss.name == "two_stage_psi":
         out = _psi_min(_qbar(task, k), loss.psi.q)
+    elif loss.name != "two_stage_phi":
+        raise ValueError(f"no exact oracle for loss {loss.name!r}")
     elif loss.phi.kind is losses.PhiKind.LOGISTIC:
         out = _weighted_entropy(expected_costs(task, k))
     else:
@@ -310,7 +296,7 @@ def conditional_min_surrogate(task: DiscreteTask, k, loss: OracleLoss):
 
 
 def conditional_regret_surrogate(task: DiscreteTask, hyp: TabularHypothesis,
-                                 k, loss: OracleLoss):
+                                 k, loss: LossSelector):
     return conditional_error(task, hyp, k, loss) - conditional_min_surrogate(task, k, loss)
 
 
@@ -389,19 +375,19 @@ def grid_min_simplex(fn, width: int, resolution: float = 0.02) -> float:
 
 
 def generalization_error(task: DiscreteTask, hyp: TabularHypothesis,
-                         loss: OracleLoss) -> float:
+                         loss: LossSelector) -> float:
     _one_hypothesis(hyp)
     return float(task.mu @ conditional_error(task, hyp, slice(None), loss))
 
 
 def empirical_excess(task: DiscreteTask, hyp: TabularHypothesis,
-                     loss: OracleLoss) -> float:
+                     loss: LossSelector) -> float:
     """Excess error over the tabular-class optimum, by exact summation."""
     _one_hypothesis(hyp)
     return float(task.mu @ conditional_regret_surrogate(task, hyp, slice(None), loss))
 
 
-def minimizability_gap(task: DiscreteTask, loss: OracleLoss,
+def minimizability_gap(task: DiscreteTask, loss: LossSelector,
                        hypothesis_class: str = "tabular_all",
                        candidates: list[TabularHypothesis] | None = None) -> float:
     """Best-in-class error minus the expectation of the per-point best
@@ -477,6 +463,9 @@ class RegretReport:
 
     def csv_rows(self, task_id: str) -> list[tuple]:
         """One row per point, then the aggregate row, of one hypothesis."""
+        if np.ndim(self.excess_target):
+            raise ValueError(f"csv_rows takes one hypothesis: use report[h] of this stack "
+                             f"of {np.shape(self.excess_target)} hypotheses")
         slack, ok = self.slack, self._ok(self.target_regrets, self.rhs)
         rows = [(task_id, k, float(self.target_regrets[k]), float(self.rhs[k]),
                  float(slack[k]), "ok" if ok[k] else "violation")
@@ -487,13 +476,13 @@ class RegretReport:
         return rows
 
 
-def _per_point_regrets(task, hyp, target: OracleLoss, surrogate: OracleLoss):
+def _per_point_regrets(task, hyp, target: LossSelector, surrogate: LossSelector):
     tgt = conditional_regret_surrogate(task, hyp, slice(None), target)
     sur = conditional_regret_surrogate(task, hyp, slice(None), surrogate)
     return tgt, np.maximum(sur, 0.0)
 
 
-def _regret_report(task, hyp, target: OracleLoss, surrogate: OracleLoss,
+def _regret_report(task, hyp, target: LossSelector, surrogate: LossSelector,
                    gamma, label: str) -> RegretReport:
     """Bound target regret <= gamma(surrogate regret), per point and on the
     mu-weighted excesses, for each stacked hypothesis."""
@@ -509,7 +498,7 @@ def verify_bound_single_mae(task: DiscreteTask, hyp: TabularHypothesis) -> Regre
     """Per-point and aggregated check of the (n + n_e)-factor bound tying the
     deferral regret to the q=1 surrogate regret."""
     factor = task.shape.augmented_size
-    return _regret_report(task, hyp, OracleLoss("def"), OracleLoss("mae"),
+    return _regret_report(task, hyp, _DEFERRAL["single"], LossSelector("surrogate_mae"),
                           lambda t: factor * t, "single_mae")
 
 
@@ -535,8 +524,8 @@ def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
     if not check_two_stage_premise(task):
         raise ValueError("assumption sum of other experts' costs >= n_e - 2 fails")
     cbar_max = float(task.costs.max(axis=(0, 1)).max())
-    return _regret_report(task, hyp, OracleLoss("tdef"),
-                          OracleLoss("two_stage_psi", psi=PsiSpec(q=q)),
+    return _regret_report(task, hyp, _DEFERRAL["two"],
+                          LossSelector("two_stage_psi", psi=PsiSpec(q=q)),
                           two_stage_gamma(q, cbar_max, task.shape.n_e), f"two_stage_q{q}")
 
 
@@ -559,7 +548,7 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
             return np.where(t > 0, np.inf, 0.0)
         return scale * np.sqrt(2.0 * t / denom)
 
-    report = _regret_report(task, hyp, OracleLoss("tdef"), OracleLoss("two_stage_phi", phi=phi),
+    report = _regret_report(task, hyp, _DEFERRAL["two"], LossSelector("two_stage_phi", phi=phi),
                             gamma, f"two_expert_{phi.kind.value}")
     if denom <= 0.0:
         report.premise_met, report.note = False, "lower costs sum to 0: the bound is vacuous"
@@ -644,10 +633,9 @@ def verify_lemma_noise(task: DiscreteTask, hyp: TabularHypothesis,
     _one_hypothesis(hyp)
     disagree = _disagreement(task, hyp, stage)
     margins = minimal_margin(task, stage)
-    target = OracleLoss("def" if stage == "single" else "tdef")
     lhs = float(task.mu @ disagree)
     middle = profile.c_const * float(task.mu @ (margins * disagree)) ** profile.alpha
-    rhs = profile.c_const * empirical_excess(task, hyp, target) ** profile.alpha
+    rhs = profile.c_const * empirical_excess(task, hyp, _DEFERRAL[stage]) ** profile.alpha
     return ChainReport(lhs=lhs, middle=middle, rhs=rhs, label=f"noise_{stage}")
 
 
@@ -673,7 +661,7 @@ class EnhancedReport:
 
 
 def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
-                          surrogate: OracleLoss, s: float, mode: str,
+                          surrogate: LossSelector, s: float, mode: str,
                           profile: NoiseProfile | None = None) -> EnhancedReport:
     """Hypothesis-dependent-factor bound (mode='theorem_multi') and the
     noise-sharpened exponent bound (mode='theorem_mm').
@@ -685,9 +673,8 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
     _one_hypothesis(hyp)
     if s < 1.0:
         raise ValueError("s must be >= 1")
-    stage = "single" if surrogate.stage == "single" else "two"
-    target = OracleLoss("def" if stage == "single" else "tdef")
-    tgt, sur = _per_point_regrets(task, hyp, target, surrogate)
+    stage = surrogate.stage
+    tgt, sur = _per_point_regrets(task, hyp, _DEFERRAL[stage], surrogate)
     # unmet only where a point is known to break it, so NaN cannot skip the check
     premise = not np.any(tgt > sur ** (1.0 / s) + SLACK_FLOOR)
     excess_t = float(task.mu @ tgt)

@@ -12,34 +12,35 @@ import numpy as np
 import pytest
 
 from deferkit.losses import (
+    LossSelector,
     PhiKind,
     PhiSpec,
     ProblemShape,
     PsiSpec,
+    deferral_loss_batch,
+    deferral_loss_alt_batch,
+    surrogate_mae,
+    surrogate_single,
+    two_stage_surrogate_phi,
+    two_stage_surrogate_psi,
+)
+from scalar_forms import (
     baseline_mao,
     baseline_mao_grad,
     baseline_verma,
     baseline_verma_grad,
-    deferral_loss_batch,
-    deferral_loss_alt_batch,
-    surrogate_mae,
     surrogate_mae_grad,
-    surrogate_single,
     surrogate_single_grad,
-    two_stage_surrogate_phi,
     two_stage_surrogate_phi_grad,
-    two_stage_surrogate_psi,
     two_stage_surrogate_psi_grad,
 )
 from deferkit.models import (
-    LossSelector,
     TrainConfig,
     init_linear,
     realized_deferral_loss,
     train,
 )
 from deferkit.oracles import (
-    OracleLoss,
     TabularHypothesis,
     _mae_given_probs,
     _qbar,
@@ -232,7 +233,7 @@ def test_criterion_5_closed_forms_vs_numeric():
     worst = 0.0
     for q in (0.0, 0.25, 0.5, 0.75):
         psi = PsiSpec(q=q)
-        loss = OracleLoss("two_stage_psi", psi=psi)
+        loss = LossSelector("two_stage_psi", psi=psi)
         for _ in range(200):
             n = int(g.integers(2, 4))
             n_e = int(g.integers(2, 5))
@@ -257,8 +258,8 @@ def test_criterion_5_closed_forms_vs_numeric():
                                         constraint="theorem7_premise")
         qbar = _qbar(task, 0)
         vertex = conditional_min_surrogate(task, 0,
-                                           OracleLoss("two_stage_psi",
-                                                      psi=PsiSpec(q=1.0)))
+                                           LossSelector("two_stage_psi",
+                                                        psi=PsiSpec(q=1.0)))
         grid = grid_min_simplex(lambda s: float(qbar @ (1.0 - s)),
                                 task.shape.n_e)
         assert vertex <= grid + 1e-9
@@ -268,7 +269,7 @@ def test_criterion_5_closed_forms_vs_numeric():
         task = gen_random_discrete_task(600, i, n_max=3, ne_max=2, k_max=3)
         if task.shape.augmented_size > 4:
             continue
-        vertex = conditional_min_surrogate(task, 0, OracleLoss("mae"))
+        vertex = conditional_min_surrogate(task, 0, LossSelector("surrogate_mae"))
         grid = grid_min_simplex(lambda s: _mae_given_probs(s, task, 0),
                                 task.shape.augmented_size)
         assert vertex <= grid + 1e-9
@@ -312,8 +313,8 @@ def test_criterion_7_enhanced_bounds():
     t0 = time.time()
     counts = {"single_multi": 0, "single_mm": 0, "two_multi": 0, "two_mm": 0}
     violations = 0
-    mae = OracleLoss("mae")
-    psi_loss = OracleLoss("two_stage_psi", psi=PsiSpec(q=0.5))
+    mae = LossSelector("surrogate_mae")
+    psi_loss = LossSelector("two_stage_psi", psi=PsiSpec(q=0.5))
     i = 0
     while min(counts.values()) < 500 and i < 20_000:
         task = gen_random_discrete_task(700, i, constraint="theorem7_premise")
@@ -417,7 +418,7 @@ def test_criterion_10_tabular_bayes_consistency():
                     scores[k], y, task.costs[k, y], shape)
         scores -= lr * grad
     excess = empirical_excess(task, TabularHypothesis(scores),
-                              OracleLoss("def"))
+                              LossSelector("deferral"))
     assert excess <= 1e-3, f"deferral excess {excess:.2e}"
     elapsed = time.time() - t0
     budget(10, elapsed, 60.0)

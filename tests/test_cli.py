@@ -163,6 +163,16 @@ def two_stage_data(tmp_path_factory):
     ("gen-data", "ranges", [[0, True], [0, 2]], {"kind": "range_experts", "n": 6}),
     ("gen-data", "ranges", [[-1, 2], [0, 2]], {"kind": "range_experts", "n": 6}),
     ("gen-data", "ranges", [[0, 2, 4], [0, 2]], {"kind": "range_experts", "n": 6}),
+    ("train", "loss", "bogus", {}),
+    ("train", "q", None, {"loss": "surrogate_single"}),
+    ("train", "q", 2, {}),
+    ("train", "q", "abc", {}),
+    ("train", "phi", "bogus", {}),
+    ("train", "q", True, {}),
+    ("train", "phi", "logistic", {"loss": "surrogate_mae", "q": None}),
+    ("train", "phi", "logistic", {}),
+    ("train", "q", 0.5, {"loss": "two_stage_phi", "phi": "logistic"}),
+    ("train", "loss", "two_stage_deferral", {"q": None}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, two_stage_data,
                                           command, field, value, extra):
@@ -277,7 +287,7 @@ def reference_sweep_cell(master_seed, method, size, trial, mog, epochs,
     scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
     tc = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
                      optimizer=optimizer, batch_size=batch_size)
-    fitted, _ = train(scorer, train_set, cli._sweep_selector(method), tc)
+    fitted, _ = train(scorer, train_set, cli.SWEEP_SELECTORS[method], tc)
     return (method, size, trial, seed,
             float(realized_deferral_loss(fitted, train_set).mean()),
             float(realized_deferral_loss(fitted, test_set).mean()),

@@ -8,17 +8,19 @@ from deferkit.losses import (
     PhiSpec,
     ProblemShape,
     PsiSpec,
+    surrogate_mae,
+    surrogate_single,
+    two_stage_surrogate_phi,
+    two_stage_surrogate_psi,
+)
+from scalar_forms import (
     baseline_mao,
     baseline_mao_grad,
     baseline_verma,
     baseline_verma_grad,
-    surrogate_mae,
     surrogate_mae_grad,
-    surrogate_single,
     surrogate_single_grad,
-    two_stage_surrogate_phi,
     two_stage_surrogate_phi_grad,
-    two_stage_surrogate_psi,
     two_stage_surrogate_psi_grad,
 )
 

@@ -5,22 +5,22 @@ from hypothesis import strategies as st
 
 from deferkit import losses
 from deferkit.losses import (
+    LossSelector,
     PhiKind,
     PhiSpec,
     ProblemShape,
     PsiSpec,
-    baseline_mao,
-    baseline_verma,
     deferral_loss,
-    deferral_loss_alt,
     softmax,
     surrogate_mae,
     surrogate_single,
     two_stage_deferral_loss,
     two_stage_surrogate_phi,
     two_stage_surrogate_psi,
-    two_stage_surrogate_psi_grad_batch,
+    two_stage_surrogate_psi_with_grad_batch,
 )
+from deferkit.models import loss_and_grad
+from scalar_forms import baseline_mao, baseline_verma, deferral_loss_alt
 
 
 def test_softmax_uniform():
@@ -176,6 +176,13 @@ def test_baseline_verma_hand_values():
         pytest.approx(0.0, abs=1e-9)
 
 
+def verma_reference(scores, y, costs, shape):
+    """Verma et al.'s multi-expert cross-entropy written out: negative log
+    mass on the label plus cost-weighted negative logs on expert slots."""
+    lp = np.log(np.clip(softmax(scores), 1e-12, 1.0))
+    return -lp[y] - ((1.0 - costs) * lp[shape.n:]).sum()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**31 - 1))
 def test_baseline_mao_q0_equals_verma(n, n_e, seed):
@@ -185,7 +192,7 @@ def test_baseline_mao_q0_equals_verma(n, n_e, seed):
     y = int(g.integers(0, n))
     costs = g.uniform(0, 1, size=n_e)
     a = baseline_mao(scores, y, costs, shape, PsiSpec(q=0.0))
-    b = baseline_verma(scores, y, costs, shape)
+    b = verma_reference(scores, y, costs, shape)
     assert abs(a - b) <= 1e-12
 
 
@@ -226,9 +233,9 @@ def test_two_stage_psi_grad_batch_checks_shapes():
     # the gradient entry point rejects what its loss sibling rejects
     psi = PsiSpec(q=0.5)
     with pytest.raises(ValueError, match="cost width"):
-        two_stage_surrogate_psi_grad_batch(np.zeros((2, 3)), np.ones((2, 2)), psi)
+        two_stage_surrogate_psi_with_grad_batch(np.zeros((2, 3)), np.ones((2, 2)), psi)
     with pytest.raises(ValueError, match="at least 2 experts"):
-        two_stage_surrogate_psi_grad_batch(np.zeros((2, 1)), np.ones((2, 1)), psi)
+        two_stage_surrogate_psi_with_grad_batch(np.zeros((2, 1)), np.ones((2, 1)), psi)
 
 
 def test_two_stage_psi_realizable_limit():
@@ -300,41 +307,53 @@ def test_psi_clamp_equals_clip(q, u):
 _SHAPE = ProblemShape(3, 2)
 _PSI = PsiSpec(q=0.7)
 _PHI = PhiSpec(PhiKind.LOGISTIC)
-# every batch kernel with its arguments after (scores, labels, costs)
-_LABELED_KERNELS = [
-    (losses.deferral_loss_batch, ()),
-    (losses.deferral_loss_alt_batch, ()),
-    (losses.surrogate_single_batch, (_PSI,)),
-    (losses.surrogate_single_with_grad_batch, (_PSI,)),
-    (losses.surrogate_single_grad_batch, (_PSI,)),
-    (losses.surrogate_mae_batch, ()),
-    (losses.surrogate_mae_grad_batch, ()),
-    (losses.baseline_mao_batch, (_PSI,)),
-    (losses.baseline_mao_with_grad_batch, (_PSI,)),
-    (losses.baseline_mao_grad_batch, (_PSI,)),
-    (losses.baseline_verma_batch, ()),
-    (losses.baseline_verma_with_grad_batch, ()),
-    (losses.baseline_verma_grad_batch, ()),
+
+
+def _labeled(fn, *extra):
+    return lambda s, y, c: fn(s, y, c, _SHAPE, *extra)
+
+
+def _two_stage(fn, *extra):
+    return lambda s, y, c: fn(s, c, *extra)
+
+
+def _trainer(selector):
+    return lambda s, y, c: loss_and_grad(selector, s, y, c, _SHAPE)
+
+
+# every batch kernel by id, called on (scores, labels, costs), and whether it
+# reads labels. The ids of the removed *_grad_batch forms run the trainer's
+# dispatch for that loss, and baseline_verma_batch runs the kernel that
+# serves its values, baseline_mao_batch at q = 0.
+_KERNELS = [
+    ("deferral_loss_batch", _labeled(losses.deferral_loss_batch), True),
+    ("deferral_loss_alt_batch", _labeled(losses.deferral_loss_alt_batch), True),
+    ("surrogate_single_batch", _labeled(losses.surrogate_single_batch, _PSI), True),
+    ("surrogate_single_with_grad_batch",
+     _labeled(losses.surrogate_single_with_grad_batch, _PSI), True),
+    ("surrogate_single_grad_batch", _trainer(LossSelector("surrogate_single", psi=_PSI)), True),
+    ("surrogate_mae_batch", _labeled(losses.surrogate_mae_batch), True),
+    ("surrogate_mae_grad_batch", _trainer(LossSelector("surrogate_mae")), True),
+    ("baseline_mao_batch", _labeled(losses.baseline_mao_batch, _PSI), True),
+    ("baseline_mao_with_grad_batch", _labeled(losses.baseline_mao_with_grad_batch, _PSI), True),
+    ("baseline_mao_grad_batch", _trainer(LossSelector("baseline_mao", psi=_PSI)), True),
+    ("baseline_verma_batch", _labeled(losses.baseline_mao_batch, PsiSpec(q=0.0)), True),
+    ("baseline_verma_with_grad_batch", _labeled(losses.baseline_verma_with_grad_batch), True),
+    ("baseline_verma_grad_batch", _trainer(LossSelector("baseline_verma")), True),
+    ("two_stage_deferral_loss_batch", _two_stage(losses.two_stage_deferral_loss_batch), False),
+    ("two_stage_surrogate_phi_batch", _two_stage(losses.two_stage_surrogate_phi_batch, _PHI), False),
+    ("two_stage_surrogate_phi_with_grad_batch",
+     _two_stage(losses.two_stage_surrogate_phi_with_grad_batch, _PHI), False),
+    ("two_stage_surrogate_phi_grad_batch", _trainer(LossSelector("two_stage_phi", phi=_PHI)), False),
+    ("two_stage_surrogate_psi_batch", _two_stage(losses.two_stage_surrogate_psi_batch, _PSI), False),
+    ("two_stage_surrogate_psi_with_grad_batch",
+     _two_stage(losses.two_stage_surrogate_psi_with_grad_batch, _PSI), False),
+    ("two_stage_surrogate_psi_grad_batch", _trainer(LossSelector("two_stage_psi", psi=_PSI)), False),
 ]
-# ... and after (scores, costs)
-_TWO_STAGE_KERNELS = [
-    (losses.two_stage_deferral_loss_batch, ()),
-    (losses.two_stage_surrogate_phi_batch, (_PHI,)),
-    (losses.two_stage_surrogate_phi_with_grad_batch, (_PHI,)),
-    (losses.two_stage_surrogate_phi_grad_batch, (_PHI,)),
-    (losses.two_stage_surrogate_psi_batch, (_PSI,)),
-    (losses.two_stage_surrogate_psi_with_grad_batch, (_PSI,)),
-    (losses.two_stage_surrogate_psi_grad_batch, (_PSI,)),
-]
-_KERNELS = ([(fn, extra, True) for fn, extra in _LABELED_KERNELS]
-            + [(fn, extra, False) for fn, extra in _TWO_STAGE_KERNELS])
 
 
 def call_kernel(kernel, scores, labels, costs):
-    fn, extra, labeled = kernel
-    if labeled:
-        return fn(scores, labels, costs, _SHAPE, *extra)
-    return fn(scores, costs, *extra)
+    return kernel[1](scores, labels, costs)
 
 
 def kernel_inputs(kernel, m, seed):
@@ -344,7 +363,7 @@ def kernel_inputs(kernel, m, seed):
             g.uniform(0.0, 1.0, size=(m, _SHAPE.n_e)))
 
 
-_kernel_ids = [k[0].__name__ for k in _KERNELS]
+_kernel_ids = [k[0] for k in _KERNELS]
 
 
 @pytest.mark.parametrize("kernel", _KERNELS, ids=_kernel_ids)
@@ -370,9 +389,69 @@ def test_kernels_reject_out_of_range_labels(kernel, m, where, seed, bad):
         call_kernel(kernel, scores, labels, costs)
 
 
+# each turns well-formed (scores, labels, costs) of m >= 2 rows into a batch
+# whose shapes do not fit together
+_LABEL_MIS_SHAPES = [
+    lambda s, y, c: (s, y[:1], c),           # one label for m score rows
+    lambda s, y, c: (s, y[:, None], c),      # a column of labels
+]
+_COST_MIS_SHAPES = [
+    lambda s, y, c: (s, y, c[:, :1]),        # (m, 1) costs
+    lambda s, y, c: (s, y, c[:1]),           # (1, n_e) costs
+    lambda s, y, c: (s, y, np.hstack([c, c[:, :1]])),  # (m, n_e + 1) costs
+    lambda s, y, c: (s[None], y, c),         # scores stacked on a third axis
+]
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=_kernel_ids)
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 6), seed=st.integers(0, 2**16), which=st.integers(0, 5))
+def test_kernels_reject_mis_shaped_inputs(kernel, m, seed, which):
+    mis_shapes = (_LABEL_MIS_SHAPES if kernel[2] else []) + _COST_MIS_SHAPES
+    bad = mis_shapes[which % len(mis_shapes)](*kernel_inputs(kernel, m, seed))
+    with pytest.raises(ValueError, match="need scores|cost width"):
+        call_kernel(kernel, *bad)
+
+
 @pytest.mark.parametrize("kernel", _KERNELS, ids=_kernel_ids)
 def test_kernels_accept_an_empty_batch(kernel):
     scores, labels, costs = kernel_inputs(kernel, 0, 0)
     out = call_kernel(kernel, scores, labels, costs)
     for arr in out if isinstance(out, tuple) else (out,):
         assert arr.size == 0 and len(arr) == 0
+
+
+# each surrogate row with the batch kernel that serves its values
+_VALUE_KERNELS = {
+    "surrogate_single": lambda sel, s, y, c, shp: losses.surrogate_single_batch(s, y, c, shp, sel.psi),
+    "surrogate_mae": lambda sel, s, y, c, shp: losses.surrogate_mae_batch(s, y, c, shp),
+    "baseline_verma": lambda sel, s, y, c, shp: losses.baseline_mao_batch(s, y, c, shp, sel.psi),
+    "baseline_mao": lambda sel, s, y, c, shp: losses.baseline_mao_batch(s, y, c, shp, sel.psi),
+    "two_stage_phi": lambda sel, s, y, c, shp: losses.two_stage_surrogate_phi_batch(s, c, sel.phi),
+    "two_stage_psi": lambda sel, s, y, c, shp: losses.two_stage_surrogate_psi_batch(s, c, sel.psi),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_VALUE_KERNELS)), q=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       kind=st.sampled_from(list(PhiKind)), n=st.sampled_from([2, 4, 5]),
+       n_e=st.sampled_from([1, 2, 3]), m=st.integers(0, 8), scale=st.sampled_from([1.0, 40.0]),
+       seed=st.integers(0, 2**31 - 1))
+def test_value_kernel_equals_with_grad_value(name, q, kind, n, n_e, m, scale, seed):
+    # the loss-only path gives the bits of the loss+grad path
+    takes = {"surrogate_single": "psi", "baseline_mao": "psi", "two_stage_psi": "psi",
+             "two_stage_phi": "phi"}.get(name)
+    sel = LossSelector(name, psi=PsiSpec(q=q) if takes == "psi" else None,
+                       phi=PhiSpec(kind) if takes == "phi" else None)
+    if sel.stage == "two":
+        n_e = 2 if name == "two_stage_phi" else max(n_e, 2)
+    shape = ProblemShape(n, n_e)
+    width = shape.augmented_size if sel.stage == "single" else n_e
+    g = np.random.default_rng(seed)
+    scores = scale * g.standard_normal((m, width))
+    labels = g.integers(0, n, size=m)
+    costs = g.uniform(0.0, 1.0, size=(m, n_e))
+    value = _VALUE_KERNELS[name](sel, scores, labels, costs, shape)
+    with_grad, _ = loss_and_grad(sel, scores, labels, costs, shape)
+    assert value.dtype == with_grad.dtype and value.shape == with_grad.shape == (m,)
+    assert value.tobytes() == with_grad.tobytes()

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferkit import losses
-from deferkit.losses import PhiKind, PhiSpec, ProblemShape, PsiSpec
+from deferkit import losses, models
+from deferkit.losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
 from deferkit.models import (
     LabeledDataset,
     LinearScorer,
-    LossSelector,
     Standardizer,
     TrainConfig,
     TrainingDiverged,
@@ -16,6 +15,7 @@ from deferkit.models import (
     fold_standardizer,
     init_linear,
     init_mlp,
+    loss_and_grad,
     realized_deferral_loss,
     scorer_from_json,
     scorer_to_json,
@@ -111,8 +111,9 @@ def reference_train(scorer, dataset, selector, config):
         for start in range(0, m, batch):
             idx = order[start:start + batch]
             xb = x[idx]
-            loss_vals, gout = selector.loss_and_grad(
-                model.scores(xb), dataset.labels[idx], dataset.costs[idx], dataset.shape)
+            loss_vals, gout = loss_and_grad(
+                selector, model.scores(xb), dataset.labels[idx], dataset.costs[idx],
+                dataset.shape)
             if not np.all(np.isfinite(loss_vals)):
                 raise TrainingDiverged(epoch)
             grads = _backprop(model, xb, gout)
@@ -124,8 +125,8 @@ def reference_train(scorer, dataset, selector, config):
                 else:
                     p -= config.learning_rate * g
         full_scores = model.scores(x)
-        sur, _ = selector.loss_and_grad(full_scores, dataset.labels,
-                                        dataset.costs, dataset.shape)
+        sur, _ = loss_and_grad(selector, full_scores, dataset.labels,
+                               dataset.costs, dataset.shape)
         if dataset.stage == "single":
             tgt = losses.deferral_loss_batch(full_scores, dataset.labels,
                                              dataset.costs, dataset.shape)
@@ -167,13 +168,13 @@ def test_train_matches_reference_loop(selector, model, optimizer, batch_size):
 @pytest.mark.parametrize("batch_size,calls", [("full", 5 + 1), (16, 5 * (4 + 1))])
 def test_full_batch_epoch_makes_one_loss_grad_call(monkeypatch, batch_size, calls):
     counted = []
-    original = LossSelector.loss_and_grad
+    original = models.loss_and_grad
 
-    def counting(self, *args):
+    def counting(selector, *args):
         counted.append(len(args[0]))
-        return original(self, *args)
+        return original(selector, *args)
 
-    monkeypatch.setattr(LossSelector, "loss_and_grad", counting)
+    monkeypatch.setattr(models, "loss_and_grad", counting)
     ds = small_single_dataset()
     train(init_linear(4, 5, seed=9), ds, LossSelector("surrogate_mae"),
           TrainConfig(epochs=5, seed=9, batch_size=batch_size))
@@ -317,3 +318,20 @@ def test_loss_selector_validation():
         LossSelector("two_stage_phi")  # needs a PhiSpec
     with pytest.raises(ValueError):
         LossSelector("nonsense")
+    # a spec the loss does not take, or a q other than the one it fixes
+    with pytest.raises(ValueError, match="takes no phi"):
+        LossSelector("surrogate_mae", phi=PhiSpec(PhiKind.LOGISTIC))
+    with pytest.raises(ValueError, match="takes no q"):
+        LossSelector("two_stage_phi", psi=PsiSpec(q=0.5), phi=PhiSpec(PhiKind.LOGISTIC))
+    with pytest.raises(ValueError, match="fixes q = 0.0"):
+        LossSelector("baseline_verma", psi=PsiSpec(q=0.5))
+    assert LossSelector("baseline_verma", psi=PsiSpec(q=0.0)) == LossSelector("baseline_verma")
+    assert LossSelector("surrogate_mae").psi == PsiSpec(q=1.0)
+    # the target rows take no spec and have no gradient
+    with pytest.raises(ValueError, match="takes no q"):
+        LossSelector("deferral", psi=PsiSpec(q=1.0))
+    for name, stage in (("deferral", "single"), ("two_stage_deferral", "two")):
+        target = LossSelector(name)
+        assert target.is_target and target.stage == stage
+        with pytest.raises(ValueError, match="target loss"):
+            loss_and_grad(target, np.zeros((1, 5)), [0], [[0.5, 0.5]], ProblemShape(3, 2))

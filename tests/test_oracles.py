@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferkit.losses import PhiKind, PhiSpec, ProblemShape, PsiSpec
+from deferkit.losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
 from deferkit.oracles import (
     ChainReport,
     DiscreteTask,
     EnhancedReport,
-    OracleLoss,
     RegretReport,
     TabularHypothesis,
     _qbar,
@@ -84,7 +83,7 @@ def test_conditional_regret_tdef_hand_values():
 def test_two_stage_q0_closed_form_hand_value():
     # costs (1.0, 0.5) at the active label give qbar = (0.5, 1.0)
     t = one_point_task([1.0, 0.0], [[1.0, 0.5], [0.0, 0.0]], 2)
-    loss = OracleLoss("two_stage_psi", psi=PsiSpec(q=0.0))
+    loss = LossSelector("two_stage_psi", psi=PsiSpec(q=0.0))
     from deferkit.oracles import _qbar
     qbar = _qbar(t, 0)
     expected = -(qbar * np.log(qbar / qbar.sum())).sum()
@@ -102,12 +101,12 @@ def test_two_stage_q1_vertex_minimum():
 
 def test_mae_conditional_min_degenerate():
     t = one_point_task([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], 2)
-    assert conditional_min_surrogate(t, 0, OracleLoss("mae")) == pytest.approx(0.0)
+    assert conditional_min_surrogate(t, 0, LossSelector("surrogate_mae")) == pytest.approx(0.0)
 
 
 def test_minimizability_gap_cases():
     task = gen_random_discrete_task(3, 0)
-    loss = OracleLoss("def")
+    loss = LossSelector("deferral")
     assert minimizability_gap(task, loss) == 0.0
     width = task.shape.augmented_size
     g = np.random.default_rng(0)
@@ -126,7 +125,7 @@ def test_minimizability_gap_positive_for_conflicting_family():
                      ProblemShape(2, 1))
     h0 = TabularHypothesis(np.tile([1.0, 0.0, 0.0], (2, 1)))
     h1 = TabularHypothesis(np.tile([0.0, 1.0, 0.0], (2, 1)))
-    gap = minimizability_gap(t, OracleLoss("def"), "fixed_family", [h0, h1])
+    gap = minimizability_gap(t, LossSelector("deferral"), "fixed_family", [h0, h1])
     assert gap == pytest.approx(0.5)
 
 
@@ -230,12 +229,12 @@ def test_noise_chain_single_disagreement_hand_value():
 def test_enhanced_bound_at_bayes_and_errors():
     task = gen_random_discrete_task(13, 0, constraint="positive_margin")
     bayes = bayes_deferral(task)
-    rep = verify_enhanced_bound(task, bayes, OracleLoss("mae"), 2.0, "theorem_multi")
+    rep = verify_enhanced_bound(task, bayes, LossSelector("surrogate_mae"), 2.0, "theorem_multi")
     assert rep.premise_met and rep.lhs == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        verify_enhanced_bound(task, bayes, OracleLoss("mae"), 0.5, "theorem_multi")
+        verify_enhanced_bound(task, bayes, LossSelector("surrogate_mae"), 0.5, "theorem_multi")
     with pytest.raises(ValueError):
-        verify_enhanced_bound(task, bayes, OracleLoss("mae"), 2.0, "theorem_mm")
+        verify_enhanced_bound(task, bayes, LossSelector("surrogate_mae"), 2.0, "theorem_mm")
 
 
 def test_enhanced_bound_premise_unmet_is_not_violation():
@@ -247,7 +246,7 @@ def test_enhanced_bound_premise_unmet_is_not_violation():
     found = False
     for _ in range(200):
         hyp = TabularHypothesis(g.standard_normal((task.num_points, width)))
-        rep = verify_enhanced_bound(task, hyp, OracleLoss("mae"), 1.0,
+        rep = verify_enhanced_bound(task, hyp, LossSelector("surrogate_mae"), 1.0,
                                     "theorem_multi")
         if not rep.premise_met:
             assert rep.violations == 0
@@ -261,7 +260,7 @@ def test_empirical_excess_weighted_sum():
     g = np.random.default_rng(19)
     hyp = TabularHypothesis(g.standard_normal((task.num_points,
                                                task.shape.augmented_size)))
-    loss = OracleLoss("def")
+    loss = LossSelector("deferral")
     regrets = [conditional_regret_surrogate(task, hyp, k, loss)
                for k in range(task.num_points)]
     assert empirical_excess(task, hyp, loss) == pytest.approx(task.mu @ regrets)
@@ -302,7 +301,7 @@ def test_phi_conditional_min_against_margin_grid():
     for kind in PhiKind:
         phi = PhiSpec(kind)
         closed = conditional_min_surrogate(task, slice(None),
-                                           OracleLoss("two_stage_phi", phi=phi))
+                                           LossSelector("two_stage_phi", phi=phi))
         ms = np.linspace(-60, 60, 20001)
         if kind is PhiKind.HINGE:
             # piecewise linear with kinks at +-1, which the 0.006 spacing misses
@@ -312,10 +311,10 @@ def test_phi_conditional_min_against_margin_grid():
         np.testing.assert_allclose(closed, brute, rtol=0, atol=1e-5, err_msg=kind.value)
 
 
-ORACLE_LOSSES = ([OracleLoss("def"), OracleLoss("tdef"), OracleLoss("mae")]
-                 + [OracleLoss("two_stage_psi", psi=PsiSpec(q=q))
+ORACLE_LOSSES = ([LossSelector("deferral"), LossSelector("two_stage_deferral"), LossSelector("surrogate_mae")]
+                 + [LossSelector("two_stage_psi", psi=PsiSpec(q=q))
                     for q in (0.0, 0.25, 0.5, 1.0)]
-                 + [OracleLoss("two_stage_phi", phi=PhiSpec(kind)) for kind in PhiKind])
+                 + [LossSelector("two_stage_phi", phi=PhiSpec(kind)) for kind in PhiKind])
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,16 +426,38 @@ def test_single_hypothesis_functions_reject_a_stack():
                                                  task.shape.augmented_size)))
     profile = fit_tsybakov_B(minimal_margin(task, "single"), task.mu, 0.5)
     checks = [
-        lambda: generalization_error(task, stack, OracleLoss("def")),
-        lambda: empirical_excess(task, stack, OracleLoss("def")),
-        lambda: minimizability_gap(task, OracleLoss("def"), "fixed_family", [stack]),
+        lambda: generalization_error(task, stack, LossSelector("deferral")),
+        lambda: empirical_excess(task, stack, LossSelector("deferral")),
+        lambda: minimizability_gap(task, LossSelector("deferral"), "fixed_family", [stack]),
         lambda: verify_lemma_noise(task, stack, profile, "single"),
-        lambda: verify_enhanced_bound(task, stack, OracleLoss("mae"), 2.0,
+        lambda: verify_enhanced_bound(task, stack, LossSelector("surrogate_mae"), 2.0,
                                       "theorem_multi"),
     ]
     for check in checks:
         with pytest.raises(ValueError, match="one hypothesis"):
             check()
+
+
+def test_csv_rows_of_a_stack_names_report_h():
+    task = DiscreteTask(np.array([1.0]), np.array([[0.3, 0.7]]), np.full((1, 2, 1), 0.5),
+                        ProblemShape(2, 1))
+    hyp = TabularHypothesis(np.random.default_rng(5).standard_normal((3, 1, 3)))
+    report = verify_bound_single_mae(task, hyp)
+    with pytest.raises(ValueError, match=r"report\[h\]"):
+        report.csv_rows("t")
+    assert len(report[2].csv_rows("t")) == 2
+
+
+@pytest.mark.parametrize("name,spec", [("surrogate_single", {"psi": PsiSpec(q=0.5)}),
+                                       ("baseline_verma", {})])
+def test_oracles_reject_a_loss_without_one(name, spec):
+    task = gen_random_discrete_task(3, 0)
+    hyp = TabularHypothesis(np.zeros((task.num_points, task.shape.augmented_size)))
+    loss = LossSelector(name, **spec)
+    for oracle in (lambda: conditional_error(task, hyp, 0, loss),
+                   lambda: conditional_min_surrogate(task, 0, loss)):
+        with pytest.raises(ValueError, match="no exact oracle"):
+            oracle()
 
 
 def test_two_expert_bound_without_lower_costs_is_vacuous():
@@ -464,7 +485,7 @@ def test_two_expert_bound_without_lower_costs_is_vacuous():
 def test_single_point_calls_return_floats():
     task = gen_random_discrete_task(41, 0)
     hyp = bayes_deferral(task)
-    for loss in (OracleLoss("def"), OracleLoss("mae")):
+    for loss in (LossSelector("deferral"), LossSelector("surrogate_mae")):
         assert isinstance(conditional_error(task, hyp, 0, loss), float)
         assert isinstance(conditional_min_surrogate(task, 0, loss), float)
     assert isinstance(conditional_regret_def(task, hyp, 0), float)
@@ -520,7 +541,7 @@ def test_enhanced_bound_nan_surrogate_regret_is_a_violation(monkeypatch):
     zeros = np.zeros(task.num_points)
     monkeypatch.setattr(oracles, "_per_point_regrets",
                         lambda *args: (zeros, np.full_like(zeros, np.nan)))
-    rep = verify_enhanced_bound(task, bayes_deferral(task), OracleLoss("mae"), 2.0,
+    rep = verify_enhanced_bound(task, bayes_deferral(task), LossSelector("surrogate_mae"), 2.0,
                                 "theorem_multi")
     assert rep.premise_met and not rep.ok
 
@@ -545,10 +566,10 @@ def test_verifiers_fail_closed_on_nan(field, seed):
         lambda: verify_bound_two_expert_phi(task, two, PhiSpec(PhiKind.LOGISTIC)),
         lambda: verify_lemma_noise(task, single, profile, "single"),
         lambda: verify_lemma_noise(task, two, profile, "two"),
-        lambda: verify_enhanced_bound(task, single, OracleLoss("mae"), 2.0,
+        lambda: verify_enhanced_bound(task, single, LossSelector("surrogate_mae"), 2.0,
                                       "theorem_multi"),
-        lambda: verify_enhanced_bound(task, two, OracleLoss("two_stage_psi",
-                                                            psi=PsiSpec(q=0.5)),
+        lambda: verify_enhanced_bound(task, two, LossSelector("two_stage_psi",
+                                                              psi=PsiSpec(q=0.5)),
                                       2.0, "theorem_mm", profile=profile),
     ]
     for check in checks:
