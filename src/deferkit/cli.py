@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -82,10 +83,20 @@ def _load_config(path: str, allowed: dict) -> dict:
     missing = [k for k, v in merged.items() if v is _REQUIRED]
     if missing:
         raise ConfigError(f"missing config fields: {missing}")
+    _check_minima(merged, {name: least for name, least in _LEAST.items()
+                           if name in merged and (name, merged[name]) not in _UNSET})
     return merged
 
 
 _REQUIRED = object()
+# least value of each numeric config field of any command; the task generator
+# draws label counts from [2, n_max] and support sizes from [2, k_max]
+_LEAST = {"num_samples": 1, "dim": 1, "components": 1, "n": 2, "n_e": 1,
+          "epochs": 1, "learning_rate": 0.0, "batch_size": 1, "momentum": 0.0,
+          "hidden": 1, "q": 0.0, "trials": 1, "test_samples": 1,
+          "num_tasks": 1, "hyps_per_task": 1, "n_max": 2, "ne_max": 1, "k_max": 2}
+# (field, value) pairs that leave a field unset, so it has no least value
+_UNSET = (("q", None), ("batch_size", "full"))
 
 
 def _check_minima(cfg: dict, minima: dict) -> None:
@@ -109,16 +120,7 @@ def _train_config(**fields) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _train_minima(cfg: dict) -> dict:
-    """Least values of the trainer fields shared by train and sweep."""
-    minima = {"epochs": 1, "learning_rate": 0.0}
-    if cfg["batch_size"] != "full":
-        minima["batch_size"] = 1
-    return minima
-
-
 def _mog_config(cfg: dict) -> MogConfig:
-    _check_minima(cfg, {"dim": 1, "components": 1, "n": 2, "n_e": 1})
     return MogConfig(dim=cfg["dim"], components=cfg["components"],
                      n=cfg["n"], n_e=cfg["n_e"])
 
@@ -165,7 +167,6 @@ def cmd_gen_data(args) -> int:
         "kind": _REQUIRED, "num_samples": _REQUIRED, "dim": 16,
         "components": 8, "n": 4, "n_e": 2, "ranges": None,
     })
-    _check_minima(cfg, {"num_samples": 1})
     mog = _mog_config(cfg)
     num = cfg["num_samples"]
     if cfg["kind"] == "mog_single":
@@ -183,8 +184,6 @@ def cmd_gen_data(args) -> int:
 
 def _selector_from_config(cfg: dict) -> LossSelector:
     """The surrogate a train config names; an error names the field at fault."""
-    if cfg["q"] is not None:
-        _check_minima(cfg, {"q": 0.0})
     try:
         psi = None if cfg["q"] is None else PsiSpec(q=float(cfg["q"]))
         phi = None if cfg["phi"] is None else PhiSpec(cfg["phi"])
@@ -205,10 +204,6 @@ def cmd_train(args) -> int:
     })
     if cfg["model"] not in ("linear", "mlp"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
-    minima = dict(_train_minima(cfg), momentum=0.0)
-    if cfg["model"] == "mlp":
-        minima["hidden"] = 1
-    _check_minima(cfg, minima)
     if not isinstance(cfg["standardize"], bool):
         raise ConfigError(f"standardize must be true or false, got {cfg['standardize']!r}")
     tc = _train_config(learning_rate=float(cfg["learning_rate"]),
@@ -235,12 +230,10 @@ def cmd_train(args) -> int:
 
 
 def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: int,
-                    mog: MogConfig, epochs: int, learning_rate: float,
-                    test_samples: int, optimizer: str = "momentum",
-                    batch_size: int | str = 128) -> list[tuple]:
+                    mog: MogConfig, test_samples: int, config: TrainConfig) -> list[tuple]:
     """One (size, trial) of the sweep: one draw of realizable data, split into
     train and held-out test rows, on which each method trains its own linear
-    scorer. Returns one row per method."""
+    scorer under ``config`` at its own seed. Returns one row per method."""
     data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
     train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
     test_set = replace_rows(train_set, np.arange(size, size + test_samples))
@@ -249,11 +242,8 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
     for method in methods:
         seed = rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial)
         scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
-        # minibatch updates matter here: full-batch descent stalls on the
-        # saturated plateaus of the single-stage surrogates on some draws
-        tc = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
-                         optimizer=optimizer, batch_size=batch_size)
-        fitted, _ = train(scorer, train_set, SWEEP_SELECTORS[method], tc)
+        fitted, _ = train(scorer, train_set, SWEEP_SELECTORS[method],
+                          dataclasses.replace(config, seed=seed))
         rows.append((method, size, trial, seed,
                      float(realized_deferral_loss(fitted, train_set).mean()),
                      float(realized_deferral_loss(fitted, test_set).mean()),
@@ -261,15 +251,13 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
     return rows
 
 
-def _run_trial_star(job):
-    return run_sweep_trial(*job)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, {
         "methods": list(SWEEP_METHODS), "sizes": list(SWEEP_SIZES),
         "trials": 5, "dim": 16, "components": 8, "n": 4, "n_e": 2,
         "epochs": 200, "learning_rate": 0.3, "test_samples": 10_000,
+        # minibatch updates matter here: full-batch descent stalls on the
+        # saturated plateaus of the single-stage surrogates on some draws
         "optimizer": "momentum", "batch_size": 128,
     })
     bad = set(cfg["methods"]) - set(SWEEP_METHODS)
@@ -279,21 +267,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sizes must be a list")
     for size in cfg["sizes"]:
         _check_minima({"sizes": size}, {"sizes": 1})
-    _check_minima(cfg, dict(_train_minima(cfg), trials=1, test_samples=1))
-    # each cell builds its own TrainConfig; check the shared fields here
-    _train_config(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
-                  optimizer=cfg["optimizer"], batch_size=cfg["batch_size"])
+    tc = _train_config(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
+                       optimizer=cfg["optimizer"], batch_size=cfg["batch_size"])
     mog = _mog_config(cfg)
     # one job per (size, trial): its methods share that job's data draw
-    jobs = [(args.seed, cfg["methods"], s, t, mog, cfg["epochs"],
-             float(cfg["learning_rate"]), cfg["test_samples"],
-             cfg["optimizer"], cfg["batch_size"])
+    jobs = [(args.seed, cfg["methods"], s, t, mog, cfg["test_samples"], tc)
             for s in cfg["sizes"] for t in range(cfg["trials"])]
     if not jobs or not cfg["methods"]:
         raise ConfigError("sweep config runs no cells")
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            trials = pool.map(_run_trial_star, jobs)
+            trials = pool.starmap(run_sweep_trial, jobs)
     else:
         trials = [run_sweep_trial(*job) for job in jobs]
     # rows are keyed by derived seeds, so sorting makes the output identical
@@ -310,10 +294,6 @@ _VERIFY_FAMILIES = ("single_mae", "two_stage_q0", "two_stage_q05",
                     "two_stage_q1", "two_expert_logistic")
 _TWO_STAGE_Q = {"two_stage_q0": 0.0, "two_stage_q05": 0.5, "two_stage_q1": 1.0}
 _LOGISTIC = PhiSpec(PhiKind.LOGISTIC)
-# least value of each integer verify field; the task generator draws label
-# counts from [2, n_max] and support sizes from [2, k_max]
-_VERIFY_MINIMA = {"num_tasks": 1, "hyps_per_task": 1, "n_max": 2, "ne_max": 1,
-                  "k_max": 2}
 
 
 def cmd_verify(args) -> int:
@@ -326,13 +306,13 @@ def cmd_verify(args) -> int:
     bad = set(cfg["families"]) - set(_VERIFY_FAMILIES)
     if bad:
         raise ConfigError(f"unknown verify families: {sorted(bad)}")
-    _check_minima(cfg, _VERIFY_MINIMA)
     rows: list[tuple] = []
     violations = 0
     # families with the same generator arguments check the same tasks
     tasks = {}
     for family in cfg["families"]:
-        constraint = "none" if family == "single_mae" else "theorem7_premise"
+        stage = "single" if family == "single_mae" else "two"
+        constraint = "none" if stage == "single" else "theorem7_premise"
         ne_max = 2 if family == "two_expert_logistic" else cfg["ne_max"]
         for i in range(cfg["num_tasks"]):
             key = (constraint, ne_max, i)
@@ -341,11 +321,10 @@ def cmd_verify(args) -> int:
                     args.seed, index=i, n_max=cfg["n_max"], ne_max=ne_max,
                     k_max=cfg["k_max"], constraint=constraint)
             task = tasks[key]
-            width = (task.shape.augmented_size if family == "single_mae"
-                     else task.shape.n_e)
             # one draw (the numbers of a draw per hypothesis) and one check for all
             g = rng.substream(args.seed, f"verify-{family}", i)
-            hyp = TabularHypothesis(g.standard_normal((cfg["hyps_per_task"], task.num_points, width)))
+            hyp = TabularHypothesis(g.standard_normal(
+                (cfg["hyps_per_task"], task.num_points, task.shape.width(stage))))
             if family == "single_mae":
                 report = verify_bound_single_mae(task, hyp)
             elif family == "two_expert_logistic":

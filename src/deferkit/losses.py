@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class ProblemShape:
     def augmented_size(self) -> int:
         return self.n + self.n_e
 
+    def width(self, stage: str) -> int:
+        """Score width of a stage: n + n_e single-stage, n_e two-stage."""
+        return self.augmented_size if stage == "single" else self.n_e
+
 
 @dataclass(frozen=True)
 class PsiSpec:
@@ -63,13 +68,11 @@ class PsiSpec:
     """
 
     q: float
-    clamp_epsilon: float = 1e-12
+    clamp_epsilon: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if not 0.0 < self.clamp_epsilon <= 1e-6:
-            raise ValueError("clamp_epsilon must lie in (0, 1e-6]")
 
     # np.minimum(np.maximum(...)) is np.clip (NaN included) without the
     # Python wrapper np.clip adds to every call
@@ -124,7 +127,8 @@ class PhiSpec:
         return np.where(t < 1.0, -1.0, 0.0)
 
 
-def _as_scores(scores) -> np.ndarray:
+def as_scores(scores) -> np.ndarray:
+    """Scores as a float array; a NaN or infinite score is an error."""
     s = np.asarray(scores, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("invalid scores")
@@ -132,7 +136,7 @@ def _as_scores(scores) -> np.ndarray:
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
-    """:func:`softmax` of scores that have already passed :func:`_as_scores`."""
+    """:func:`softmax` of scores that have already passed :func:`as_scores`."""
     z = s - s.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -140,14 +144,23 @@ def _softmax(s: np.ndarray) -> np.ndarray:
 
 def softmax(scores) -> np.ndarray:
     """Stable softmax over the last axis (max-shifted before exponentiation)."""
-    return _softmax(_as_scores(scores))
+    return _softmax(as_scores(scores))
+
+
+def as_labels(y) -> np.ndarray:
+    """Labels as an int array; a float, bool or str label is an error, never
+    truncated to a class."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu" and y.size:   # an empty list is no labels
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+    return y.astype(int, copy=False)
 
 
 def _labeled_inputs(scores, y, costs, shape: ProblemShape):
-    """A single-stage batch, checked: finite ``(m, n + n_e)`` scores, m labels
-    in [0, n) and ``(m, n_e)`` costs."""
-    s = np.atleast_2d(_as_scores(scores))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
+    """A single-stage batch, checked: finite ``(m, n + n_e)`` scores, m integer
+    labels in [0, n) and ``(m, n_e)`` costs."""
+    s = np.atleast_2d(as_scores(scores))
+    y = np.atleast_1d(as_labels(y))
     c = np.atleast_2d(np.asarray(costs, dtype=float))
     m = len(s)
     if s.shape != (m, shape.augmented_size) or y.shape != (m,) or c.shape != (m, shape.n_e):
@@ -161,7 +174,7 @@ def _labeled_inputs(scores, y, costs, shape: ProblemShape):
 def _two_stage_inputs(scores, costs):
     """A two-stage batch, checked: finite ``(m, n_e)`` scores and costs of
     the same shape."""
-    s = np.atleast_2d(_as_scores(scores))
+    s = np.atleast_2d(as_scores(scores))
     c = np.atleast_2d(np.asarray(costs, dtype=float))
     if s.ndim != 2 or c.shape != s.shape:
         raise ValueError(f"scores {s.shape} and costs {c.shape} differ: need one cost "

@@ -145,7 +145,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = losses.as_labels(self.labels)
         self.costs = np.asarray(self.costs, dtype=float)
         m = len(self.features)
         if len(self.labels) != m or len(self.costs) != m:
@@ -167,7 +167,7 @@ class LabeledDataset:
 
     @property
     def output_width(self) -> int:
-        return self.shape.augmented_size if self.stage == "single" else self.shape.n_e
+        return self.shape.width(self.stage)
 
 
 def loss_and_grad(selector: LossSelector, scores, y: np.ndarray, c: np.ndarray,
@@ -198,12 +198,10 @@ def realized_deferral_loss(scorer: Scorer, dataset: LabeledDataset) -> np.ndarra
     return _deferral_losses(scorer.scores(dataset.features), dataset)
 
 
-def system_accuracy(scorer: Scorer, dataset: LabeledDataset, stage: str | None = None) -> float:
+def system_accuracy(scorer: Scorer, dataset: LabeledDataset) -> float:
     """Mean of one minus the realized deferral loss."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    if stage is not None and stage != dataset.stage:
-        raise ValueError(f"stage {stage!r} does not match dataset stage {dataset.stage!r}")
     return float(1.0 - realized_deferral_loss(scorer, dataset).mean())
 
 

@@ -114,9 +114,7 @@ class TabularHypothesis:
     scores: np.ndarray  # (K, width), or (H, K, width) for H stacked hypotheses
 
     def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=float)
-        if not np.isfinite(self.scores).all():
-            raise ValueError("invalid scores")
+        self.scores = losses.as_scores(self.scores)
 
     def action(self, k):
         """Argmax action at point k (or at each point of an index k)."""
@@ -127,7 +125,7 @@ class TabularHypothesis:
 
 
 def _check_width(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> None:
-    want = task.shape.augmented_size if stage == "single" else task.shape.n_e
+    want = task.shape.width(stage)
     if hyp.scores.shape[-2:] != (task.num_points, want):
         raise ValueError(f"hypothesis shape {hyp.scores.shape} != (..., {task.num_points}, {want})")
 
@@ -311,15 +309,14 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def numeric_min_two_stage_psi(qbar: np.ndarray, psi: PsiSpec,
-                              iters: int = 30000) -> float:
+def numeric_min_two_stage_psi(qbar: np.ndarray, psi: PsiSpec) -> float:
     """Projected-gradient minimization of sum_j qbar_j Psi(S_j) over the
     simplex; independent numeric cross-check for the closed forms.
 
     Adaptive step: grow on measurable progress, halve on rejection, and stop
-    once a run of iterations makes no relative progress. The stall cutoff
-    matters because the objective is badly conditioned when the qbar entries
-    are very unbalanced."""
+    after 30000 steps or once a run of them makes no relative progress. The
+    stall cutoff matters because the objective is badly conditioned when the
+    qbar entries are very unbalanced."""
     qbar = np.asarray(qbar, dtype=float)
     n_e = len(qbar)
     floor = 1e-14
@@ -331,7 +328,7 @@ def numeric_min_two_stage_psi(qbar: np.ndarray, psi: PsiSpec,
     best = value(s)
     step = 0.1
     stall = 0
-    for _ in range(iters):
+    for _ in range(30000):
         grad = qbar * psi.deriv(np.clip(s, floor, 1.0))
         cand = _project_simplex(s - step * grad)
         fc = value(cand)
@@ -349,9 +346,10 @@ def numeric_min_two_stage_psi(qbar: np.ndarray, psi: PsiSpec,
     return best
 
 
-def grid_min_simplex(fn, width: int, resolution: float = 0.02) -> float:
-    """Dense-grid minimum of fn over the probability simplex."""
-    steps = int(round(1.0 / resolution))
+def grid_min_simplex(fn, width: int) -> float:
+    """Minimum of fn over the points of the probability simplex whose
+    coordinates are multiples of 0.02."""
+    steps = 50
     best = np.inf
 
     def rec(prefix: list[int], remaining: int, left: int):
@@ -388,18 +386,17 @@ def empirical_excess(task: DiscreteTask, hyp: TabularHypothesis,
 
 
 def minimizability_gap(task: DiscreteTask, loss: LossSelector,
-                       hypothesis_class: str = "tabular_all",
                        candidates: list[TabularHypothesis] | None = None) -> float:
     """Best-in-class error minus the expectation of the per-point best
-    conditional error. Zero for the tabular class on finite support."""
-    if hypothesis_class == "tabular_all":
+    conditional error. The class is the tabular one when ``candidates`` is
+    None, where the gap is zero on finite support, and the fixed family of
+    the candidates otherwise."""
+    if candidates is None:
         # the class optimum decouples across support points, so it equals the
         # expectation of the per-point minima exactly
         return 0.0
-    if hypothesis_class != "fixed_family":
-        raise ValueError(f"unknown hypothesis class {hypothesis_class!r}")
     if not candidates:
-        raise ValueError("fixed_family requires a nonempty candidate set")
+        raise ValueError("a fixed family requires a nonempty candidate set")
     best_overall = min(generalization_error(task, h, loss) for h in candidates)
     errors = [conditional_error(task, h, slice(None), loss) for h in candidates]
     return float(best_overall - task.mu @ np.min(errors, axis=0))
@@ -416,8 +413,16 @@ def _slack_ok(slack):
     return (slack >= -SLACK_FLOOR) & (slack < np.inf)
 
 
+class _Verdict:
+    """A check that passes when it counts no violations."""
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+
 @dataclass
-class RegretReport:
+class RegretReport(_Verdict):
     """Per-point bound check plus the aggregated excess-error statement; with
     the premise unmet the bound claims nothing and only a non-finite lhs is a
     violation. Stacked hypotheses lead every field: ``report[h]`` is one."""
@@ -456,10 +461,6 @@ class RegretReport:
     @property
     def max_negative_slack(self) -> float:
         return float(min(self.slack.min(initial=0.0), np.min(self.aggregate_slack), 0.0))
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
 
     def csv_rows(self, task_id: str) -> list[tuple]:
         """One row per point, then the aggregate row, of one hypothesis."""
@@ -606,7 +607,7 @@ def fit_tsybakov_B(margins: np.ndarray, marginals: np.ndarray, alpha: float) -> 
 
 
 @dataclass
-class ChainReport:
+class ChainReport(_Verdict):
     lhs: float
     middle: float
     rhs: float
@@ -616,10 +617,6 @@ class ChainReport:
     def violations(self) -> int:
         return (int(not _slack_ok(self.middle - self.lhs))
                 + int(not _slack_ok(self.rhs - self.middle)))
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
 
 
 def _disagreement(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> np.ndarray:
@@ -640,7 +637,7 @@ def verify_lemma_noise(task: DiscreteTask, hyp: TabularHypothesis,
 
 
 @dataclass
-class EnhancedReport:
+class EnhancedReport(_Verdict):
     lhs: float
     rhs: float
     premise_met: bool
@@ -654,10 +651,6 @@ class EnhancedReport:
         if not self.premise_met:
             return 0
         return int(not _slack_ok(self.rhs - self.lhs))
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
 
 
 def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,

@@ -9,6 +9,7 @@ with optional structural constraints, used by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,13 +39,12 @@ class MogConfig:
     components: int = 8
     n: int = 4
     n_e: int = 2
-    mean_scale: float = 2.0
+    mean_scale: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.components < 1:
             raise ValueError("dim and components must be positive")
-        if self.n < 2 or self.n_e < 1:
-            raise ValueError("need n >= 2 and n_e >= 1")
+        ProblemShape(self.n, self.n_e)  # checks n >= 2 and n_e >= 1
 
     @property
     def shape(self) -> ProblemShape:
@@ -74,23 +74,29 @@ def _draw_full_coverage_scorer(config: MogConfig, features: np.ndarray,
     raise RuntimeError("no scorer draw covered every output in 100 attempts")
 
 
+def _gen_realizable(config: MogConfig, num_samples: int, seed: int, tag: str,
+                    stage: str) -> tuple[LabeledDataset, LinearScorer]:
+    """Realizable data: the action a hidden linear scorer picks is free and every
+    other one costs 1, so the scorer has zero deferral loss. A picked label is
+    the true label; other rows draw theirs uniformly."""
+    features, _ = _sample_features(config, num_samples, seed, tag)
+    scorer, preds = _draw_full_coverage_scorer(config, features, config.shape.width(stage),
+                                               seed, tag)
+    g = rng.substream(seed, f"{tag}-labels", 0)
+    offset = config.n if stage == "single" else 0   # score index of expert 0
+    labels = np.where(preds < offset, preds, g.integers(0, config.n, size=num_samples))
+    costs = np.ones((num_samples, config.n_e))
+    deferred = preds >= offset
+    costs[deferred, preds[deferred] - offset] = 0.0
+    dataset = LabeledDataset(features=features, labels=labels, costs=costs,
+                             shape=config.shape, stage=stage)
+    return dataset, scorer
+
+
 def gen_realizable_mog(config: MogConfig, num_samples: int,
                        seed: int) -> tuple[LabeledDataset, LinearScorer]:
-    """Single-stage realizable data: where the hidden scorer predicts a label
-    it is the true label; where it defers, the chosen expert is free and the
-    others cost 1. The hidden scorer therefore has zero deferral loss."""
-    features, _ = _sample_features(config, num_samples, seed, "mog")
-    width = config.shape.augmented_size
-    scorer, preds = _draw_full_coverage_scorer(config, features, width, seed, "mog")
-    g = rng.substream(seed, "mog-labels", 0)
-    labels = np.where(preds < config.n, preds,
-                      g.integers(0, config.n, size=num_samples))
-    costs = np.ones((num_samples, config.n_e))
-    deferred = preds >= config.n
-    costs[deferred, preds[deferred] - config.n] = 0.0
-    dataset = LabeledDataset(features=features, labels=labels.astype(int),
-                             costs=costs, shape=config.shape, stage="single")
-    return dataset, scorer
+    """Single-stage realizable data from a hidden predict-or-defer scorer."""
+    return _gen_realizable(config, num_samples, seed, "mog", "single")
 
 
 @dataclass(frozen=True)
@@ -129,33 +135,24 @@ def gen_class_range_experts(config: MogConfig, spec: ExpertRangeSpec,
 
 def gen_realizable_two_stage(config: MogConfig, num_samples: int,
                              seed: int) -> tuple[LabeledDataset, LinearScorer]:
-    """Two-stage realizable data: the expert picked by a hidden linear router
-    is free, all others cost 1, so the router has zero allocation loss."""
-    features, _ = _sample_features(config, num_samples, seed, "two")
-    scorer, preds = _draw_full_coverage_scorer(config, features, config.n_e,
-                                               seed, "two")
-    g = rng.substream(seed, "two-labels", 0)
-    labels = g.integers(0, config.n, size=num_samples)
-    costs = np.ones((num_samples, config.n_e))
-    costs[np.arange(num_samples), preds] = 0.0
-    dataset = LabeledDataset(features=features, labels=labels.astype(int),
-                             costs=costs, shape=config.shape, stage="two")
-    return dataset, scorer
+    """Two-stage realizable data from a hidden linear router over the experts."""
+    return _gen_realizable(config, num_samples, seed, "two", "two")
 
 
-def _premise_costs(g: np.random.Generator, n: int, n_e: int) -> np.ndarray:
-    """Uniform costs resampled row-wise until every leave-one-expert-out sum
-    reaches n_e - 2."""
-    costs = np.empty((n, n_e))
-    for y in range(n):
-        for attempt in range(_MAX_RESAMPLES + 1):
-            row = g.uniform(0.0, 1.0, size=n_e)
-            if row.sum() - row.max() >= n_e - 2:
-                costs[y] = row
-                break
-        else:
-            raise RuntimeError("cost resampling cap reached for premise constraint")
-    return costs
+def _premise_costs(g: np.random.Generator, rows: int, n_e: int) -> np.ndarray:
+    """The first ``rows`` uniform cost rows of g whose leave-one-expert-out sums
+    all reach n_e - 2, each within _MAX_RESAMPLES + 1 draws, drawn a block at a
+    time (g serves nothing afterwards, so surplus draws change no result)."""
+    kept, misses = [], 0
+    while len(kept) < rows:
+        block = g.uniform(0.0, 1.0, size=(rows, n_e))
+        for row, ok in zip(block, (expert_brackets(block, n_e) >= 0).all(axis=-1)):
+            misses = 0 if ok else misses + 1
+            if misses > _MAX_RESAMPLES and len(kept) < rows:
+                raise RuntimeError("cost resampling cap reached for premise constraint")
+            if ok and len(kept) < rows:
+                kept.append(row)
+    return np.array(kept)
 
 
 def gen_random_discrete_task(seed: int, index: int = 0, n_max: int = 4,
@@ -182,7 +179,7 @@ def gen_random_discrete_task(seed: int, index: int = 0, n_max: int = 4,
         mu = g.dirichlet(np.ones(k))
         conditionals = g.dirichlet(np.ones(n), size=k)
         if constraint == "theorem7_premise":
-            costs = np.stack([_premise_costs(g, n, n_e) for _ in range(k)])
+            costs = _premise_costs(g, k * n, n_e).reshape(k, n, n_e)
         else:
             costs = g.uniform(0.0, 1.0, size=(k, n, n_e))
         task = DiscreteTask(mu=mu, conditionals=conditionals, costs=costs,

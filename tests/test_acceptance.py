@@ -356,8 +356,9 @@ def test_criterion_8_realizable_learning_curves():
     mog = MogConfig()
     rows = [row for trial in range(5)
             for row in run_sweep_trial(77, SWEEP_METHODS, 16_000, trial, mog,
-                                       epochs=200, learning_rate=0.3,
-                                       test_samples=10_000)]
+                                       test_samples=10_000, config=TrainConfig(
+                                           learning_rate=0.3, epochs=200,
+                                           optimizer="momentum", batch_size=128))]
     means = {method: float(np.mean([r[-1] for r in rows if r[0] == method]))
              for method in SWEEP_METHODS}
     assert means["ours_q07"] >= 0.98, means

@@ -173,6 +173,7 @@ def two_stage_data(tmp_path_factory):
     ("train", "phi", "logistic", {}),
     ("train", "q", 0.5, {"loss": "two_stage_phi", "phi": "logistic"}),
     ("train", "loss", "two_stage_deferral", {"q": None}),
+    ("train", "hidden", 0, {}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, two_stage_data,
                                           command, field, value, extra):
@@ -251,6 +252,35 @@ def test_verify_output_is_pinned(tmp_path):
         "56912f696dd3531fb251890626baa04a9082a22274eaf459eb316c4cb325f997")
 
 
+@pytest.mark.parametrize("kind,extra,digest", [
+    ("mog_single", {}, "0ba6b4647139e99c7ca3650337a2b2b38c63b35ad26eb65263a4efca7c4ab496"),
+    ("mog_two", {"n_e": 3}, "2de513cc3cbf8e32c1932cb8a1e2ad7d908d418cb8bb56de437848104b9be6f7"),
+    ("range_experts", {"n": 6, "ranges": [[0, 2], [2, 4]]},
+     "90cf0e26b3c4383eb03859c8efe1ca7ab5d9ce3ebb1e277bcd462299ad4356aa"),
+])
+def test_gen_data_output_is_pinned(tmp_path, kind, extra, digest):
+    # sha256 of the features, labels and costs bytes, in that order: the data
+    # of a seed must not move when a generator is rewritten
+    cfg = write(tmp_path / "d.json", dict(version=1, kind=kind, num_samples=300, **extra))
+    out = tmp_path / "d.npz"
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    ds = load_dataset(str(out))
+    h = hashlib.sha256()
+    for array in (ds.features, ds.labels, ds.costs):
+        h.update(array.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_sweep_output_is_pinned(tmp_path):
+    # sha256 of the CSV of all four methods on two trials of one small size
+    cfg = write(tmp_path / "s.json", {"version": 1, "sizes": [100], "trials": 2,
+                                      "epochs": 10, "test_samples": 100})
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5c59091a7bf10e69614c273ba0159f9d9babbbb6bc705f74468cee573fd61d34")
+
+
 def test_sweep_parallel_output_is_byte_identical(tmp_path):
     cfg = write(tmp_path / "s.json",
                 {"version": 1, "sizes": [100], "trials": 2, "epochs": 10,
@@ -300,7 +330,8 @@ def test_sweep_trial_matches_per_cell_reference(size, trial):
     mog = MogConfig()
     args = (size, trial, mog, 3, 0.3, 150, "momentum", 64)
     expected = [reference_sweep_cell(5, m, *args) for m in cli.SWEEP_METHODS]
-    assert cli.run_sweep_trial(5, cli.SWEEP_METHODS, *args) == expected
+    config = TrainConfig(learning_rate=0.3, epochs=3, optimizer="momentum", batch_size=64)
+    assert cli.run_sweep_trial(5, cli.SWEEP_METHODS, size, trial, mog, 150, config) == expected
 
 
 def test_sweep_draws_each_size_and_trial_once(tmp_path, monkeypatch):

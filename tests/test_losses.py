@@ -125,8 +125,6 @@ def test_psi_spec_validation():
         PsiSpec(q=1.5)
     with pytest.raises(ValueError):
         PsiSpec(q=-0.1)
-    with pytest.raises(ValueError):
-        PsiSpec(q=0.5, clamp_epsilon=1e-3)
 
 
 def test_surrogate_mae_is_q1_alias():
@@ -386,6 +384,21 @@ def test_kernels_reject_out_of_range_labels(kernel, m, where, seed, bad):
     scores, labels, costs = kernel_inputs(kernel, m, seed)
     labels[where % m] = bad
     with pytest.raises(ValueError, match="label out of range"):
+        call_kernel(kernel, scores, labels, costs)
+
+
+@pytest.mark.parametrize("kernel", [k for k in _KERNELS if k[2]],
+                         ids=[i for i, k in zip(_kernel_ids, _KERNELS) if k[2]])
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 6), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["float", "fractional", "bool"]), shift=st.floats(0.01, 0.99))
+def test_kernels_reject_non_integer_labels(kernel, m, seed, kind, shift):
+    # a label of 1.7 once scored as class 1; labels must be integers, not
+    # numbers that truncate to one
+    scores, labels, costs = kernel_inputs(kernel, m, seed)
+    labels = {"float": labels.astype(float), "fractional": labels + shift,
+              "bool": labels % 2 == 1}[kind]
+    with pytest.raises(ValueError, match="labels must be integers"):
         call_kernel(kernel, scores, labels, costs)
 
 

@@ -256,11 +256,8 @@ def test_system_accuracy_extremes():
     assert system_accuracy(defer, ds) == 0.0
 
 
-def test_system_accuracy_empty_and_stage_mismatch():
-    ds = small_single_dataset()
+def test_system_accuracy_empty():
     sc = init_linear(4, 5, seed=5)
-    with pytest.raises(ValueError):
-        system_accuracy(sc, ds, stage="two")
     empty = LabeledDataset(features=np.empty((0, 4)), labels=np.empty(0, dtype=int),
                            costs=np.empty((0, 2)), shape=ProblemShape(3, 2),
                            stage="single")
@@ -306,6 +303,10 @@ def test_dataset_validation():
         ([[0.0, 1.0]], [7], [[0.0, 0.5]]),
         ([[0.0, 1.0]], [2], [[0.0, 0.5]]),
         ([[0.0, 1.0]], [-1], [[0.0, 0.5]]),
+        ([[0.0, 1.0]], [0.9], [[0.0, 0.5]]),     # fractional: never truncated to 0
+        ([[0.0, 1.0]], [1.0], [[0.0, 0.5]]),     # a float label, even a whole one
+        ([[0.0, 1.0]], [True], [[0.0, 0.5]]),
+        ([[0.0, 1.0]], ["1"], [[0.0, 0.5]]),
     ]:
         with pytest.raises(ValueError):
             LabeledDataset(features, labels, costs, ProblemShape(2, 2))

@@ -111,10 +111,10 @@ def test_minimizability_gap_cases():
     width = task.shape.augmented_size
     g = np.random.default_rng(0)
     single = TabularHypothesis(g.standard_normal((task.num_points, width)))
-    assert minimizability_gap(task, loss, "fixed_family", [single]) == \
+    assert minimizability_gap(task, loss, [single]) == \
         pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        minimizability_gap(task, loss, "fixed_family", [])
+        minimizability_gap(task, loss, [])
 
 
 def test_minimizability_gap_positive_for_conflicting_family():
@@ -125,7 +125,7 @@ def test_minimizability_gap_positive_for_conflicting_family():
                      ProblemShape(2, 1))
     h0 = TabularHypothesis(np.tile([1.0, 0.0, 0.0], (2, 1)))
     h1 = TabularHypothesis(np.tile([0.0, 1.0, 0.0], (2, 1)))
-    gap = minimizability_gap(t, LossSelector("deferral"), "fixed_family", [h0, h1])
+    gap = minimizability_gap(t, LossSelector("deferral"), [h0, h1])
     assert gap == pytest.approx(0.5)
 
 
@@ -428,7 +428,7 @@ def test_single_hypothesis_functions_reject_a_stack():
     checks = [
         lambda: generalization_error(task, stack, LossSelector("deferral")),
         lambda: empirical_excess(task, stack, LossSelector("deferral")),
-        lambda: minimizability_gap(task, LossSelector("deferral"), "fixed_family", [stack]),
+        lambda: minimizability_gap(task, LossSelector("deferral"), [stack]),
         lambda: verify_lemma_noise(task, stack, profile, "single"),
         lambda: verify_enhanced_bound(task, stack, LossSelector("surrogate_mae"), 2.0,
                                       "theorem_multi"),

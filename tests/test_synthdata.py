@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferkit.losses import expert_brackets
 from deferkit.models import realized_deferral_loss
 from deferkit.oracles import minimal_margin
 from deferkit.synthdata import (
+    _MAX_RESAMPLES,
     ExpertRangeSpec,
     MogConfig,
+    _premise_costs,
     gen_class_range_experts,
     gen_random_discrete_task,
     gen_realizable_mog,
@@ -81,6 +85,38 @@ def test_random_task_premise_constraint():
                             task.shape.n_e)
         assert np.all(b >= -1e-12)
         assert task.shape.n_e >= 2
+
+
+def premise_costs_by_row(g, rows, n_e):
+    """The row loop that _premise_costs's block draw replaced: one draw per
+    attempt, each row checked on its own with the sum-minus-max test."""
+    costs = np.empty((rows, n_e))
+    for y in range(rows):
+        for _ in range(_MAX_RESAMPLES + 1):
+            row = g.uniform(0.0, 1.0, size=n_e)
+            if row.sum() - row.max() >= n_e - 2:
+                costs[y] = row
+                break
+        else:
+            raise RuntimeError("cost resampling cap reached for premise constraint")
+    return costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rows=st.integers(1, 30), n_e=st.integers(2, 4))
+def test_premise_costs_match_the_row_loop(seed, rows, n_e):
+    def stream():
+        return np.random.Generator(np.random.Philox(seed))
+
+    want = premise_costs_by_row(stream(), rows, n_e)
+    assert _premise_costs(stream(), rows, n_e).tobytes() == want.tobytes()
+
+
+def test_premise_costs_raise_at_the_cap():
+    # with 12 experts a row passes with odds far below 1 in 10001
+    for costs in (premise_costs_by_row, _premise_costs):
+        with pytest.raises(RuntimeError, match="resampling cap"):
+            costs(np.random.Generator(np.random.Philox(0)), 3, 12)
 
 
 def test_random_task_margin_constraint():
