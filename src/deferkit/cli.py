@@ -11,15 +11,15 @@ Exit codes: 0 success, 1 invalid config or arguments, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
 from .models import (LabeledDataset, TrainConfig, init_linear,
                      init_mlp, replace_rows, scorer_to_json, system_accuracy,
                      train, realized_deferral_loss)
-from .oracles import (TabularHypothesis, verify_bound_single_mae,
+from .oracles import (DiscreteTask, TabularHypothesis, verify_bound_single_mae,
                       verify_bound_two_expert_phi, verify_bound_two_stage)
 from .synthdata import (ExpertRangeSpec, MogConfig, gen_class_range_experts,
                         gen_realizable_mog, gen_realizable_two_stage,
@@ -50,18 +50,56 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+_QUOTED = ',"\r\n'
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _quote(text: str) -> str:
+    """A field as csv.writer writes it: quoted, with its quotes doubled, when
+    it holds a comma, a quote or a line break."""
+    if any(c in text for c in _QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column) -> tuple[str, list]:
+    """The % template of a column and its values: floats with 17 significant
+    digits, integers in full and strings quoted where they need it."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return "%.17g", values
+    if kinds <= {int}:
+        return "%d", values
+    if not kinds <= {str}:
+        raise ValueError(f"a column holds floats, integers or strings alone, "
+                         f"got {sorted(k.__name__ for k in kinds)}")
+    if any(c in "".join(values) for c in _QUOTED):
+        values = list(map(_quote, values))
+    return "%s", values
+
+
+def _write_csv(path: Path, header: list[str], blocks: Iterable[Sequence]) -> None:
+    """Writes the header, then each block's rows as the block comes.
+
+    A block is a sequence of two or more columns: sequences of one length,
+    each of floats, of integers or of strings, or a str that fills its
+    column. Every block is formatted in one pass and written before the
+    next is read."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for block in blocks:
+            templates, columns = [], []
+            for column in block:
+                if isinstance(column, str):
+                    templates.append(_quote(column).replace("%", "%%"))
+                else:
+                    template, values = _cells(column)
+                    templates.append(template)
+                    columns.append(values)
+            if len({len(values) for values in columns}) != 1:
+                raise ValueError("a block needs columns of values, all of one length")
+            row = ",".join(templates) + "\n"
+            fh.write(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def _load_config(path: str, allowed: dict) -> dict:
@@ -223,9 +261,8 @@ def cmd_train(args) -> int:
     fitted, trajectory = train(scorer, dataset, selector, tc)
     out = Path(args.out)
     out.write_text(scorer_to_json(fitted) + "\n")
-    rows = [(e, trajectory[e, 0], trajectory[e, 1]) for e in range(len(trajectory))]
-    _write_csv(out.with_suffix(".trajectory.csv"),
-               ["epoch", "surrogate_loss", "target_loss"], rows)
+    _write_csv(out.with_suffix(".trajectory.csv"), ["epoch", "surrogate_loss", "target_loss"],
+               [(np.arange(len(trajectory)), trajectory[:, 0], trajectory[:, 1])])
     return 0
 
 
@@ -286,7 +323,7 @@ def cmd_sweep(args) -> int:
                      key=lambda r: (r[0], r[1], r[2]))
     _write_csv(Path(args.out),
                ["method", "size", "trial", "seed", "train_deferral",
-                "test_deferral", "test_accuracy"], results)
+                "test_deferral", "test_accuracy"], [list(zip(*results))])
     return 0
 
 
@@ -306,14 +343,14 @@ def cmd_verify(args) -> int:
     bad = set(cfg["families"]) - set(_VERIFY_FAMILIES)
     if bad:
         raise ConfigError(f"unknown verify families: {sorted(bad)}")
-    rows: list[tuple] = []
-    violations = 0
+    checked: list[tuple[str, list]] = []   # per family: (task indices, report) per check
     # families with the same generator arguments check the same tasks
     tasks = {}
     for family in cfg["families"]:
         stage = "single" if family == "single_mae" else "two"
         constraint = "none" if stage == "single" else "theorem7_premise"
         ne_max = 2 if family == "two_expert_logistic" else cfg["ne_max"]
+        groups, family_checks = {}, []
         for i in range(cfg["num_tasks"]):
             key = (constraint, ne_max, i)
             if key not in tasks:
@@ -321,25 +358,47 @@ def cmd_verify(args) -> int:
                     args.seed, index=i, n_max=cfg["n_max"], ne_max=ne_max,
                     k_max=cfg["k_max"], constraint=constraint)
             task = tasks[key]
-            # one draw (the numbers of a draw per hypothesis) and one check for all
+            # one draw (the numbers of a draw per hypothesis) per task
             g = rng.substream(args.seed, f"verify-{family}", i)
-            hyp = TabularHypothesis(g.standard_normal(
-                (cfg["hyps_per_task"], task.num_points, task.shape.width(stage))))
+            scores = g.standard_normal((cfg["hyps_per_task"], task.num_points,
+                                        task.shape.width(stage)))
+            groups.setdefault((task.num_points, task.shape), []).append((i, task, scores))
+        # one check for all the tasks of a shape and all their hypotheses
+        for members in groups.values():
+            index, group, scores = zip(*members)
+            stack, hyp = DiscreteTask.stack(group), TabularHypothesis(np.stack(scores))
             if family == "single_mae":
-                report = verify_bound_single_mae(task, hyp)
+                report = verify_bound_single_mae(stack, hyp)
             elif family == "two_expert_logistic":
-                report = verify_bound_two_expert_phi(task, hyp, _LOGISTIC)
+                report = verify_bound_two_expert_phi(stack, hyp, _LOGISTIC)
             else:
-                report = verify_bound_two_stage(task, hyp, _TWO_STAGE_Q[family])
-            violations += report.violations
-            for h in range(cfg["hyps_per_task"]):
-                rows.extend((family,) + r for r in report[h].csv_rows(f"task{i}_h{h}"))
-    if not rows:   # every report adds at least its aggregate row
+                report = verify_bound_two_stage(stack, hyp, _TWO_STAGE_Q[family])
+            family_checks.append((index, report))
+        checked.append((family, family_checks))
+    if not checked:
         raise ConfigError("verify config checks no reports")
-    _write_csv(Path(args.out),
-               ["family", "task_id", "point", "lhs", "rhs", "slack", "verdict"],
-               rows)
-    return 3 if violations else 0
+    violations: list[int] = []
+    _write_csv(Path(args.out), ["family", "task_id", "point", "lhs", "rhs", "slack", "verdict"],
+               _verify_blocks(checked, cfg["hyps_per_task"], violations))
+    return 3 if sum(violations) else 0
+
+
+def _verify_blocks(checked, hyps: int, violations: list[int]):
+    """One CSV block per family from the table of each of its checks, its rows
+    in task, hypothesis, point order; appends each family's count of
+    violation rows to ``violations``."""
+    for family, family_checks in checked:
+        tables, order = [], []
+        for index, report in family_checks:
+            points, *columns = report.table()    # each (T, H, K + 1)
+            ids = [f"task{i}_h{h}" for i in index for h in range(hyps)]
+            tables.append([np.repeat(ids, points.shape[-1]), points.ravel()]
+                          + [c.ravel() for c in columns])
+            order.append(np.repeat(index, points[0].size))
+        rows = np.argsort(np.concatenate(order), kind="stable")
+        block = [family] + [np.concatenate(c)[rows] for c in zip(*tables)]
+        violations.append(int(np.count_nonzero(block[-1] == "violation")))
+        yield block
 
 
 _COMMANDS = {

@@ -10,11 +10,16 @@ functions take ``k``: an int gives that point's value, any other index
 (``slice(None)``, an index array) those points' values on a leading axis.
 Hypotheses stacked on leading axes, ``(H, K, width)``, get one value per
 hypothesis on those axes from the per-point oracles and the bound verifiers.
+Tasks of one shape stack the same way, ``mu (T, K)``: a stacked task takes
+hypotheses that lead with its task axes, ``(T, H, K, width)``, and the
+report of the pair holds ``report[t, h]``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +64,12 @@ _DEFERRAL = {"single": LossSelector("deferral"), "two": LossSelector("two_stage_
 @dataclass
 class DiscreteTask:
     """Finite-support distribution: point marginals, label conditionals and
-    a per-point, per-label, per-expert cost tensor."""
+    a per-point, per-label, per-expert cost tensor. Tasks of one shape may
+    be stacked on leading task axes."""
 
-    mu: np.ndarray           # (K,)
-    conditionals: np.ndarray  # (K, n)
-    costs: np.ndarray        # (K, n, n_e)
+    mu: np.ndarray           # (K,), or (T, K) for T stacked tasks
+    conditionals: np.ndarray  # (K, n), after the same task axes
+    costs: np.ndarray        # (K, n, n_e), likewise
     shape: ProblemShape
 
     def __post_init__(self) -> None:
@@ -72,21 +78,31 @@ class DiscreteTask:
         self.costs = np.asarray(self.costs, dtype=float)
         if not all(np.isfinite(a).all() for a in (self.mu, self.conditionals, self.costs)):
             raise ValueError("marginals, conditionals and costs must be finite")
-        if np.any(self.mu < 0) or abs(self.mu.sum() - 1.0) > 1e-12:
+        if np.any(self.mu < 0) or np.any(np.abs(self.mu.sum(axis=-1) - 1.0) > 1e-12):
             raise ValueError("marginals must be nonnegative and sum to 1")
-        if np.any(np.abs(self.conditionals.sum(axis=1) - 1.0) > 1e-12):
+        if np.any(np.abs(self.conditionals.sum(axis=-1) - 1.0) > 1e-12):
             raise ValueError("conditional rows must sum to 1")
         if np.any(self.costs < 0) or np.any(self.costs > 1):
             raise ValueError("costs must lie in [0, 1]")
-        k = len(self.mu)
-        if self.conditionals.shape != (k, self.shape.n):
+        if self.conditionals.shape != self.mu.shape + (self.shape.n,):
             raise ValueError("conditionals shape mismatch")
-        if self.costs.shape != (k, self.shape.n, self.shape.n_e):
+        if self.costs.shape != self.mu.shape + (self.shape.n, self.shape.n_e):
             raise ValueError("cost tensor shape mismatch")
+
+    @classmethod
+    def stack(cls, tasks: Sequence["DiscreteTask"]) -> "DiscreteTask":
+        """Tasks of one shape on a new leading task axis; each was checked
+        when it was made, so the stack is not checked again."""
+        if any(t.shape != tasks[0].shape for t in tasks):
+            raise ValueError("stacked tasks must share n and n_e")
+        stacked = copy.copy(tasks[0])
+        stacked.mu, stacked.conditionals, stacked.costs = (
+            np.stack([getattr(t, name) for t in tasks]) for name in ("mu", "conditionals", "costs"))
+        return stacked
 
     @property
     def num_points(self) -> int:
-        return len(self.mu)
+        return self.mu.shape[-1]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -124,10 +140,23 @@ class TabularHypothesis:
         return self.action(slice(None))
 
 
-def _check_width(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> None:
+def _aligned(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> DiscreteTask:
+    """The task with a unit axis after its task axes for each further
+    hypothesis axis, so that its arrays broadcast against the scores."""
     want = task.shape.width(stage)
+    lead, hyp_lead = task.mu.shape[:-1], hyp.scores.shape[:-2]
     if hyp.scores.shape[-2:] != (task.num_points, want):
         raise ValueError(f"hypothesis shape {hyp.scores.shape} != (..., {task.num_points}, {want})")
+    if len(lead) > len(hyp_lead) or any(a not in (1, b) for a, b in zip(lead, hyp_lead)):
+        raise ValueError(f"hypothesis shape {hyp.scores.shape} does not lead with the "
+                         f"task axes {lead}")
+    if len(lead) == len(hyp_lead):
+        return task
+    units = (1,) * (len(hyp_lead) - len(lead))
+    view = copy.copy(task)
+    view.mu, view.conditionals, view.costs = (a.reshape(lead + units + a.shape[len(lead):])
+                                              for a in (task.mu, task.conditionals, task.costs))
+    return view
 
 
 def _one_hypothesis(hyp: TabularHypothesis) -> None:
@@ -136,8 +165,8 @@ def _one_hypothesis(hyp: TabularHypothesis) -> None:
 
 
 def _per_point(x):
-    """A float for a single point, the array for an index of points."""
-    return float(x) if np.ndim(x) == 0 else x
+    """A Python scalar for a single value, the array for an index of them."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 def _dot(p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -158,13 +187,13 @@ def _pick(values: np.ndarray, actions) -> np.ndarray:
 def augmented_values(task: DiscreteTask, k) -> np.ndarray:
     """Augmented action values at point k: p(y|x) for labels, then the
     expected agreement mass sum_y p(y|x)(1 - c_j(x, y)) for each expert."""
-    p = task.conditionals[k]
-    p_expert = (p[..., :, None] * (1.0 - task.costs[k])).sum(axis=-2)
+    p = task.conditionals[..., k, :]
+    p_expert = (p[..., :, None] * (1.0 - task.costs[..., k, :, :])).sum(axis=-2)
     return np.concatenate([p, p_expert], axis=-1)
 
 
 def expected_costs(task: DiscreteTask, k) -> np.ndarray:
-    return _vecmat(task.conditionals[k], task.costs[k])
+    return _vecmat(task.conditionals[..., k, :], task.costs[..., k, :, :])
 
 
 def conditional_regret_def(task: DiscreteTask, hyp: TabularHypothesis, k):
@@ -206,8 +235,8 @@ def _mae_given_probs(probs: np.ndarray, task: DiscreteTask, k: int) -> float:
 
 def _qbar(task: DiscreteTask, k) -> np.ndarray:
     """Expected per-expert bracket coefficients for the two-stage surrogate."""
-    b = losses.expert_brackets(task.costs[k], task.shape.n_e)  # (..., n, n_e)
-    return _vecmat(task.conditionals[k], b)
+    b = losses.expert_brackets(task.costs[..., k, :, :], task.shape.n_e)  # (..., n, n_e)
+    return _vecmat(task.conditionals[..., k, :], b)
 
 
 def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
@@ -215,9 +244,9 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
     """Expected loss at point k under the label conditional. The losses with
     an exact oracle are the two targets, surrogate_mae, two_stage_psi and
     two_stage_phi."""
-    _check_width(task, hyp, loss.stage)
+    task = _aligned(task, hyp, loss.stage)
     s = hyp.scores[..., k, :]
-    p = task.conditionals[k]
+    p = task.conditionals[..., k, :]
     if loss.name == "deferral":
         out = 1.0 - _pick(augmented_values(task, k), hyp.action(k))
     elif loss.name == "two_stage_deferral":
@@ -227,7 +256,7 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
         lead = s.shape[:-1] + (task.shape.n,)
         rows = np.broadcast_to(s[..., None, :], lead + s.shape[-1:]).reshape(-1, s.shape[-1])
         labels = np.broadcast_to(np.arange(task.shape.n), lead).ravel()
-        costs = np.broadcast_to(task.costs[k], lead + task.costs.shape[-1:])
+        costs = np.broadcast_to(task.costs[..., k, :, :], lead + task.costs.shape[-1:])
         vals = losses.surrogate_mae_batch(rows, labels, costs.reshape(-1, task.shape.n_e), task.shape)
         out = _dot(p, vals.reshape(lead))
     elif loss.name == "two_stage_psi":
@@ -295,6 +324,7 @@ def conditional_min_surrogate(task: DiscreteTask, k, loss: LossSelector):
 
 def conditional_regret_surrogate(task: DiscreteTask, hyp: TabularHypothesis,
                                  k, loss: LossSelector):
+    task = _aligned(task, hyp, loss.stage)
     return conditional_error(task, hyp, k, loss) - conditional_min_surrogate(task, k, loss)
 
 
@@ -425,25 +455,44 @@ class _Verdict:
 class RegretReport(_Verdict):
     """Per-point bound check plus the aggregated excess-error statement; with
     the premise unmet the bound claims nothing and only a non-finite lhs is a
-    violation. Stacked hypotheses lead every field: ``report[h]`` is one."""
+    violation. Stacked tasks and hypotheses lead every field: ``report[h]``,
+    or ``report[t, h]`` for a task stack, is one report."""
 
-    target_regrets: np.ndarray   # (K,) or (H, K)
+    target_regrets: np.ndarray   # (K,), (H, K) or (T, H, K)
     surrogate_regrets: np.ndarray
     rhs: np.ndarray
-    excess_target: float         # a float, or (H,)
+    excess_target: float         # a float, or an array over the leading axes
     excess_surrogate: float
     aggregate_rhs: float
     label: str = ""
-    premise_met: bool = True
-    note: str = ""
+    premise_met: bool = True     # a bool, or an array over the task axes
+    note: str = ""               # likewise
 
-    def __getitem__(self, h) -> "RegretReport":
-        return RegretReport(self.target_regrets[h], self.surrogate_regrets[h], self.rhs[h],
-                            float(self.excess_target[h]), float(self.excess_surrogate[h]),
-                            float(self.aggregate_rhs[h]), self.label, self.premise_met, self.note)
+    def _per_report(self, x) -> np.ndarray:
+        """A value per task (or one for all) spread to one per report."""
+        x, lead = np.asarray(x), np.shape(self.excess_target)
+        return np.broadcast_to(x.reshape(x.shape + (1,) * (len(lead) - x.ndim)), lead)
 
-    def _ok(self, lhs, rhs) -> np.ndarray:
-        return np.asarray(_slack_ok(rhs - lhs) if self.premise_met else np.isfinite(lhs))
+    def __getitem__(self, index) -> "RegretReport":
+        def one(x):
+            return self._per_report(x)[index].item()
+
+        return RegretReport(self.target_regrets[index], self.surrogate_regrets[index],
+                            self.rhs[index], one(self.excess_target),
+                            one(self.excess_surrogate), one(self.aggregate_rhs), self.label,
+                            one(self.premise_met), one(self.note))
+
+    @np.errstate(invalid="ignore")  # a NaN slack from a non-finite side is a violation
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The CSV columns of each report over (..., K + 1): point (-1 for
+        the aggregate row, which comes last), lhs, rhs, slack and verdict."""
+        lhs = np.concatenate([self.target_regrets, np.expand_dims(self.excess_target, -1)], -1)
+        rhs = np.concatenate([self.rhs, np.expand_dims(self.aggregate_rhs, -1)], -1)
+        slack = rhs - lhs
+        ok = np.where(self._per_report(self.premise_met)[..., None], _slack_ok(slack),
+                      np.isfinite(lhs))
+        points = np.broadcast_to(np.r_[:lhs.shape[-1] - 1, -1], lhs.shape)
+        return points, lhs, rhs, slack, np.where(ok, "ok", "violation")
 
     @property
     def slack(self) -> np.ndarray:
@@ -455,26 +504,18 @@ class RegretReport(_Verdict):
 
     @property
     def violations(self) -> int:
-        return (int(np.count_nonzero(~self._ok(self.target_regrets, self.rhs)))
-                + int(np.count_nonzero(~self._ok(self.excess_target, self.aggregate_rhs))))
+        return int(np.count_nonzero(self.table()[-1] == "violation"))
 
     @property
     def max_negative_slack(self) -> float:
         return float(min(self.slack.min(initial=0.0), np.min(self.aggregate_slack), 0.0))
 
     def csv_rows(self, task_id: str) -> list[tuple]:
-        """One row per point, then the aggregate row, of one hypothesis."""
+        """One row per point, then the aggregate row, of one report."""
         if np.ndim(self.excess_target):
-            raise ValueError(f"csv_rows takes one hypothesis: use report[h] of this stack "
-                             f"of {np.shape(self.excess_target)} hypotheses")
-        slack, ok = self.slack, self._ok(self.target_regrets, self.rhs)
-        rows = [(task_id, k, float(self.target_regrets[k]), float(self.rhs[k]),
-                 float(slack[k]), "ok" if ok[k] else "violation")
-                for k in range(len(self.target_regrets))]
-        rows.append((task_id, -1, self.excess_target, self.aggregate_rhs,
-                     self.aggregate_slack,
-                     "ok" if self._ok(self.excess_target, self.aggregate_rhs) else "violation"))
-        return rows
+            raise ValueError(f"csv_rows takes one report: use report[h] (report[t, h] for a "
+                             f"task stack) of this stack of {np.shape(self.excess_target)}")
+        return [(task_id, *row) for row in zip(*(c.tolist() for c in self.table()))]
 
 
 def _per_point_regrets(task, hyp, target: LossSelector, surrogate: LossSelector):
@@ -484,15 +525,19 @@ def _per_point_regrets(task, hyp, target: LossSelector, surrogate: LossSelector)
 
 
 def _regret_report(task, hyp, target: LossSelector, surrogate: LossSelector,
-                   gamma, label: str) -> RegretReport:
+                   gamma, label: str, premise_met=True, note="") -> RegretReport:
     """Bound target regret <= gamma(surrogate regret), per point and on the
-    mu-weighted excesses, for each stacked hypothesis."""
+    mu-weighted excesses, for each stacked task and hypothesis. Per-task
+    constants in gamma carry a trailing unit point axis, and the excesses
+    get one to meet them; premise_met and note hold one value per task."""
+    task = _aligned(task, hyp, target.stage)
     tgt, sur = _per_point_regrets(task, hyp, target, surrogate)
     excess_sur = _dot(task.mu, sur)
     return RegretReport(
         target_regrets=tgt, surrogate_regrets=sur, rhs=gamma(sur),
         excess_target=_per_point(_dot(task.mu, tgt)), excess_surrogate=_per_point(excess_sur),
-        aggregate_rhs=_per_point(gamma(excess_sur)), label=label)
+        aggregate_rhs=_per_point(gamma(excess_sur[..., None])[..., 0]), label=label,
+        premise_met=_per_point(premise_met), note=_per_point(note))
 
 
 def verify_bound_single_mae(task: DiscreteTask, hyp: TabularHypothesis) -> RegretReport:
@@ -503,7 +548,7 @@ def verify_bound_single_mae(task: DiscreteTask, hyp: TabularHypothesis) -> Regre
                           lambda t: factor * t, "single_mae")
 
 
-def two_stage_gamma(q: float, cbar_max: float, n_e: int):
+def two_stage_gamma(q: float, cbar_max, n_e: int):
     """Concave transform for the multiple-expert two-stage bound."""
     c_up = (n_e - 1) * cbar_max - n_e + 2
     if q == 1.0:
@@ -513,18 +558,18 @@ def two_stage_gamma(q: float, cbar_max: float, n_e: int):
     return lambda t: 2.0 * np.sqrt(n_e ** q) * np.sqrt(c_up) * np.sqrt(t)
 
 
-def check_two_stage_premise(task: DiscreteTask) -> bool:
-    """Every leave-one-out cost sum must reach n_e - 2."""
-    return bool(np.all(losses.expert_brackets(task.costs, task.shape.n_e) >= -1e-12))
-
-
 def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
                            q: float) -> RegretReport:
     """Two-stage multiple-expert bound with the cost-dependent constant and
-    the q-dependent square-root / linear transform."""
-    if not check_two_stage_premise(task):
-        raise ValueError("assumption sum of other experts' costs >= n_e - 2 fails")
-    cbar_max = float(task.costs.max(axis=(0, 1)).max())
+    the q-dependent square-root / linear transform. Every leave-one-out cost
+    sum of every task must reach n_e - 2."""
+    brackets = losses.expert_brackets(task.costs, task.shape.n_e)
+    failed = np.argwhere(~np.all(brackets >= -1e-12, axis=(-3, -2, -1)))
+    if len(failed):
+        where = f" for task {tuple(failed[0].tolist())}" if task.mu.ndim > 1 else ""
+        raise ValueError(f"assumption sum of other experts' costs >= n_e - 2 fails{where}")
+    task = _aligned(task, hyp, "two")
+    cbar_max = task.costs.max(axis=(-3, -2, -1))[..., None]
     return _regret_report(task, hyp, _DEFERRAL["two"],
                           LossSelector("two_stage_psi", psi=PsiSpec(q=q)),
                           two_stage_gamma(q, cbar_max, task.shape.n_e), f"two_stage_q{q}")
@@ -533,27 +578,27 @@ def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
 def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
                                 phi: PhiSpec) -> RegretReport:
     """Two-expert bound: cost-range prefactors around the binary-classification
-    square-root transform (logistic/exponential margin losses)."""
+    square-root transform (logistic/exponential margin losses). A task whose
+    per-expert lower costs sum to 0 makes it vacuous: its premise is unmet."""
     if task.shape.n_e != 2:
         raise ValueError("two-expert bound requires n_e = 2")
     if phi.kind not in (losses.PhiKind.LOGISTIC, losses.PhiKind.EXPONENTIAL):
         raise ValueError("square-root transform applies to logistic/exponential only")
-    c_lo = task.costs.min(axis=(0, 1))      # per-expert lower cost bounds
-    c_hi = task.costs.max(axis=(0, 1))
-    denom = float(c_lo.sum())
-    scale = float(c_hi.sum())
+    lead = task.mu.shape[:-1]
+    task = _aligned(task, hyp, "two")
+    # per task: sums of the per-expert lower and upper cost bounds
+    denom = task.costs.min(axis=(-3, -2)).sum(axis=-1, keepdims=True)
+    scale = task.costs.max(axis=(-3, -2)).sum(axis=-1, keepdims=True)
+    vacuous = denom <= 0.0
+    by_task = vacuous.reshape(lead)
 
+    @np.errstate(divide="ignore", invalid="ignore")  # vacuous tasks divide by 0
     def gamma(t):
-        t = np.asarray(t, dtype=float)
-        if denom <= 0.0:
-            return np.where(t > 0, np.inf, 0.0)
-        return scale * np.sqrt(2.0 * t / denom)
+        return np.where(vacuous, np.where(t > 0, np.inf, 0.0), scale * np.sqrt(2.0 * t / denom))
 
-    report = _regret_report(task, hyp, _DEFERRAL["two"], LossSelector("two_stage_phi", phi=phi),
-                            gamma, f"two_expert_{phi.kind.value}")
-    if denom <= 0.0:
-        report.premise_met, report.note = False, "lower costs sum to 0: the bound is vacuous"
-    return report
+    return _regret_report(task, hyp, _DEFERRAL["two"], LossSelector("two_stage_phi", phi=phi),
+                          gamma, f"two_expert_{phi.kind.value}", premise_met=~by_task,
+                          note=np.where(by_task, "lower costs sum to 0: the bound is vacuous", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +610,10 @@ def minimal_margin(task: DiscreteTask, stage: str) -> np.ndarray:
     """Gap between the best and second-best action value at each point."""
     if stage == "single":
         v = np.sort(augmented_values(task, slice(None)), axis=-1)
-        return v[:, -1] - v[:, -2]
+        return v[..., -1] - v[..., -2]
     if stage == "two":
         e = np.sort(expected_costs(task, slice(None)), axis=-1)
-        return e[:, 1] - e[:, 0]
+        return e[..., 1] - e[..., 0]
     raise ValueError(f"unknown stage {stage!r}")
 
 

@@ -52,7 +52,8 @@ class MogConfig:
 
 
 def _sample_features(config: MogConfig, num_samples: int, seed: int,
-                     tag: str) -> np.ndarray:
+                     tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture features and the component index of each row."""
     g_means = rng.substream(seed, f"{tag}-means", 0)
     means = config.mean_scale * g_means.standard_normal((config.components, config.dim))
     g = rng.substream(seed, f"{tag}-sample", 0)

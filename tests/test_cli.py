@@ -1,15 +1,18 @@
+import csv
 import hashlib
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferkit import cli, rng
 from deferkit.cli import load_dataset, main
 from deferkit.models import (TrainConfig, init_linear, realized_deferral_loss,
                              replace_rows, system_accuracy, train)
-from deferkit.synthdata import MogConfig, gen_realizable_mog
+from deferkit.synthdata import MogConfig, gen_random_discrete_task, gen_realizable_mog
 
 
 def write(path, doc):
@@ -216,8 +219,9 @@ def test_verify_generates_each_task_once(tmp_path, monkeypatch):
 
 
 def test_verify_checks_each_task_and_family_in_one_call(tmp_path, monkeypatch):
-    # all hypotheses of a (task, family) are one stacked check, whose target
-    # and surrogate regrets take one conditional minimum each
+    # all tasks of one shape (K, n, n_e) of a family, with all their
+    # hypotheses, are one stacked check, whose target and surrogate regrets
+    # take one conditional minimum each
     from deferkit import oracles
     calls = Counter()
 
@@ -232,13 +236,44 @@ def test_verify_checks_each_task_and_family_in_one_call(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     monkeypatch.setattr(oracles, "conditional_min_surrogate",
                         counting("cond_min", oracles.conditional_min_surrogate))
-    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 4})
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 4,
+                                      "n_max": 2, "k_max": 2})
     out = tmp_path / "r.csv"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    assert calls == {"verify_bound_single_mae": 3, "verify_bound_two_stage": 9,
-                     "verify_bound_two_expert_phi": 3, "cond_min": 2 * 15}
+
+    def groups(ne_max, constraint):
+        tasks = [gen_random_discrete_task(0, i, n_max=2, ne_max=ne_max, k_max=2,
+                                          constraint=constraint) for i in range(3)]
+        return len({(t.num_points, t.shape) for t in tasks})
+
+    single, premise, two_expert = (groups(3, "none"), groups(3, "theorem7_premise"),
+                                   groups(2, "theorem7_premise"))
+    assert min(single, premise, two_expert) < 3   # some shape holds several tasks
+    assert calls == {"verify_bound_single_mae": single, "verify_bound_two_stage": 3 * premise,
+                     "verify_bound_two_expert_phi": two_expert,
+                     "cond_min": 2 * (single + 3 * premise + two_expert)}
     task_ids = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
     assert task_ids == {f"task{i}_h{h}" for i in range(3) for h in range(4)}
+
+
+def test_verify_exits_3_on_a_violation(tmp_path, monkeypatch):
+    # a NaN bound at one point of each single_mae check is one violation row
+    # per check, and any violation makes the exit code 3
+    check = cli.verify_bound_single_mae
+
+    def broken(task, hyp):
+        report = check(task, hyp)
+        report.rhs[(0,) * report.rhs.ndim] = np.nan
+        return report
+
+    monkeypatch.setattr(cli, "verify_bound_single_mae", broken)
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 2})
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    tasks = [gen_random_discrete_task(0, i) for i in range(3)]
+    checks = len({(t.num_points, t.shape) for t in tasks})
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows if r[-1] == "violation"] == ["single_mae"] * checks
 
 
 def test_verify_output_is_pinned(tmp_path):
@@ -250,6 +285,16 @@ def test_verify_output_is_pinned(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "56912f696dd3531fb251890626baa04a9082a22274eaf459eb316c4cb325f997")
+
+
+def test_verify_output_with_full_shape_groups_is_pinned(tmp_path):
+    # sha256 of the CSV that checking one task per call wrote at the held-out
+    # seed: 60 tasks of at most 4 points, so that each shape holds several
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 60, "k_max": 4})
+    out = tmp_path / "bounds.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "9173"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0b2894226994a1ee70a0c82e53e7341a512416e623a344d39a0909d77f90eec3")
 
 
 @pytest.mark.parametrize("kind,extra,digest", [
@@ -303,6 +348,84 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert float(val) == float(format(float(val), ".17g"))
     # LF line endings, no CR
     assert b"\r" not in out.read_bytes()
+
+
+def reference_write_csv(path, header, rows):
+    """The CSV writer that the array writer replaced: csv.writer over rows,
+    floats formatted to 17 significant digits and anything else with str."""
+    def fmt(x):
+        return format(x, ".17g") if isinstance(x, float) else str(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+# csv.writer (Python 3.11, "\n" line terminator) leaves a bare "\r" unquoted,
+# which a reader takes for a line break; the array writer quotes it, so the
+# shared alphabet leaves it out and test_write_csv_quotes_a_carriage_return
+# checks it
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
+               | st.sampled_from(',"\n %'), max_size=8)
+SPECIAL_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308,
+                                  1e300, -1e300, 0.1, 1 / 3, 2 / 3, 1e16 + 2, 123456789.123])
+CELLS = {
+    "str": TEXT,
+    "int": st.integers(-2**63, 2**63 - 1),
+    "seed": st.integers(0, 2**64 - 1),
+    "float": st.floats(allow_subnormal=True) | SPECIAL_FLOATS,
+}
+ARRAY_DTYPES = {"int": np.int64, "seed": np.uint64, "float": np.float64}
+
+
+@st.composite
+def csv_blocks(draw):
+    """A header, rows of one type per column, and the same rows cut into
+    blocks of columns, given as lists, arrays or a str that fills a column."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=2, max_size=6))
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    rows, blocks = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(0, 6))
+        columns = []
+        for kind in kinds:
+            if kind == "str" and size and draw(st.booleans()):
+                value = draw(TEXT)
+                columns.append(value)
+                continue
+            values = draw(st.lists(CELLS[kind], min_size=size, max_size=size))
+            as_array = kind in ARRAY_DTYPES and draw(st.booleans())
+            columns.append(np.array(values, dtype=ARRAY_DTYPES[kind]) if as_array else values)
+        if all(isinstance(c, str) for c in columns):
+            continue   # a block needs a column that sets its length
+        blocks.append(columns)
+        rows += zip(*(c.tolist() if isinstance(c, np.ndarray)
+                      else [c] * size if isinstance(c, str) else c for c in columns))
+    return header, blocks, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_blocks())
+def test_write_csv_matches_the_row_writer(tmp_path_factory, case):
+    header, blocks, rows = case
+    tmp = tmp_path_factory.mktemp("csv")
+    reference_write_csv(tmp / "want.csv", header, rows)
+    cli._write_csv(tmp / "got.csv", header, blocks)
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_write_csv_quotes_a_carriage_return(tmp_path):
+    cli._write_csv(tmp_path / "r.csv", ["a\rb", "c"], [(["x\r"], np.array([1]))])
+    assert (tmp_path / "r.csv").read_bytes() == b'"a\rb",c\n"x\r",1\n'
+
+
+def test_write_csv_rejects_mixed_or_ragged_columns(tmp_path):
+    for block, match in [([[1, 2.0], [1, 2]], "alone"), ([["a", 1], [1, 2]], "alone"),
+                         ([[1, 2], [1.0]], "of one length"), (["a", "b"], "of one length")]:
+        with pytest.raises(ValueError, match=match):
+            cli._write_csv(tmp_path / "x.csv", ["a", "b"], [block])
 
 
 def reference_sweep_cell(master_seed, method, size, trial, mog, epochs,

@@ -376,6 +376,19 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_same_report(got, want, task_id="t"):
+    for name in ("target_regrets", "surrogate_regrets", "rhs", "slack"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("excess_target", "excess_surrogate", "aggregate_rhs",
+                 "aggregate_slack", "max_negative_slack"):
+        assert type(getattr(got, name)) is float, name
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert (got.label, got.premise_met, got.note) == (want.label, want.premise_met, want.note)
+    assert type(got.premise_met) is bool and type(got.note) is str
+    assert got.violations == want.violations
+    assert got.csv_rows(task_id) == want.csv_rows(task_id)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(VERIFY_FAMILIES)), st.sampled_from([1, 3]),
        st.integers(0, 2**31 - 1))
@@ -395,17 +408,7 @@ def test_stacked_report_slices_equal_single_reports(family, num_hyps, seed):
     stacked = check(task, TabularHypothesis(scores))
     assert stacked.target_regrets.shape == (num_hyps, task.num_points)
     for h in range(num_hyps):
-        got, want = stacked[h], check(task, TabularHypothesis(scores[h]))
-        for name in ("target_regrets", "surrogate_regrets", "rhs", "slack"):
-            assert same_bits(getattr(got, name), getattr(want, name)), name
-        for name in ("excess_target", "excess_surrogate", "aggregate_rhs",
-                     "aggregate_slack", "max_negative_slack"):
-            assert type(getattr(got, name)) is float, name
-            assert same_bits(getattr(got, name), getattr(want, name)), name
-        assert (got.label, got.premise_met, got.note) == (want.label, want.premise_met,
-                                                          want.note)
-        assert got.violations == want.violations
-        assert got.csv_rows(f"t{h}") == want.csv_rows(f"t{h}")
+        assert_same_report(stacked[h], check(task, TabularHypothesis(scores[h])), f"t{h}")
     assert stacked.violations == sum(stacked[h].violations for h in range(num_hyps))
     assert stacked.max_negative_slack == min(stacked[h].max_negative_slack
                                              for h in range(num_hyps))
@@ -417,6 +420,100 @@ def test_stacked_report_slices_equal_single_reports(family, num_hyps, seed):
         getattr(broken, name)[index] = np.nan
         assert not broken.ok and not broken[h].ok
         assert broken.violations == stacked.violations + 1
+
+
+def same_shape_tasks(family, seed, size):
+    """The first ``size`` tasks of one seed that share the shape of its task 0,
+    from the generator verify uses for the family, with small n and K so
+    that shapes repeat."""
+    single = family == "single_mae"
+    kwargs = dict(n_max=3, k_max=4, ne_max=2 if family == "two_expert_logistic" else 3,
+                  constraint="none" if single else "theorem7_premise")
+    first = gen_random_discrete_task(seed, 0, **kwargs)
+    group = [first]
+    for i in range(1, 400):
+        if len(group) == size:
+            break
+        task = gen_random_discrete_task(seed, i, **kwargs)
+        if (task.num_points, task.shape) == (first.num_points, first.shape):
+            group.append(task)
+    width = first.shape.width("single" if single else "two")
+    return group, width
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(VERIFY_FAMILIES)), st.integers(1, 4), st.sampled_from([1, 3]),
+       st.integers(0, 2**31 - 1))
+def test_task_stack_slices_equal_single_task_reports(family, num_tasks, num_hyps, seed):
+    # one check of T stacked tasks with H hypotheses each: report[t, h] is,
+    # bit for bit, the report of task t and hypothesis h checked on their own
+    group, width = same_shape_tasks(family, seed % 1000, num_tasks)
+    stack = DiscreteTask.stack(group)
+    t_count, k_count = len(group), stack.num_points
+    scores = np.random.default_rng(seed).standard_normal((t_count, num_hyps, k_count, width))
+    check = VERIFY_FAMILIES[family]
+    stacked = check(stack, TabularHypothesis(scores))
+    assert stacked.target_regrets.shape == (t_count, num_hyps, k_count)
+    for t in range(t_count):
+        for h in range(num_hyps):
+            assert_same_report(stacked[t, h], check(group[t], TabularHypothesis(scores[t, h])))
+    assert stacked.violations == sum(stacked[t, h].violations
+                                     for t in range(t_count) for h in range(num_hyps))
+    # a NaN slack in one (t, h) slice, per point or in aggregate, fails that
+    # slice and adds exactly one violation
+    g = np.random.default_rng(seed)
+    t, h, k = g.integers(t_count), g.integers(num_hyps), g.integers(k_count)
+    for name, index in (("rhs", (t, h, k)), ("aggregate_rhs", (t, h))):
+        broken = check(stack, TabularHypothesis(scores))
+        getattr(broken, name)[index] = np.nan
+        assert not broken.ok and not broken[t, h].ok
+        assert broken.violations == stacked.violations + 1
+
+
+def test_one_vacuous_task_leaves_its_neighbours_verdicts():
+    # lower costs summing to 0 make only that task's two-expert bound vacuous
+    group, _ = same_shape_tasks("two_expert_logistic", 7, 3)
+    costs = group[1].costs.copy()
+    costs[0, 0] = 0.0
+    group[1] = DiscreteTask(group[1].mu, group[1].conditionals, costs, group[1].shape)
+    stack = DiscreteTask.stack(group)
+    scores = np.random.default_rng(7).standard_normal((3, 2, stack.num_points, 2))
+    check = VERIFY_FAMILIES["two_expert_logistic"]
+    stacked = check(stack, TabularHypothesis(scores))
+    np.testing.assert_array_equal(stacked.premise_met, [True, False, True])
+    assert stacked.note[1] and not stacked.note[0] and not stacked.note[2]
+    for t in range(3):
+        for h in range(2):
+            want = check(group[t], TabularHypothesis(scores[t, h]))
+            assert want.premise_met == (t != 1) and bool(want.note) == (t == 1)
+            assert_same_report(stacked[t, h], want)
+
+
+def test_two_stage_stack_names_the_task_that_breaks_the_premise():
+    # with three experts every pair of other costs must sum to at least 1
+    groups = (same_shape_tasks("two_stage_q05", seed, 3)[0] for seed in range(100))
+    group = next(g for g in groups if g[0].shape.n_e == 3 and len(g) == 3)
+    bad = 1
+    costs = group[bad].costs.copy()
+    costs[0, 0] = 0.0
+    group[bad] = DiscreteTask(group[bad].mu, group[bad].conditionals, costs, group[bad].shape)
+    stack = DiscreteTask.stack(group)
+    scores = np.zeros((len(group), 1, stack.num_points, 3))
+    with pytest.raises(ValueError, match=rf"n_e - 2 fails for task \({bad},\)"):
+        verify_bound_two_stage(stack, TabularHypothesis(scores), 0.5)
+
+
+def test_task_stack_rejects_mixed_shapes_and_unaligned_hypotheses():
+    small = one_point_task([0.5, 0.5], [[0.2], [0.4]], 1)
+    wide = one_point_task([0.2, 0.3, 0.5], [[0.2], [0.4], [0.1]], 1)
+    with pytest.raises(ValueError, match="share n and n_e"):
+        DiscreteTask.stack([small, wide])
+    with pytest.raises(ValueError):
+        DiscreteTask.stack([small, gen_random_discrete_task(3, 0, n_max=2, ne_max=1)])
+    stack = DiscreteTask.stack([small, small])
+    for lead in ((), (3,), (3, 2)):
+        with pytest.raises(ValueError, match="task axes"):
+            verify_bound_single_mae(stack, TabularHypothesis(np.zeros(lead + (1, 3))))
 
 
 def test_single_hypothesis_functions_reject_a_stack():
