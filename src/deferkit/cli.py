@@ -185,21 +185,6 @@ def load_dataset(path: str) -> LabeledDataset:
                           stage=str(doc["stage"]))
 
 
-def _expert_ranges(mog: MogConfig, ranges) -> ExpertRangeSpec:
-    """Checks that ``ranges`` holds one [lo, hi] pair of integers with
-    0 <= lo < hi <= n per expert."""
-    def is_range(r) -> bool:
-        return (isinstance(r, list) and len(r) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
-                and 0 <= r[0] < r[1] <= mog.n)
-
-    if not (isinstance(ranges, list) and len(ranges) == mog.n_e
-            and all(is_range(r) for r in ranges)):
-        raise ConfigError(f"ranges must be a list of n_e = {mog.n_e} pairs [lo, hi] "
-                          f"of integers with 0 <= lo < hi <= n = {mog.n}, got {ranges!r}")
-    return ExpertRangeSpec(tuple(tuple(r) for r in ranges))
-
-
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, {
         "kind": _REQUIRED, "num_samples": _REQUIRED, "dim": 16,
@@ -212,8 +197,11 @@ def cmd_gen_data(args) -> int:
     elif cfg["kind"] == "mog_two":
         dataset, _ = gen_realizable_two_stage(mog, num, args.seed)
     elif cfg["kind"] == "range_experts":
-        dataset = gen_class_range_experts(mog, _expert_ranges(mog, cfg["ranges"]),
-                                          num, args.seed)
+        try:
+            dataset = gen_class_range_experts(mog, ExpertRangeSpec(cfg["ranges"]),
+                                              num, args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"ranges: {exc}") from exc
     else:
         raise ConfigError(f"unknown data kind {cfg['kind']!r}")
     _save_dataset(Path(args.out), dataset, args.seed, Path(args.config).read_text())

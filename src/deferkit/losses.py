@@ -10,9 +10,15 @@ q = 0.
 
 Batch kernels take ``(m, width)`` scores (a single score vector is one row)
 with one label and one cost row per score row, and raise ``ValueError`` on
-any other shape. The scalar forms the package exports run the batch kernel
-on one row. Argmax ties always break to the lowest index. All operations are
-pure functions.
+any other shape. The softmax surrogate kernels work class-major: they lay
+the scores out as ``(width, m)`` (free for the transposed views that the
+scorers in :mod:`deferkit.models` return), so each max, sum and per-class
+term is one contiguous m-long call per class. numpy sums a row of up to 7
+values left to right, as these sums run, so values keep the bits of row-wise
+kernels; from 8 values on it sums a row pairwise, and the last bits can
+differ. Gradients come back C-contiguous ``(m, width)``. The scalar forms
+the package exports run the batch kernel on one row. Argmax ties always
+break to the lowest index. All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -135,16 +141,25 @@ def as_scores(scores) -> np.ndarray:
     return s
 
 
-def _softmax(s: np.ndarray) -> np.ndarray:
-    """:func:`softmax` of scores that have already passed :func:`as_scores`."""
-    z = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+def softmax(scores) -> np.ndarray:
+    """Stable softmax over the last axis (max-shifted before exponentiation)."""
+    s = as_scores(scores)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(scores) -> np.ndarray:
-    """Stable softmax over the last axis (max-shifted before exponentiation)."""
-    return _softmax(as_scores(scores))
+def _class_softmax(s: np.ndarray) -> np.ndarray:
+    """The softmax of checked ``(m, width)`` scores as a ``(width, m)`` array:
+    column i is the softmax of row i."""
+    st = np.ascontiguousarray(s.T)
+    e = np.exp(st - st.max(axis=0))
+    return e / e.sum(axis=0)
+
+
+def _row_major(g: np.ndarray) -> np.ndarray:
+    """A ``(width, m)`` gradient as the C-contiguous ``(m, width)`` array the
+    trainer sums row by row in memory order."""
+    return np.ascontiguousarray(g.T)
 
 
 def as_labels(y) -> np.ndarray:
@@ -223,13 +238,17 @@ def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
 
 
 def _single_stage_terms(scores, y, costs, shape: ProblemShape):
+    """Class-major terms: the ``(width, m)`` softmax p, the label and
+    label-or-expert masses u0 ``(m,)`` and uj ``(n_e, m)`` and their
+    brackets a0 and wj."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
-    p = _softmax(s)
+    p = _class_softmax(s)
     rows = np.arange(len(y))
-    u0 = p[rows, y]                          # softmax mass on the true label
-    uj = u0[:, None] + p[:, shape.n:]        # mass on {label, expert j}
-    a0 = c.sum(axis=1) + 1.0 - shape.n_e     # may be negative; kept as-is
-    wj = 1.0 - c
+    ct = np.ascontiguousarray(c.T)
+    u0 = p[y, rows]                          # softmax mass on the true label
+    uj = u0 + p[shape.n:]                    # mass on {label, expert j}
+    a0 = ct.sum(axis=0) + 1.0 - shape.n_e    # may be negative; kept as-is
+    wj = 1.0 - ct
     return p, rows, y, u0, uj, a0, wj
 
 
@@ -237,21 +256,21 @@ def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) 
     """Comp-sum deferral surrogate: the miss bracket applied to the true-label
     softmax mass plus per-expert brackets applied to pairwise masses."""
     _, _, _, u0, uj, a0, wj = _single_stage_terms(scores, y, costs, shape)
-    return a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=1)
+    return a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
 
 
 def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                      psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass."""
     p, rows, y, u0, uj, a0, wj = _single_stage_terms(scores, y, costs, shape)
-    loss = a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=1)
+    loss = a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
     p0 = a0 * psi.deriv(u0)                  # coefficient of the label term
     pj = wj * psi.deriv(uj)                  # per-expert coefficients
-    base = -(p0 * u0 + (pj * uj).sum(axis=1))
-    grad = p * base[:, None]
-    grad[rows, y] += p[rows, y] * (p0 + pj.sum(axis=1))
-    grad[:, shape.n:] += p[:, shape.n:] * pj
-    return loss, grad
+    base = -(p0 * u0 + (pj * uj).sum(axis=0))
+    grad = p * base
+    grad[y, rows] += u0 * (p0 + pj.sum(axis=0))
+    grad[shape.n:] += p[shape.n:] * pj
+    return loss, _row_major(grad)
 
 
 _MAE = PsiSpec(q=1.0)
@@ -271,7 +290,7 @@ def surrogate_mae_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
 
 def _baseline_terms(scores, y, costs, shape: ProblemShape):
     s, y, c = _labeled_inputs(scores, y, costs, shape)
-    return _softmax(s), np.arange(len(y)), y, 1.0 - c
+    return _class_softmax(s), np.arange(len(y)), y, 1.0 - np.ascontiguousarray(c.T)
 
 
 def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
@@ -279,22 +298,22 @@ def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> n
     slot and each expert slot, weighted by one minus the expert cost. At
     q = 0 it is the multi-expert cross-entropy of Verma et al."""
     p, rows, y, wj = _baseline_terms(scores, y, costs, shape)
-    return psi.value(p[rows, y]) + (wj * psi.value(p[:, shape.n:])).sum(axis=1)
+    return psi.value(p[y, rows]) + (wj * psi.value(p[shape.n:])).sum(axis=0)
 
 
 def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                  psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass."""
     p, rows, y, wj = _baseline_terms(scores, y, costs, shape)
-    u0, pe = p[rows, y], p[:, shape.n:]
-    loss = psi.value(u0) + (wj * psi.value(pe)).sum(axis=1)
+    u0, pe = p[y, rows], p[shape.n:]
+    loss = psi.value(u0) + (wj * psi.value(pe)).sum(axis=0)
     q0 = psi.deriv(u0) * u0
     qj = wj * psi.deriv(pe) * pe
-    total = q0 + qj.sum(axis=1)
-    grad = -p * total[:, None]
-    grad[rows, y] += q0
-    grad[:, shape.n:] += qj
-    return loss, grad
+    total = q0 + qj.sum(axis=0)
+    grad = -p * total
+    grad[y, rows] += q0
+    grad[shape.n:] += qj
+    return loss, _row_major(grad)
 
 
 def baseline_verma_with_grad_batch(scores, y, costs, shape: ProblemShape) -> tuple[np.ndarray, np.ndarray]:
@@ -329,30 +348,32 @@ def two_stage_surrogate_phi_with_grad_batch(scores, costs, phi: PhiSpec) -> tupl
     return loss, np.stack([g1, -g1], axis=1)
 
 
-def expert_brackets(costs: np.ndarray, n_e: int) -> np.ndarray:
-    """Per-expert coefficients: sum of the other experts' costs minus n_e - 2."""
+def expert_brackets(costs: np.ndarray, n_e: int, axis: int = -1) -> np.ndarray:
+    """Per-expert coefficients: sum of the other experts' costs minus n_e - 2.
+    ``axis`` is the axis that runs over the experts."""
     c = np.atleast_2d(np.asarray(costs, dtype=float))
-    return c.sum(axis=-1, keepdims=True) - c - (n_e - 2)
+    return c.sum(axis=axis, keepdims=True) - c - (n_e - 2)
 
 
 def _psi_terms(scores, costs):
+    """Class-major ``(n_e, m)`` brackets and softmax."""
     s, c = _two_stage_inputs(scores, costs)
     if s.shape[1] < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
-    return expert_brackets(c, s.shape[1]), _softmax(s)
+    return expert_brackets(np.ascontiguousarray(c.T), s.shape[1], axis=0), _class_softmax(s)
 
 
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
     """Multiple-expert comp-sum surrogate over the expert softmax."""
     b, p = _psi_terms(scores, costs)
-    return (b * psi.value(p)).sum(axis=1)
+    return (b * psi.value(p)).sum(axis=0)
 
 
 def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     b, p = _psi_terms(scores, costs)
-    loss = (b * psi.value(p)).sum(axis=1)
+    loss = (b * psi.value(p)).sum(axis=0)
     q = b * psi.deriv(p) * p
-    return loss, q - p * q.sum(axis=1, keepdims=True)
+    return loss, _row_major(q - p * q.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 
 Training is a pure function of (initial scorer, dataset, config): two runs
 with the same seed produce bit-identical parameters and trajectories.
+
+Scorers compute their outputs class-major, ``W @ x.T + b[:, None]``, and
+return the ``(m, width)`` transposed view: the bias add is one call per
+class, and the class-major loss kernels read the scores without a copy. The
+values are the bits of ``x @ W.T + b``.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class LinearScorer:
         x = np.atleast_2d(np.asarray(features, dtype=float))
         if x.shape[1] != self.weights.shape[1]:
             raise ValueError(f"input dim {x.shape[1]} != {self.weights.shape[1]}")
-        return x @ self.weights.T + self.bias
+        return (self.weights @ x.T + self.bias[:, None]).T
 
     def params(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
@@ -84,7 +89,7 @@ class MlpScorer:
         if x.shape[1] != self.w1.shape[1]:
             raise ValueError(f"input dim {x.shape[1]} != {self.w1.shape[1]}")
         hidden = np.maximum(0.0, x @ self.w1.T + self.b1)
-        return hidden @ self.w2.T + self.b2
+        return (self.w2 @ hidden.T + self.b2[:, None]).T
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]

@@ -103,25 +103,33 @@ def gen_realizable_mog(config: MogConfig, num_samples: int,
 @dataclass(frozen=True)
 class ExpertRangeSpec:
     """Per-expert competence ranges over the label set: each expert is correct
-    on labels in [lo, hi) and guesses uniformly inside its own range elsewhere."""
+    on labels in [lo, hi) and guesses uniformly inside its own range elsewhere.
+    A range is a pair of integers (not booleans) with 0 <= lo < hi; the
+    generator checks hi <= n and one range per expert."""
 
     ranges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for lo, hi in self.ranges:
-            if lo < 0 or hi <= lo:
-                raise ValueError(f"bad range ({lo}, {hi})")
+        try:
+            ranges = tuple(map(tuple, self.ranges))
+        except TypeError:
+            raise ValueError(f"need a sequence of [lo, hi] pairs, "
+                             f"got {self.ranges!r}") from None
+        for r in ranges:
+            if not (len(r) == 2
+                    and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
+                    and 0 <= r[0] < r[1]):
+                raise ValueError(f"bad range {r!r}: need integers 0 <= lo < hi")
+        object.__setattr__(self, "ranges", ranges)
 
 
 def gen_class_range_experts(config: MogConfig, spec: ExpertRangeSpec,
                             num_samples: int, seed: int) -> LabeledDataset:
     """Mixture features with labels tied to components; expert costs come
     from simulated range-limited predictions."""
-    if len(spec.ranges) != config.n_e:
-        raise ValueError("one range per expert required")
-    for _, hi in spec.ranges:
-        if hi > config.n:
-            raise ValueError("range exceeds label count")
+    if len(spec.ranges) != config.n_e or any(hi > config.n for _, hi in spec.ranges):
+        raise ValueError(f"need one range per expert (n_e = {config.n_e}), each with "
+                         f"hi <= n = {config.n}; got {spec.ranges}")
     features, comps = _sample_features(config, num_samples, seed, "range")
     labels = comps % config.n
     g = rng.substream(seed, "range-experts", 0)

@@ -20,6 +20,7 @@ from deferkit.losses import (
     two_stage_surrogate_psi_with_grad_batch,
 )
 from deferkit.models import loss_and_grad
+import row_major_kernels
 from scalar_forms import baseline_mao, baseline_verma, deferral_loss_alt
 
 
@@ -468,3 +469,43 @@ def test_value_kernel_equals_with_grad_value(name, q, kind, n, n_e, m, scale, se
     with_grad, _ = loss_and_grad(sel, scores, labels, costs, shape)
     assert value.dtype == with_grad.dtype and value.shape == with_grad.shape == (m,)
     assert value.tobytes() == with_grad.tobytes()
+
+
+_CLASS_MAJOR_TWO_STAGE = ("two_stage_surrogate_psi_batch",
+                          "two_stage_surrogate_psi_with_grad_batch")
+_CLASS_MAJOR_SINGLE = ("surrogate_single_batch", "surrogate_single_with_grad_batch",
+                       "baseline_mao_batch", "baseline_mao_with_grad_batch")
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(2, 12), q=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       m=st.one_of(st.just(0), st.just(1), st.integers(2, 300)),
+       layout=st.sampled_from(["C", "F", "transposed view"]),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**31 - 1))
+def test_class_major_kernels_match_row_major(width, q, m, layout, scale, seed):
+    # up to 7 classes numpy sums a row left to right, as the class-major sums
+    # run, so the bits agree; from 8 on it sums a row pairwise
+    g = np.random.default_rng(seed)
+    s = scale * g.standard_normal((m, width))
+    s = {"C": s, "F": np.asfortranarray(s),
+         # a class-major array with a row stride of 2m, seen as (m, width)
+         "transposed view": np.repeat(s.T, 2, axis=0)[::2].T}[layout]
+    c = g.uniform(0.0, 1.0, (m, width)) if g.integers(2) else g.integers(0, 2, (m, width)) * 1.0
+    psi = PsiSpec(q=q)
+    calls = [(name, (s, c, psi)) for name in _CLASS_MAJOR_TWO_STAGE]
+    if width >= 3:
+        n = int(g.integers(2, width))
+        shape, y = ProblemShape(n, width - n), g.integers(0, n, m)
+        calls += [(name, (s, y, c[:, n:], shape, psi)) for name in _CLASS_MAJOR_SINGLE]
+    for name, args in calls:
+        got, want = getattr(losses, name)(*args), getattr(row_major_kernels, name)(*args)
+        if name.endswith("_with_grad_batch"):
+            assert got[1].flags.c_contiguous, name
+        else:
+            got, want = (got,), (want,)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape, name
+            if width <= 7:
+                assert a.tobytes() == b.tobytes(), name
+            else:
+                assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1.0)), name

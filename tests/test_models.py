@@ -49,6 +49,22 @@ def test_identity_linear():
     np.testing.assert_allclose(sc.scores(e2[None])[0], e2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([None, 1, 2, 128, 16000]), d=st.integers(1, 64),
+       width=st.integers(2, 12), hidden=st.integers(1, 16), seed=st.integers(0, 2**31 - 1))
+def test_scorers_give_the_bits_of_row_major_products(m, d, width, hidden, seed):
+    # m = None is one 1-D feature vector
+    g = np.random.default_rng(seed)
+    x = g.standard_normal(d if m is None else (m, d))
+    rows = np.atleast_2d(x)
+    lin = LinearScorer(g.standard_normal((width, d)), g.standard_normal(width))
+    assert lin.scores(x).tobytes() == (rows @ lin.weights.T + lin.bias).tobytes()
+    mlp = models.MlpScorer(g.standard_normal((hidden, d)), g.standard_normal(hidden),
+                           g.standard_normal((width, hidden)), g.standard_normal(width))
+    hid = np.maximum(0.0, rows @ mlp.w1.T + mlp.b1)
+    assert mlp.scores(x).tobytes() == (hid @ mlp.w2.T + mlp.b2).tobytes()
+
+
 def test_init_determinism():
     a = init_linear(6, 4, seed=9)
     b = init_linear(6, 4, seed=9)
