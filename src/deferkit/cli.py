@@ -19,6 +19,7 @@ import json
 import math
 import multiprocessing
 import sys
+import zipfile
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -179,10 +180,13 @@ def _save_dataset(path: Path, dataset: LabeledDataset, seed: int,
 
 def load_dataset(path: str) -> LabeledDataset:
     doc = np.load(path)
-    return LabeledDataset(features=doc["features"], labels=doc["labels"],
-                          costs=doc["costs"],
-                          shape=ProblemShape(int(doc["n"]), int(doc["n_e"])),
-                          stage=str(doc["stage"]))
+    if not isinstance(doc, np.lib.npyio.NpzFile):   # a .npy file holds one array
+        raise ValueError(f"{path} holds one array, not a dataset archive")
+    with doc:
+        return LabeledDataset(features=doc["features"], labels=doc["labels"],
+                              costs=doc["costs"],
+                              shape=ProblemShape(int(doc["n"]), int(doc["n_e"])),
+                              stage=str(doc["stage"]))
 
 
 def cmd_gen_data(args) -> int:
@@ -237,7 +241,10 @@ def cmd_train(args) -> int:
                        seed=args.seed, optimizer=cfg["optimizer"],
                        momentum=float(cfg["momentum"]),
                        standardize=cfg["standardize"])
-    dataset = load_dataset(cfg["data"])
+    try:
+        dataset = load_dataset(cfg["data"])
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"data: cannot load {cfg['data']!r}: {exc}") from exc
     selector = _selector_from_config(cfg)
     if selector.stage != dataset.stage:
         raise ConfigError("loss stage does not match dataset stage")
@@ -315,10 +322,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_VERIFY_FAMILIES = ("single_mae", "two_stage_q0", "two_stage_q05",
-                    "two_stage_q1", "two_expert_logistic")
-_TWO_STAGE_Q = {"two_stage_q0": 0.0, "two_stage_q05": 0.5, "two_stage_q1": 1.0}
 _LOGISTIC = PhiSpec(PhiKind.LOGISTIC)
+# family -> (stage, expert cap or None for the config's ne_max, check); each
+# check names its verifier when called, so a wrapper set on this module counts
+_VERIFY_FAMILIES = {
+    "single_mae": ("single", None, lambda task, hyp: verify_bound_single_mae(task, hyp)),
+    "two_stage_q0": ("two", None, lambda task, hyp: verify_bound_two_stage(task, hyp, 0.0)),
+    "two_stage_q05": ("two", None, lambda task, hyp: verify_bound_two_stage(task, hyp, 0.5)),
+    "two_stage_q1": ("two", None, lambda task, hyp: verify_bound_two_stage(task, hyp, 1.0)),
+    "two_expert_logistic": ("two", 2, lambda task, hyp: verify_bound_two_expert_phi(
+        task, hyp, _LOGISTIC)),
+}
 
 
 def cmd_verify(args) -> int:
@@ -335,9 +349,9 @@ def cmd_verify(args) -> int:
     # families with the same generator arguments check the same tasks
     tasks = {}
     for family in cfg["families"]:
-        stage = "single" if family == "single_mae" else "two"
+        stage, ne_cap, check = _VERIFY_FAMILIES[family]
         constraint = "none" if stage == "single" else "theorem7_premise"
-        ne_max = 2 if family == "two_expert_logistic" else cfg["ne_max"]
+        ne_max = cfg["ne_max"] if ne_cap is None else ne_cap
         groups, family_checks = {}, []
         for i in range(cfg["num_tasks"]):
             key = (constraint, ne_max, i)
@@ -354,14 +368,8 @@ def cmd_verify(args) -> int:
         # one check for all the tasks of a shape and all their hypotheses
         for members in groups.values():
             index, group, scores = zip(*members)
-            stack, hyp = DiscreteTask.stack(group), TabularHypothesis(np.stack(scores))
-            if family == "single_mae":
-                report = verify_bound_single_mae(stack, hyp)
-            elif family == "two_expert_logistic":
-                report = verify_bound_two_expert_phi(stack, hyp, _LOGISTIC)
-            else:
-                report = verify_bound_two_stage(stack, hyp, _TWO_STAGE_Q[family])
-            family_checks.append((index, report))
+            family_checks.append((index, check(DiscreteTask.stack(group),
+                                               TabularHypothesis(np.stack(scores)))))
         checked.append((family, family_checks))
     if not checked:
         raise ConfigError("verify config checks no reports")
@@ -417,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on bad arguments; remap to the config code
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_minima({"--jobs": args.jobs}, {"--jobs": 1})
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@
 name configs use, gives its stage and carries the Psi or Phi spec it takes.
 Each surrogate has one batch kernel for its values, ``<loss>_batch``, and
 one for its values and score gradients, ``<loss>_with_grad_batch``. Both
-run the same arithmetic, so their values agree bit for bit. Verma's baseline
+take their values from one terms function per loss, so they agree bit for
+bit, and the value kernel skips the gradient work. Verma's baseline
 has no value kernel of its own: its value is :func:`baseline_mao_batch` at
 q = 0.
 
@@ -237,10 +238,10 @@ def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _single_stage_terms(scores, y, costs, shape: ProblemShape):
-    """Class-major terms: the ``(width, m)`` softmax p, the label and
-    label-or-expert masses u0 ``(m,)`` and uj ``(n_e, m)`` and their
-    brackets a0 and wj."""
+def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi: PsiSpec):
+    """The surrogate values and their class-major terms: the ``(width, m)``
+    softmax p, the label and label-or-expert masses u0 ``(m,)`` and uj
+    ``(n_e, m)`` and their brackets a0 and wj."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _class_softmax(s)
     rows = np.arange(len(y))
@@ -249,21 +250,20 @@ def _single_stage_terms(scores, y, costs, shape: ProblemShape):
     uj = u0 + p[shape.n:]                    # mass on {label, expert j}
     a0 = ct.sum(axis=0) + 1.0 - shape.n_e    # may be negative; kept as-is
     wj = 1.0 - ct
-    return p, rows, y, u0, uj, a0, wj
+    values = a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
+    return values, (p, rows, y, u0, uj, a0, wj)
 
 
 def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
     """Comp-sum deferral surrogate: the miss bracket applied to the true-label
     softmax mass plus per-expert brackets applied to pairwise masses."""
-    _, _, _, u0, uj, a0, wj = _single_stage_terms(scores, y, costs, shape)
-    return a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
+    return _single_stage_terms(scores, y, costs, shape, psi)[0]
 
 
 def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                      psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass."""
-    p, rows, y, u0, uj, a0, wj = _single_stage_terms(scores, y, costs, shape)
-    loss = a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
+    loss, (p, rows, y, u0, uj, a0, wj) = _single_stage_terms(scores, y, costs, shape, psi)
     p0 = a0 * psi.deriv(u0)                  # coefficient of the label term
     pj = wj * psi.deriv(uj)                  # per-expert coefficients
     base = -(p0 * u0 + (pj * uj).sum(axis=0))
@@ -288,25 +288,26 @@ def surrogate_mae_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _baseline_terms(scores, y, costs, shape: ProblemShape):
+def _baseline_terms(scores, y, costs, shape: ProblemShape, psi: PsiSpec):
+    """The baseline values and their class-major terms: the softmax p, the
+    label mass u0, the expert masses pe and their weights wj."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
-    return _class_softmax(s), np.arange(len(y)), y, 1.0 - np.ascontiguousarray(c.T)
+    p, rows = _class_softmax(s), np.arange(len(y))
+    u0, pe, wj = p[y, rows], p[shape.n:], 1.0 - np.ascontiguousarray(c.T)
+    return psi.value(u0) + (wj * psi.value(pe)).sum(axis=0), (p, rows, y, u0, pe, wj)
 
 
 def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
     """Comp-sum cross-entropy-style baseline: separate terms on the label
     slot and each expert slot, weighted by one minus the expert cost. At
     q = 0 it is the multi-expert cross-entropy of Verma et al."""
-    p, rows, y, wj = _baseline_terms(scores, y, costs, shape)
-    return psi.value(p[y, rows]) + (wj * psi.value(p[shape.n:])).sum(axis=0)
+    return _baseline_terms(scores, y, costs, shape, psi)[0]
 
 
 def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                  psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass."""
-    p, rows, y, wj = _baseline_terms(scores, y, costs, shape)
-    u0, pe = p[y, rows], p[shape.n:]
-    loss = psi.value(u0) + (wj * psi.value(pe)).sum(axis=0)
+    loss, (p, rows, y, u0, pe, wj) = _baseline_terms(scores, y, costs, shape, psi)
     q0 = psi.deriv(u0) * u0
     qj = wj * psi.deriv(pe) * pe
     total = q0 + qj.sum(axis=0)
@@ -327,23 +328,23 @@ def baseline_verma_with_grad_batch(scores, y, costs, shape: ProblemShape) -> tup
 # ---------------------------------------------------------------------------
 
 
-def _phi_terms(scores, costs):
+def _phi_terms(scores, costs, phi: PhiSpec):
+    """The surrogate values, the costs c and the margins d."""
     s, c = _two_stage_inputs(scores, costs)
     if s.shape[1] != 2:
         raise ValueError("two_stage_surrogate_phi requires exactly 2 experts")
-    return c, s[:, 0] - s[:, 1]
+    d = s[:, 0] - s[:, 1]
+    return c[:, 0] * phi.value(-d) + c[:, 1] * phi.value(d), (c, d)
 
 
 def two_stage_surrogate_phi_batch(scores, costs, phi: PhiSpec) -> np.ndarray:
     """Two-expert margin surrogate: each cost weights the margin loss of the
     opposing score difference."""
-    c, d = _phi_terms(scores, costs)
-    return c[:, 0] * phi.value(-d) + c[:, 1] * phi.value(d)
+    return _phi_terms(scores, costs, phi)[0]
 
 
 def two_stage_surrogate_phi_with_grad_batch(scores, costs, phi: PhiSpec) -> tuple[np.ndarray, np.ndarray]:
-    c, d = _phi_terms(scores, costs)
-    loss = c[:, 0] * phi.value(-d) + c[:, 1] * phi.value(d)
+    loss, (c, d) = _phi_terms(scores, costs, phi)
     g1 = -c[:, 0] * phi.deriv(-d) + c[:, 1] * phi.deriv(d)
     return loss, np.stack([g1, -g1], axis=1)
 
@@ -355,23 +356,24 @@ def expert_brackets(costs: np.ndarray, n_e: int, axis: int = -1) -> np.ndarray:
     return c.sum(axis=axis, keepdims=True) - c - (n_e - 2)
 
 
-def _psi_terms(scores, costs):
-    """Class-major ``(n_e, m)`` brackets and softmax."""
+def _psi_terms(scores, costs, psi: PsiSpec):
+    """The surrogate values and the class-major ``(n_e, m)`` brackets and
+    softmax."""
     s, c = _two_stage_inputs(scores, costs)
     if s.shape[1] < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
-    return expert_brackets(np.ascontiguousarray(c.T), s.shape[1], axis=0), _class_softmax(s)
+    b = expert_brackets(np.ascontiguousarray(c.T), s.shape[1], axis=0)
+    p = _class_softmax(s)
+    return (b * psi.value(p)).sum(axis=0), (b, p)
 
 
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
     """Multiple-expert comp-sum surrogate over the expert softmax."""
-    b, p = _psi_terms(scores, costs)
-    return (b * psi.value(p)).sum(axis=0)
+    return _psi_terms(scores, costs, psi)[0]
 
 
 def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
-    b, p = _psi_terms(scores, costs)
-    loss = (b * psi.value(p)).sum(axis=0)
+    loss, (b, p) = _psi_terms(scores, costs, psi)
     q = b * psi.deriv(p) * p
     return loss, _row_major(q - p * q.sum(axis=0))
 

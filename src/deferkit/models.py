@@ -152,11 +152,10 @@ class LabeledDataset:
         self.features = np.asarray(self.features, dtype=float)
         self.labels = losses.as_labels(self.labels)
         self.costs = np.asarray(self.costs, dtype=float)
-        m = len(self.features)
-        if len(self.labels) != m or len(self.costs) != m:
-            raise ValueError("inconsistent row counts")
-        if self.costs.shape[1] != self.shape.n_e:
-            raise ValueError("cost width != n_e")
+        m = len(self.features) if self.features.ndim == 2 else None
+        if m is None or self.costs.shape != (m, self.shape.n_e) or self.labels.shape != (m,):
+            raise ValueError(f"need features (m, d), labels (m,) and costs (m, {self.shape.n_e}); "
+                             f"got {self.features.shape}, {self.labels.shape} and {self.costs.shape}")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
         # written so that NaN fails: every comparison with NaN is false

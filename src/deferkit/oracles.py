@@ -18,7 +18,6 @@ report of the pair holds ``report[t, h]``.
 from __future__ import annotations
 
 import copy
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -103,24 +102,6 @@ class DiscreteTask:
     @property
     def num_points(self) -> int:
         return self.mu.shape[-1]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": 1,
-            "n": self.shape.n,
-            "n_e": self.shape.n_e,
-            "mu": self.mu.tolist(),
-            "conditionals": self.conditionals.tolist(),
-            "costs": self.costs.tolist(),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteTask":
-        doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported task schema version {doc.get('version')}")
-        return cls(np.array(doc["mu"]), np.array(doc["conditionals"]),
-                   np.array(doc["costs"]), ProblemShape(doc["n"], doc["n_e"]))
 
 
 @dataclass
@@ -262,9 +243,11 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
     elif loss.name == "two_stage_psi":
         out = _dot(_qbar(task, k), loss.psi.value(losses.softmax(s)))
     elif loss.name == "two_stage_phi":
-        e = expected_costs(task, k)
-        margin = s[..., 0] - s[..., 1]
-        out = e[..., 0] * loss.phi.value(-margin) + e[..., 1] * loss.phi.value(margin)
+        # linear in the costs: the kernel at the expected costs; a width
+        # other than 2 reaches the kernel whole, which rejects it
+        e = np.broadcast_to(expected_costs(task, k), s.shape)
+        rows = (a.reshape(-1, s.shape[-1]) for a in (s, e))
+        out = losses.two_stage_surrogate_phi_batch(*rows, loss.phi).reshape(s.shape[:-1])
     else:
         raise ValueError(f"no exact oracle for loss {loss.name!r}")
     return _per_point(out)

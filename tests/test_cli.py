@@ -87,11 +87,50 @@ def test_missing_required_field_rejected(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x.npz")]) == 1
 
 
-def test_missing_file_is_runtime_error_for_train(tmp_path):
-    cfg = write(tmp_path / "t.json",
-                {"version": 1, "data": str(tmp_path / "nope.npz"),
-                 "loss": "surrogate_mae"})
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+def _unreadable_data(tmp_path, case):
+    """A data file that train cannot load as a dataset, of each kind."""
+    path = tmp_path / "set.npz"
+    if case == "text":
+        path.write_text("features,labels\n1,0\n")
+    elif case == "one_array":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros((3, 2)))
+    elif case != "missing":
+        arrays = dict(features=np.zeros((3, 2)), labels=np.zeros(3, dtype=int),
+                      costs=np.zeros((3, 1)), n=2, n_e=1, stage="single")
+        if case == "no_costs":
+            del arrays["costs"]
+        if case == "flat_features":
+            arrays["features"] = np.zeros(3)
+        np.savez(path, **arrays)
+        if case == "truncated":
+            path.write_bytes(path.read_bytes()[:100])
+    return path
+
+
+@pytest.mark.parametrize("case", ["missing", "no_costs", "text", "one_array",
+                                  "truncated", "flat_features"])
+def test_unreadable_data_file_is_config_error(tmp_path, capsys, case):
+    cfg = write(tmp_path / "t.json", {"version": 1, "loss": "surrogate_mae",
+                                      "data": str(_unreadable_data(tmp_path, case))})
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: data: ")  # the path may say "data"
+    assert not list(tmp_path.glob("m.*"))
+
+
+@pytest.mark.parametrize("command,jobs,doc", [
+    ("sweep", "0", {"sizes": [50], "trials": 1, "epochs": 1, "test_samples": 20}),
+    ("verify", "-3", {"num_tasks": 1}),
+])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, command, jobs, doc):
+    # the same config runs with --jobs 1, so only --jobs is at fault
+    cfg = write(tmp_path / "c.json", dict(doc, version=1))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok.csv")]) == 0
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_arguments_exit_code():

@@ -323,6 +323,10 @@ def test_dataset_validation():
         ([[0.0, 1.0]], [1.0], [[0.0, 0.5]]),     # a float label, even a whole one
         ([[0.0, 1.0]], [True], [[0.0, 0.5]]),
         ([[0.0, 1.0]], ["1"], [[0.0, 0.5]]),
+        ([0.0, 1.0], [0, 1], [[0.0, 0.5], [0.5, 0.0]]),   # 1-D features
+        ([[0.0, 1.0]], [0], [0.0, 0.5]),                  # 1-D costs
+        ([[0.0, 1.0]], [0], [[[0.0, 0.5]]]),              # 3-D costs
+        ([[0.0, 1.0]], [[0]], [[0.0, 0.5]]),              # 2-D labels
     ]:
         with pytest.raises(ValueError):
             LabeledDataset(features, labels, costs, ProblemShape(2, 2))

@@ -268,14 +268,6 @@ def test_empirical_excess_weighted_sum():
         pytest.approx(0.0, abs=1e-12)
 
 
-def test_task_json_round_trip():
-    task = gen_random_discrete_task(23, 0)
-    back = DiscreteTask.from_json(task.to_json())
-    np.testing.assert_allclose(back.mu, task.mu)
-    np.testing.assert_allclose(back.costs, task.costs)
-    assert back.shape == task.shape
-
-
 def test_task_validation():
     with pytest.raises(ValueError):
         DiscreteTask(np.array([0.5, 0.4]), np.full((2, 2), 0.5),
@@ -468,6 +460,27 @@ def test_task_stack_slices_equal_single_task_reports(family, num_tasks, num_hyps
         getattr(broken, name)[index] = np.nan
         assert not broken.ok and not broken[t, h].ok
         assert broken.violations == stacked.violations + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(PhiKind)), st.sampled_from(["one", "hyps", "stack"]),
+       st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_phi_conditional_error_is_the_margin_formula_bit_for_bit(kind, form, size, seed):
+    # e0 phi(-m) + e1 phi(m) at the expected costs e, the margin m = s0 - s1,
+    # for one hypothesis, a stack of them, and a stack of tasks and hypotheses
+    group, _ = same_shape_tasks("two_expert_logistic", seed % 1000, size)
+    task = DiscreteTask.stack(group) if form == "stack" else group[0]
+    lead = {"one": (), "hyps": (size,), "stack": (len(group), size)}[form]
+    scores = np.random.default_rng(seed).standard_normal(lead + (task.num_points, 2))
+    hyp, phi = TabularHypothesis(scores), PhiSpec(kind)
+    loss = LossSelector("two_stage_phi", phi=phi)
+    for k in [slice(None)] + list(range(task.num_points)):
+        e = expected_costs(task, k)
+        if form == "stack":
+            e = e[:, None]                   # the hypothesis axis of each task
+        m = scores[..., k, 0] - scores[..., k, 1]
+        want = e[..., 0] * phi.value(-m) + e[..., 1] * phi.value(m)
+        assert same_bits(np.asarray(conditional_error(task, hyp, k, loss)), want), (k, kind)
 
 
 def test_one_vacuous_task_leaves_its_neighbours_verdicts():
