@@ -36,6 +36,9 @@ from .synthdata import (ExpertRangeSpec, MogConfig, gen_class_range_experts,
                         gen_realizable_mog, gen_realizable_two_stage,
                         gen_random_discrete_task)
 
+# system_accuracy stays a name of this module: bench/tracing.py wraps it here
+__all__ = ["main", "run_sweep_trial", "system_accuracy"]
+
 SWEEP_SIZES = (250, 500, 1000, 2000, 4000, 8000, 16000)
 SWEEP_SELECTORS = {
     "ours_q07": LossSelector("surrogate_single", psi=PsiSpec(q=0.7)),
@@ -265,21 +268,26 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
                     mog: MogConfig, test_samples: int, config: TrainConfig) -> list[tuple]:
     """One (size, trial) of the sweep: one draw of realizable data, split into
     train and held-out test rows, on which each method trains its own linear
-    scorer under ``config`` at its own seed. Returns one row per method."""
+    scorer under ``config`` at its own seed. The methods whose losses share a
+    kernel train as one model stack. Returns one row per method."""
     data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
     train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
     test_set = replace_rows(train_set, np.arange(size, size + test_samples))
     train_set = replace_rows(train_set, np.arange(size))
-    rows = []
-    for method in methods:
-        seed = rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial)
-        scorer = init_linear(mog.dim, mog.shape.augmented_size, seed)
-        fitted, _ = train(scorer, train_set, SWEEP_SELECTORS[method],
-                          dataclasses.replace(config, seed=seed))
-        rows.append((method, size, trial, seed,
-                     float(realized_deferral_loss(fitted, train_set).mean()),
-                     float(realized_deferral_loss(fitted, test_set).mean()),
-                     system_accuracy(fitted, test_set)))
+    stacks: dict[str, list[int]] = {}
+    for i, method in enumerate(methods):
+        stacks.setdefault(SWEEP_SELECTORS[method].kernel, []).append(i)
+    rows = [None] * len(methods)
+    for stack in stacks.values():
+        seeds = [rng.derive_seed(master_seed, f"sweep-{methods[i]}-{size}", trial) for i in stack]
+        fitted, _ = train([init_linear(mog.dim, mog.shape.augmented_size, seed) for seed in seeds],
+                          train_set, [SWEEP_SELECTORS[methods[i]] for i in stack],
+                          [dataclasses.replace(config, seed=seed) for seed in seeds])
+        for i, seed, scorer in zip(stack, seeds, fitted):
+            test_deferral = float(realized_deferral_loss(scorer, test_set).mean())
+            rows[i] = (methods[i], size, trial, seed,
+                       float(realized_deferral_loss(scorer, train_set).mean()),
+                       test_deferral, 1.0 - test_deferral)
     return rows
 
 

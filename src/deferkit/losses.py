@@ -11,15 +11,18 @@ q = 0.
 
 Batch kernels take ``(m, width)`` scores (a single score vector is one row)
 with one label and one cost row per score row, and raise ``ValueError`` on
-any other shape. The softmax surrogate kernels work class-major: they lay
-the scores out as ``(width, m)`` (free for the transposed views that the
-scorers in :mod:`deferkit.models` return), so each max, sum and per-class
-term is one contiguous m-long call per class. numpy sums a row of up to 7
-values left to right, as these sums run, so values keep the bits of row-wise
-kernels; from 8 values on it sums a row pairwise, and the last bits can
-differ. Gradients come back C-contiguous ``(m, width)``. The scalar forms
-the package exports run the batch kernel on one row. Argmax ties always
-break to the lowest index. All operations are pure functions.
+any other shape. A stack of S models passes ``(m, S, width)`` scores,
+``(m, S)`` labels and ``(m, S, n_e)`` costs and gets ``(m, S)`` values;
+slice s is, bit for bit, the kernel on model s alone. The softmax kernels
+work class-major: they lay the scores out as ``(width, [S,] m)`` (free for
+the transposed views that the scorers in :mod:`deferkit.models` return), so
+each max, sum and per-class term is one contiguous call per class. numpy
+sums a row of up to 7 values left to right, as these sums run, so values
+keep the bits of row-wise kernels; from 8 values on it sums a row pairwise,
+and the last bits can differ. Gradients come back ``(m, [S,] width)`` with
+each model's rows C-contiguous. The scalar forms the package exports run the
+batch kernel on one row. Argmax ties always break to the lowest index. All
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -97,6 +100,35 @@ class PsiSpec:
             return -np.ones_like(u)
         return -np.minimum(np.maximum(u, self.clamp_epsilon), 1.0) ** (self.q - 1.0)
 
+    @staticmethod
+    def stack(specs) -> "PsiSpec | _PsiColumn":
+        """One spec for the models of a stack: the one they share, else a column."""
+        if len(set(specs)) == 1:
+            return specs[0]
+        if not all(spec.q for spec in specs):
+            raise ValueError("a model stack cannot mix q = 0 with q > 0")
+        return _PsiColumn(specs)
+
+
+class _PsiColumn:
+    """The specs, with different q in (0, 1], of a model stack: q is an
+    ``(S, 1)`` column over the model axis of the class-major terms. A scalar
+    ``** 0.5`` is a square root, so models at q = 0.5 take ``np.sqrt``."""
+
+    def __init__(self, specs):
+        self.q = np.array([[spec.q] for spec in specs], dtype=float)
+        self.roots = [s for s, spec in enumerate(specs) if spec.q == 0.5]
+
+    def value(self, u: np.ndarray) -> np.ndarray:
+        x = np.minimum(np.maximum(u, 0.0), 1.0)
+        power = x ** self.q
+        for s in self.roots:
+            power[..., s, :] = np.sqrt(x[..., s, :])
+        return (1.0 - power) / self.q
+
+    def deriv(self, u: np.ndarray) -> np.ndarray:
+        return -np.minimum(np.maximum(u, PsiSpec.clamp_epsilon), 1.0) ** (self.q - 1.0)
+
 
 class PhiKind(str, Enum):
     LOGISTIC = "logistic"
@@ -150,17 +182,36 @@ def softmax(scores) -> np.ndarray:
 
 
 def _class_softmax(s: np.ndarray) -> np.ndarray:
-    """The softmax of checked ``(m, width)`` scores as a ``(width, m)`` array:
-    column i is the softmax of row i."""
+    """The softmax of checked ``(m, [S,] width)`` scores as a ``(width, [S,] m)``
+    array: column i is the softmax of row i."""
     st = np.ascontiguousarray(s.T)
     e = np.exp(st - st.max(axis=0))
     return e / e.sum(axis=0)
 
 
 def _row_major(g: np.ndarray) -> np.ndarray:
-    """A ``(width, m)`` gradient as the C-contiguous ``(m, width)`` array the
-    trainer sums row by row in memory order."""
-    return np.ascontiguousarray(g.T)
+    """A ``(width, [S,] m)`` gradient as ``(m, [S,] width)``, each model's
+    ``(m, width)`` rows C-contiguous: the trainer sums them row by row in
+    memory order, and a stack's matrix products see one model's layout."""
+    rows = np.ascontiguousarray(g.transpose(*range(1, g.ndim), 0))    # ([S,] m, width)
+    return rows if rows.ndim == 2 else rows.swapaxes(0, 1)
+
+
+def _label_slots(y: np.ndarray) -> tuple:
+    """Each row's label slot in class-major ``(width, [S,] m)`` arrays."""
+    rows = np.arange(len(y))
+    return (y, rows) if y.ndim == 1 else (y.T, np.arange(y.shape[1])[:, None], rows)
+
+
+def _argmax(s: np.ndarray) -> np.ndarray:
+    """The argmax over the last axis by a compare over the class-major rows
+    ``s.T``; the strict compare breaks ties to the lowest index."""
+    st = s.T
+    best, pred = st[0], np.zeros(st.shape[1:], dtype=int)
+    for k in range(1, len(st)):
+        pred = np.where(st[k] > best, k, pred)
+        best = np.maximum(best, st[k])
+    return pred.T
 
 
 def as_labels(y) -> np.ndarray:
@@ -173,26 +224,27 @@ def as_labels(y) -> np.ndarray:
 
 
 def _labeled_inputs(scores, y, costs, shape: ProblemShape):
-    """A single-stage batch, checked: finite ``(m, n + n_e)`` scores, m integer
-    labels in [0, n) and ``(m, n_e)`` costs."""
+    """A single-stage batch, checked: finite ``(m, [S,] n + n_e)`` scores,
+    integer labels ``(m, [S])`` in [0, n) and ``(m, [S,] n_e)`` costs."""
     s = np.atleast_2d(as_scores(scores))
     y = np.atleast_1d(as_labels(y))
     c = np.atleast_2d(np.asarray(costs, dtype=float))
-    m = len(s)
-    if s.shape != (m, shape.augmented_size) or y.shape != (m,) or c.shape != (m, shape.n_e):
-        raise ValueError(f"need scores (m, {shape.augmented_size}), labels (m,) and costs "
-                         f"(m, {shape.n_e}); got {s.shape}, {y.shape} and {c.shape}")
+    rows = s.shape[:-1]
+    if (s.ndim > 3 or s.shape[-1] != shape.augmented_size or y.shape != rows
+            or c.shape != (*rows, shape.n_e)):
+        raise ValueError(f"need scores (m, [S,] {shape.augmented_size}), labels (m, [S]) and "
+                         f"costs (m, [S,] {shape.n_e}); got {s.shape}, {y.shape} and {c.shape}")
     if ((y < 0) | (y >= shape.n)).any():
         raise ValueError(f"label out of range [0, {shape.n})")
     return s, y, c
 
 
 def _two_stage_inputs(scores, costs):
-    """A two-stage batch, checked: finite ``(m, n_e)`` scores and costs of
-    the same shape."""
+    """A two-stage batch, checked: finite ``(m, [S,] n_e)`` scores and costs
+    of the same shape."""
     s = np.atleast_2d(as_scores(scores))
     c = np.atleast_2d(np.asarray(costs, dtype=float))
-    if s.ndim != 2 or c.shape != s.shape:
+    if s.ndim > 3 or c.shape != s.shape:
         raise ValueError(f"scores {s.shape} and costs {c.shape} differ: need one cost "
                          "row per score row and cost width = score width")
     return s, c
@@ -207,11 +259,10 @@ def deferral_loss_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     """Single-stage deferral loss: zero-one error when predicting, expert
     cost when the argmax lands on an expert slot."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
-    pred = np.argmax(s, axis=-1)
-    rows = np.arange(len(y))
+    pred = _argmax(s)
     defer = pred >= shape.n
     out = np.where(pred == y, 0.0, 1.0)
-    out[defer] = c[rows[defer], pred[defer] - shape.n]
+    out[defer] = c[(*np.nonzero(defer), pred[defer] - shape.n)]
     return out
 
 
@@ -220,17 +271,17 @@ def deferral_loss_alt_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray
     per-expert terms that vanish exactly at the chosen expert. Must agree
     with :func:`deferral_loss_batch` on all inputs."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
-    pred = np.argmax(s, axis=-1)
+    pred = _argmax(s)
     miss = (pred != y).astype(float)
-    bracket = c.sum(axis=1) + 1.0 - shape.n_e
-    not_j = (pred[:, None] != (shape.n + np.arange(shape.n_e))[None, :]).astype(float)
-    return bracket * miss + ((1.0 - c) * not_j).sum(axis=1) * miss
+    bracket = c.sum(axis=-1) + 1.0 - shape.n_e
+    not_j = (pred[..., None] != shape.n + np.arange(shape.n_e)).astype(float)
+    return bracket * miss + ((1.0 - c) * not_j).sum(axis=-1) * miss
 
 
 def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
     """Two-stage deferral loss: cost of the expert with the highest score."""
     s, c = _two_stage_inputs(scores, costs)
-    return c[np.arange(len(s)), np.argmax(s, axis=-1)]
+    return np.take_along_axis(c, _argmax(s)[..., None], axis=-1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +290,19 @@ def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
 
 
 def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi: PsiSpec):
-    """The surrogate values and their class-major terms: the ``(width, m)``
-    softmax p, the label and label-or-expert masses u0 ``(m,)`` and uj
-    ``(n_e, m)`` and their brackets a0 and wj."""
+    """The surrogate values and their class-major terms: the ``(width, [S,] m)``
+    softmax p, the label slots, the label and label-or-expert masses u0
+    ``([S,] m)`` and uj ``(n_e, [S,] m)`` and their brackets a0 and wj."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _class_softmax(s)
-    rows = np.arange(len(y))
+    at = _label_slots(y)
     ct = np.ascontiguousarray(c.T)
-    u0 = p[y, rows]                          # softmax mass on the true label
+    u0 = p[at]                               # softmax mass on the true label
     uj = u0 + p[shape.n:]                    # mass on {label, expert j}
     a0 = ct.sum(axis=0) + 1.0 - shape.n_e    # may be negative; kept as-is
     wj = 1.0 - ct
     values = a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
-    return values, (p, rows, y, u0, uj, a0, wj)
+    return values.T, (p, at, u0, uj, a0, wj)
 
 
 def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
@@ -263,12 +314,12 @@ def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) 
 def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                      psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass."""
-    loss, (p, rows, y, u0, uj, a0, wj) = _single_stage_terms(scores, y, costs, shape, psi)
+    loss, (p, at, u0, uj, a0, wj) = _single_stage_terms(scores, y, costs, shape, psi)
     p0 = a0 * psi.deriv(u0)                  # coefficient of the label term
     pj = wj * psi.deriv(uj)                  # per-expert coefficients
     base = -(p0 * u0 + (pj * uj).sum(axis=0))
     grad = p * base
-    grad[y, rows] += u0 * (p0 + pj.sum(axis=0))
+    grad[at] += u0 * (p0 + pj.sum(axis=0))
     grad[shape.n:] += p[shape.n:] * pj
     return loss, _row_major(grad)
 
@@ -292,9 +343,9 @@ def _baseline_terms(scores, y, costs, shape: ProblemShape, psi: PsiSpec):
     """The baseline values and their class-major terms: the softmax p, the
     label mass u0, the expert masses pe and their weights wj."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
-    p, rows = _class_softmax(s), np.arange(len(y))
-    u0, pe, wj = p[y, rows], p[shape.n:], 1.0 - np.ascontiguousarray(c.T)
-    return psi.value(u0) + (wj * psi.value(pe)).sum(axis=0), (p, rows, y, u0, pe, wj)
+    p, at = _class_softmax(s), _label_slots(y)
+    u0, pe, wj = p[at], p[shape.n:], 1.0 - np.ascontiguousarray(c.T)
+    return (psi.value(u0) + (wj * psi.value(pe)).sum(axis=0)).T, (p, at, u0, pe, wj)
 
 
 def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
@@ -307,12 +358,12 @@ def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> n
 def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                  psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass."""
-    loss, (p, rows, y, u0, pe, wj) = _baseline_terms(scores, y, costs, shape, psi)
+    loss, (p, at, u0, pe, wj) = _baseline_terms(scores, y, costs, shape, psi)
     q0 = psi.deriv(u0) * u0
     qj = wj * psi.deriv(pe) * pe
     total = q0 + qj.sum(axis=0)
     grad = -p * total
-    grad[y, rows] += q0
+    grad[at] += q0
     grad[shape.n:] += qj
     return loss, _row_major(grad)
 
@@ -331,10 +382,10 @@ def baseline_verma_with_grad_batch(scores, y, costs, shape: ProblemShape) -> tup
 def _phi_terms(scores, costs, phi: PhiSpec):
     """The surrogate values, the costs c and the margins d."""
     s, c = _two_stage_inputs(scores, costs)
-    if s.shape[1] != 2:
+    if s.shape[-1] != 2:
         raise ValueError("two_stage_surrogate_phi requires exactly 2 experts")
-    d = s[:, 0] - s[:, 1]
-    return c[:, 0] * phi.value(-d) + c[:, 1] * phi.value(d), (c, d)
+    d = s[..., 0] - s[..., 1]
+    return c[..., 0] * phi.value(-d) + c[..., 1] * phi.value(d), (c, d)
 
 
 def two_stage_surrogate_phi_batch(scores, costs, phi: PhiSpec) -> np.ndarray:
@@ -345,8 +396,8 @@ def two_stage_surrogate_phi_batch(scores, costs, phi: PhiSpec) -> np.ndarray:
 
 def two_stage_surrogate_phi_with_grad_batch(scores, costs, phi: PhiSpec) -> tuple[np.ndarray, np.ndarray]:
     loss, (c, d) = _phi_terms(scores, costs, phi)
-    g1 = -c[:, 0] * phi.deriv(-d) + c[:, 1] * phi.deriv(d)
-    return loss, np.stack([g1, -g1], axis=1)
+    g1 = -c[..., 0] * phi.deriv(-d) + c[..., 1] * phi.deriv(d)
+    return loss, _row_major(np.stack([g1.T, -g1.T]))
 
 
 def expert_brackets(costs: np.ndarray, n_e: int, axis: int = -1) -> np.ndarray:
@@ -357,14 +408,14 @@ def expert_brackets(costs: np.ndarray, n_e: int, axis: int = -1) -> np.ndarray:
 
 
 def _psi_terms(scores, costs, psi: PsiSpec):
-    """The surrogate values and the class-major ``(n_e, m)`` brackets and
+    """The surrogate values and the class-major ``(n_e, [S,] m)`` brackets and
     softmax."""
     s, c = _two_stage_inputs(scores, costs)
-    if s.shape[1] < 2:
+    if s.shape[-1] < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
-    b = expert_brackets(np.ascontiguousarray(c.T), s.shape[1], axis=0)
+    b = expert_brackets(np.ascontiguousarray(c.T), s.shape[-1], axis=0)
     p = _class_softmax(s)
-    return (b * psi.value(p)).sum(axis=0), (b, p)
+    return (b * psi.value(p)).sum(axis=0).T, (b, p)
 
 
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
@@ -382,17 +433,18 @@ def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tupl
 # the loss table and the scalar forms
 # ---------------------------------------------------------------------------
 
-# name -> (stage, spec): "psi" or "phi" for the spec a loss takes, a PsiSpec
-# for the one a loss fixes, None for a target loss, which takes no spec
+# name -> (stage, spec, kernel): "psi" or "phi" for the spec a loss takes, a
+# PsiSpec for the one a loss fixes, None for a target loss, which takes no
+# spec and has no value-and-gradient kernel (named here, looked up on losses)
 _LOSSES = {
-    "surrogate_single": ("single", "psi"),
-    "surrogate_mae": ("single", _MAE),
-    "baseline_verma": ("single", _LOG),
-    "baseline_mao": ("single", "psi"),
-    "two_stage_phi": ("two", "phi"),
-    "two_stage_psi": ("two", "psi"),
-    "deferral": ("single", None),
-    "two_stage_deferral": ("two", None),
+    "surrogate_single": ("single", "psi", "surrogate_single_with_grad_batch"),
+    "surrogate_mae": ("single", _MAE, "surrogate_single_with_grad_batch"),
+    "baseline_verma": ("single", _LOG, "baseline_mao_with_grad_batch"),
+    "baseline_mao": ("single", "psi", "baseline_mao_with_grad_batch"),
+    "two_stage_phi": ("two", "phi", "two_stage_surrogate_phi_with_grad_batch"),
+    "two_stage_psi": ("two", "psi", "two_stage_surrogate_psi_with_grad_batch"),
+    "deferral": ("single", None, None),
+    "two_stage_deferral": ("two", None, None),
 }
 
 
@@ -430,6 +482,11 @@ class LossSelector:
     @property
     def is_target(self) -> bool:
         return _LOSSES[self.name][1] is None
+
+    @property
+    def kernel(self) -> str | None:
+        """The name of the value-and-gradient kernel (a model stack shares one)."""
+        return _LOSSES[self.name][2]
 
 
 def _one_row(kernel, row_args: int):

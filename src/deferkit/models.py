@@ -7,12 +7,15 @@ Scorers compute their outputs class-major, ``W @ x.T + b[:, None]``, and
 return the ``(m, width)`` transposed view: the bias add is one call per
 class, and the class-major loss kernels read the scores without a copy. The
 values are the bits of ``x @ W.T + b``.
+
+Parameters with a leading model axis make a stack of S scorers, which
+scores ``(S, m, d)`` rows, one batch per model, as ``(m, S, width)``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,22 +51,18 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class LinearScorer:
-    weights: np.ndarray  # (output_width, input_dim)
-    bias: np.ndarray     # (output_width,)
+    weights: np.ndarray  # ([S,] output_width, input_dim)
+    bias: np.ndarray     # ([S,] output_width)
     seed: int = 0
-
-    @property
-    def output_width(self) -> int:
-        return self.weights.shape[0]
 
     def copy(self) -> "LinearScorer":
         return LinearScorer(self.weights.copy(), self.bias.copy(), self.seed)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        if x.shape[1] != self.weights.shape[1]:
-            raise ValueError(f"input dim {x.shape[1]} != {self.weights.shape[1]}")
-        return (self.weights @ x.T + self.bias[:, None]).T
+        if x.shape[-1] != self.weights.shape[-1]:
+            raise ValueError(f"input dim {x.shape[-1]} != {self.weights.shape[-1]}")
+        return _rows_first(self.weights @ x.swapaxes(-1, -2) + self.bias[..., None])
 
     def params(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
@@ -71,31 +70,32 @@ class LinearScorer:
 
 @dataclass
 class MlpScorer:
-    w1: np.ndarray  # (hidden_dim, input_dim)
+    w1: np.ndarray  # ([S,] hidden_dim, input_dim)
     b1: np.ndarray
-    w2: np.ndarray  # (output_width, hidden_dim)
+    w2: np.ndarray  # ([S,] output_width, hidden_dim)
     b2: np.ndarray
     seed: int = 0
-
-    @property
-    def output_width(self) -> int:
-        return self.w2.shape[0]
 
     def copy(self) -> "MlpScorer":
         return MlpScorer(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.seed)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        if x.shape[1] != self.w1.shape[1]:
-            raise ValueError(f"input dim {x.shape[1]} != {self.w1.shape[1]}")
-        hidden = np.maximum(0.0, x @ self.w1.T + self.b1)
-        return (self.w2 @ hidden.T + self.b2[:, None]).T
+        if x.shape[-1] != self.w1.shape[-1]:
+            raise ValueError(f"input dim {x.shape[-1]} != {self.w1.shape[-1]}")
+        hidden = np.maximum(0.0, x @ self.w1.swapaxes(-1, -2) + self.b1[..., None, :])
+        return _rows_first(self.w2 @ hidden.swapaxes(-1, -2) + self.b2[..., None])
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
 Scorer = LinearScorer | MlpScorer
+
+
+def _rows_first(out: np.ndarray) -> np.ndarray:
+    """A class-major ``([S,] width, m)`` output as its ``(m, [S,] width)`` view."""
+    return out.transpose(-1, *range(out.ndim - 1))
 
 
 def init_linear(input_dim: int, output_width: int, seed: int) -> LinearScorer:
@@ -175,21 +175,15 @@ class LabeledDataset:
 
 
 def loss_and_grad(selector: LossSelector, scores, y: np.ndarray, c: np.ndarray,
-                  shp: ProblemShape):
-    """Per-row surrogate losses and their score gradients, by the selector's
-    row of the loss table."""
-    name = selector.name
-    if name in ("surrogate_single", "surrogate_mae"):
-        return losses.surrogate_single_with_grad_batch(scores, y, c, shp, selector.psi)
-    if name == "baseline_verma":
-        return losses.baseline_verma_with_grad_batch(scores, y, c, shp)
-    if name == "baseline_mao":
-        return losses.baseline_mao_with_grad_batch(scores, y, c, shp, selector.psi)
-    if name == "two_stage_phi":
-        return losses.two_stage_surrogate_phi_with_grad_batch(scores, c, selector.phi)
-    if name == "two_stage_psi":
-        return losses.two_stage_surrogate_psi_with_grad_batch(scores, c, selector.psi)
-    raise ValueError(f"{name} is a target loss: it has no gradient to train on")
+                  shp: ProblemShape, psi=None):
+    """Per-row surrogate losses and their score gradients, from the kernel
+    that the selector's row of the loss table names. A model stack passes
+    ``psi``, its models' specs stacked by ``PsiSpec.stack``, in place of the
+    selector's."""
+    if selector.kernel is None:
+        raise ValueError(f"{selector.name} is a target loss: it has no gradient to train on")
+    kernel, spec = getattr(losses, selector.kernel), selector.phi or psi or selector.psi
+    return kernel(scores, y, c, shp, spec) if selector.stage == "single" else kernel(scores, c, spec)
 
 
 def _deferral_losses(scores: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
@@ -226,84 +220,110 @@ class Standardizer:
 
 
 def _backprop(scorer: Scorer, x: np.ndarray, gout: np.ndarray) -> list[np.ndarray]:
-    """Mean-over-batch parameter gradients given dL/dscores."""
-    m = len(x)
+    """Mean-over-batch parameter gradients given dL/dscores: ``(m, d)`` rows
+    and an ``(m, width)`` gradient, or for a stack ``(S, m, d)`` rows and an
+    ``(m, S, width)`` gradient."""
+    m = x.shape[-2]
+    gt = gout.transpose(*range(1, gout.ndim), 0)     # ([S,] width, m)
     if isinstance(scorer, LinearScorer):
-        return [gout.T @ x / m, gout.mean(axis=0)]
-    hidden_pre = x @ scorer.w1.T + scorer.b1
+        return [gt @ x / m, gout.mean(axis=0)]
+    hidden_pre = x @ scorer.w1.swapaxes(-1, -2) + scorer.b1[..., None, :]
     hidden = np.maximum(0.0, hidden_pre)
-    gw2 = gout.T @ hidden / m
+    gw2 = gt @ hidden / m
     gb2 = gout.mean(axis=0)
-    ghid = (gout @ scorer.w2) * (hidden_pre > 0)
-    return [ghid.T @ x / m, ghid.mean(axis=0), gw2, gb2]
+    ghid = (gt.swapaxes(-1, -2) @ scorer.w2) * (hidden_pre > 0)
+    return [ghid.swapaxes(-1, -2) @ x / m, ghid.mean(axis=-2), gw2, gb2]
 
 
-def train(scorer: Scorer, dataset: LabeledDataset, selector: LossSelector,
-          config: TrainConfig) -> tuple[Scorer, np.ndarray]:
+def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
+          selector: LossSelector | list[LossSelector], config: TrainConfig | list[TrainConfig]):
     """Gradient-descent training.
 
     Returns the trained scorer and a (epochs, 2) trajectory of
     (mean surrogate loss, mean deferral loss), both evaluated on the full
     training set after each epoch's update. When one batch holds every row,
     an epoch makes one loss+grad call: its evaluation feeds the next step.
+
+    A stack of S models passes the three as sequences, one entry per model,
+    and gets a list of scorers and an (epochs, S, 2) trajectory; model s is,
+    bit for bit, the model trained alone. A minibatch step gathers the
+    stack's batches with one (S, B) index and makes one forward pass, loss
+    kernel call, backward pass and update. Full-set evaluations (and the
+    full-batch steps that reuse them) run per model, to hold one model's
+    full-set temporaries at a time.
     """
+    stacked = isinstance(scorer, (list, tuple))
+    scorers, selectors, configs = (list(a) if stacked else [a] for a in (scorer, selector, config))
+    selector, config = selectors[0], configs[0]
+    if (not len(scorers) == len(selectors) == len(configs) or len({type(s) for s in scorers}) > 1
+            or any((s.kernel, s.phi) != (selector.kernel, selector.phi) for s in selectors)
+            or any(replace(c, seed=config.seed) != config for c in configs)):
+        raise ValueError("a stack needs one scorer, selector and config per model, all of one "
+                         "scorer kind, loss kernel and phi and one config but for the seed")
     if selector.stage != dataset.stage:
         raise ValueError(f"loss stage {selector.stage!r} != dataset stage {dataset.stage!r}")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    model = scorer.copy()
+    model = type(scorers[0])(*(np.stack(p) for p in zip(*(s.params() for s in scorers))))
     if not all(np.isfinite(p).all() for p in model.params()):
         raise ValueError("scorer parameters must be finite")
+    psi = selector.psi and losses.PsiSpec.stack([s.psi for s in selectors])
     x = dataset.features
     std = Standardizer.fit(x) if config.standardize else None
     if std is not None:
         x = std.apply(x)
     m = len(dataset)
     batch = m if config.batch_size == "full" else min(int(config.batch_size), m)
-    shuffle_rng = substream(config.seed, "train-shuffle")
+    shuffles = [substream(c.seed, "train-shuffle") for c in configs]
     velocity = [np.zeros_like(p) for p in model.params()]
-    trajectory = np.empty((config.epochs, 2))
+    # each model as a scorer and velocity that view its slice of the stack
+    views = [(type(model)(*(p[s] for p in model.params()), sc.seed), [v[s] for v in velocity])
+             for s, sc in enumerate(scorers)]
+    trajectory = np.empty((config.epochs, len(scorers), 2))
 
     if batch == m:
-        sur, gout = loss_and_grad(selector, model.scores(x), dataset.labels,
-                                  dataset.costs, dataset.shape)
+        evals = [loss_and_grad(sel, one.scores(x), dataset.labels, dataset.costs, dataset.shape)
+                 for sel, (one, _) in zip(selectors, views)]
     for epoch in range(config.epochs):
         if batch < m:
-            order = shuffle_rng.permutation(m)
+            order = np.stack([g.permutation(m) for g in shuffles])
         for start in range(0, m, batch):
             if batch == m:
-                # the step runs at the parameters that the last evaluation
+                # each model steps at the parameters that its last evaluation
                 # scored on every row, so it reuses that loss and gradient
-                xb, loss_vals = x, sur
+                steps = [(one, x, *ev, vel) for (one, vel), ev in zip(views, evals)]
             else:
-                idx = order[start:start + batch]
+                idx = order[:, start:start + batch]
                 xb = x[idx]
                 loss_vals, gout = loss_and_grad(
-                    selector, model.scores(xb), dataset.labels[idx], dataset.costs[idx],
-                    dataset.shape)
-            if not np.all(np.isfinite(loss_vals)):
+                    selector, model.scores(xb), dataset.labels[idx.T], dataset.costs[idx.T],
+                    dataset.shape, psi)
+                steps = [(model, xb, loss_vals, gout, velocity)]
+            for one, xb, loss_vals, gout, vel in steps:
+                if not np.all(np.isfinite(loss_vals)):
+                    raise TrainingDiverged(epoch)
+                for p, g, v in zip(one.params(), _backprop(one, xb, gout), vel):
+                    if config.optimizer == "momentum":
+                        v *= config.momentum
+                        v += g
+                        p -= config.learning_rate * v
+                    else:
+                        p -= config.learning_rate * g
+
+        evals = []
+        for s, (sel, (one, _)) in enumerate(zip(selectors, views)):
+            full_scores = one.scores(x)
+            sur, gout = loss_and_grad(sel, full_scores, dataset.labels, dataset.costs,
+                                      dataset.shape)
+            tgt = _deferral_losses(full_scores, dataset)
+            if not np.all(np.isfinite(sur)):
                 raise TrainingDiverged(epoch)
-            grads = _backprop(model, xb, gout)
-            params = model.params()
-            for p, g, v in zip(params, grads, velocity):
-                if config.optimizer == "momentum":
-                    v *= config.momentum
-                    v += g
-                    p -= config.learning_rate * v
-                else:
-                    p -= config.learning_rate * g
+            trajectory[epoch, s] = (sur.mean(), tgt.mean())
+            if batch == m:
+                evals.append((sur, gout))
 
-        full_scores = model.scores(x)
-        sur, gout = loss_and_grad(selector, full_scores, dataset.labels,
-                                  dataset.costs, dataset.shape)
-        tgt = _deferral_losses(full_scores, dataset)
-        if not np.all(np.isfinite(sur)):
-            raise TrainingDiverged(epoch)
-        trajectory[epoch] = (sur.mean(), tgt.mean())
-
-    if std is not None:
-        model = fold_standardizer(model, std)
-    return model, trajectory
+    fitted = [one if std is None else fold_standardizer(one, std) for one, _ in views]
+    return (fitted, trajectory) if stacked else (fitted[0], trajectory[:, 0])
 
 
 def replace_rows(dataset: LabeledDataset, idx: np.ndarray) -> LabeledDataset:

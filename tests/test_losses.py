@@ -509,3 +509,71 @@ def test_class_major_kernels_match_row_major(width, q, m, layout, scale, seed):
                 assert a.tobytes() == b.tobytes(), name
             else:
                 assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1.0)), name
+
+
+# each stack kernel by name: (single stage, takes a spec), called with the
+# spec of the stack or of one model
+_STACK_KERNELS = {
+    "deferral_loss_batch": (True, None), "deferral_loss_alt_batch": (True, None),
+    "surrogate_single_batch": (True, "psi"), "surrogate_single_with_grad_batch": (True, "psi"),
+    "baseline_mao_batch": (True, "psi"), "baseline_mao_with_grad_batch": (True, "psi"),
+    "two_stage_deferral_loss_batch": (False, None),
+    "two_stage_surrogate_psi_batch": (False, "psi"),
+    "two_stage_surrogate_psi_with_grad_batch": (False, "psi"),
+    "two_stage_surrogate_phi_batch": (False, "phi"),
+    "two_stage_surrogate_phi_with_grad_batch": (False, "phi"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 4), n_e=st.integers(1, 3), m=st.integers(0, 40), models=st.integers(1, 4),
+       qs=st.one_of(st.just([0.0] * 4),
+                    st.lists(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0)),
+                             min_size=4, max_size=4)),
+       kind=st.sampled_from(list(PhiKind)), ties=st.booleans(),
+       layout=st.sampled_from(["scorer", "C"]), seed=st.integers(0, 2**31 - 1))
+def test_kernels_on_a_model_stack_equal_each_model_alone(n, n_e, m, models, qs, kind, ties,
+                                                         layout, seed):
+    g = np.random.default_rng(seed)
+    specs = [PsiSpec(q=q) for q in qs[:models]]
+    for name, (single, takes) in _STACK_KERNELS.items():
+        ne = 2 if "phi" in name else n_e if single else max(n_e, 2)
+        shape = ProblemShape(n, ne)
+        width = shape.augmented_size if single else ne
+        # the scorers' stack output is the (m, S, width) view of (S, width, m)
+        s = g.standard_normal((models, width, m)).transpose(2, 0, 1)
+        s = np.round(2 * s) / 2 if ties else s
+        s = np.ascontiguousarray(s) if layout == "C" else s
+        y, c = g.integers(0, n, (m, models)), g.uniform(0.0, 1.0, (m, models, ne))
+        spec = {"psi": PsiSpec.stack(specs), "phi": PhiSpec(kind), None: None}[takes]
+        per_model = {"psi": specs, "phi": [spec] * models, None: [None] * models}[takes]
+        kernel = getattr(losses, name)
+
+        def call(s, y, c, spec):
+            args = (s, y, c, shape) if single else (s, c)
+            return kernel(*args, *([] if spec is None else [spec]))
+
+        got = call(s, y, c, spec)
+        for k, one in enumerate(per_model):
+            want = call(s[:, k], y[:, k], c[:, k], one)
+            for a, b in zip(*((got, want) if isinstance(got, tuple) else ((got,), (want,)))):
+                assert a[:, k].shape == b.shape and a[:, k].tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 5), n_e=st.integers(1, 4), m=st.integers(0, 60),
+       layout=st.sampled_from(["scorer", "C"]), seed=st.integers(0, 2**31 - 1))
+def test_target_kernels_take_the_first_of_tied_maxima(n, n_e, m, layout, seed):
+    # scores in {-1, 0, 1} tie often; np.argmax keeps the lowest index
+    g = np.random.default_rng(seed)
+    shape = ProblemShape(n, n_e)
+    s = g.integers(-1, 2, (shape.augmented_size, m)).astype(float).T
+    s = np.ascontiguousarray(s) if layout == "C" else s
+    y, c = g.integers(0, n, m), g.uniform(0.0, 1.0, (m, n_e))
+    pred, rows = np.argmax(s, axis=-1), np.arange(m)
+    want = np.where(pred >= n, c[rows, np.maximum(pred - n, 0)], (pred != y) * 1.0)
+    assert losses.deferral_loss_batch(s, y, c, shape).tobytes() == want.tobytes()
+    two = s[:, :n_e] if n_e > 1 else s[:, :2]
+    c2 = c if n_e > 1 else np.hstack([c, c])
+    want = c2[rows, np.argmax(two, axis=-1)]
+    assert losses.two_stage_deferral_loss_batch(two, c2).tobytes() == want.tobytes()

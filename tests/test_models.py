@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,67 @@ def test_full_batch_epoch_makes_one_loss_grad_call(monkeypatch, batch_size, call
     # full batch: one evaluation before the first step and one per epoch;
     # minibatch: four 16-row steps and one evaluation per epoch
     assert len(counted) == calls
+
+
+# per stack kind, the selectors its models take in turn: q = 1 beside a q in
+# (0, 1), the two baselines at q = 0, per-model two-stage q, one shared phi
+_STACKS = {
+    "single": lambda q: [LossSelector("surrogate_single", psi=PsiSpec(q=q)),
+                         LossSelector("surrogate_mae")],
+    "baseline": lambda q: [LossSelector("baseline_verma"),
+                           LossSelector("baseline_mao", psi=PsiSpec(q=0.0))],
+    "two_stage_psi": lambda q: [LossSelector("two_stage_psi", psi=PsiSpec(q=q)),
+                                LossSelector("two_stage_psi", psi=PsiSpec(q=1.0))],
+    "two_stage_phi": lambda q: [LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.HINGE))],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=st.sampled_from(sorted(_STACKS)), q=st.one_of(st.just(0.5), st.floats(0.01, 0.99)),
+       dim=st.sampled_from([1, 4]), model=st.sampled_from(["linear", "mlp"]),
+       hidden=st.integers(1, 5),
+       optimizer=st.sampled_from(["gd", "momentum"]),
+       # 64 rows: batches of 21 leave a last batch of 1, of 23 one of 18
+       batch_size=st.sampled_from(["full", 16, 21, 23]),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+def test_stacked_train_is_each_model_trained_alone(stack, q, dim, model, hidden, optimizer,
+                                                   batch_size, seeds):
+    kinds = _STACKS[stack](q)
+    selectors = [kinds[s % len(kinds)] for s in range(len(seeds))]
+    ds = small_single_dataset() if selectors[0].stage == "single" else small_two_dataset()
+    # one input or one hidden unit makes a matrix-vector product
+    ds = LabeledDataset(ds.features[:, :dim], ds.labels, ds.costs, ds.shape, ds.stage)
+    scorers = [init_linear(dim, ds.output_width, seed) if model == "linear"
+               else init_mlp(dim, hidden, ds.output_width, seed) for seed in seeds]
+    configs = [TrainConfig(learning_rate=0.5, epochs=3, seed=seed, optimizer=optimizer,
+                           batch_size=batch_size) for seed in seeds]
+    fitted, traj = train(scorers, ds, selectors, configs)
+    assert traj.shape == (3, len(seeds), 2)
+    for s, (scorer, selector, config) in enumerate(zip(scorers, selectors, configs)):
+        alone, alone_traj = train(scorer, ds, selector, config)
+        assert type(fitted[s]) is type(alone) and fitted[s].seed == alone.seed
+        for got, want in zip(fitted[s].params(), alone.params()):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert traj[:, s].tobytes() == alone_traj.tobytes()
+
+
+def test_stack_models_share_a_kernel_a_config_and_a_scorer_kind():
+    ds = small_single_dataset()
+    sc, mae = init_linear(4, 5, seed=1), LossSelector("surrogate_mae")
+    tc = TrainConfig(epochs=1, seed=1)
+    for scorers, selectors, configs in [
+        ([sc, sc], [mae, LossSelector("baseline_verma")], [tc, tc]),
+        ([sc, sc], [mae, mae], [tc, replace(tc, learning_rate=0.1)]),
+        ([sc, init_mlp(4, 5, 5, seed=1)], [mae, mae], [tc, tc]),
+        ([sc, sc], [mae], [tc, tc]),
+    ]:
+        with pytest.raises(ValueError, match="a stack needs"):
+            train(scorers, ds, selectors, configs)
+    # seeds may differ, and so may q, but not across q = 0 and q > 0
+    train([sc, sc], ds, [mae, mae], [tc, replace(tc, seed=2)])
+    with pytest.raises(ValueError, match="cannot mix q = 0"):
+        train([sc, sc], ds, [mae, LossSelector("surrogate_single", psi=PsiSpec(q=0.0))],
+              [tc, tc])
 
 
 def test_train_rejects_empty_dataset():
