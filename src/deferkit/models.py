@@ -294,13 +294,13 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
                 steps = [(one, x, *ev, vel) for (one, vel), ev in zip(views, evals)]
             else:
                 idx = order[:, start:start + batch]
-                xb = x[idx]
+                xb = x.take(idx, axis=0)
                 loss_vals, gout = loss_and_grad(
-                    selector, model.scores(xb), dataset.labels[idx.T], dataset.costs[idx.T],
-                    dataset.shape, psi)
+                    selector, model.scores(xb), dataset.labels.take(idx.T),
+                    dataset.costs.take(idx.T, axis=0), dataset.shape, psi)
                 steps = [(model, xb, loss_vals, gout, velocity)]
             for one, xb, loss_vals, gout, vel in steps:
-                if not np.all(np.isfinite(loss_vals)):
+                if not np.isfinite(loss_vals).all():
                     raise TrainingDiverged(epoch)
                 for p, g, v in zip(one.params(), _backprop(one, xb, gout), vel):
                     if config.optimizer == "momentum":
