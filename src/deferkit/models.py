@@ -254,12 +254,14 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
     """
     stacked = isinstance(scorer, (list, tuple))
     scorers, selectors, configs = (list(a) if stacked else [a] for a in (scorer, selector, config))
+    if not 0 < len(scorers) == len(selectors) == len(configs):
+        raise ValueError("a stack needs one scorer, selector and config per model")
     selector, config = selectors[0], configs[0]
-    if (not len(scorers) == len(selectors) == len(configs) or len({type(s) for s in scorers}) > 1
+    if (len({type(s) for s in scorers}) > 1
             or any((s.kernel, s.phi) != (selector.kernel, selector.phi) for s in selectors)
             or any(replace(c, seed=config.seed) != config for c in configs)):
-        raise ValueError("a stack needs one scorer, selector and config per model, all of one "
-                         "scorer kind, loss kernel and phi and one config but for the seed")
+        raise ValueError("a stack needs one scorer kind, loss kernel, phi and config (but for "
+                         "the seed) for all its models")
     if selector.stage != dataset.stage:
         raise ValueError(f"loss stage {selector.stage!r} != dataset stage {dataset.stage!r}")
     if len(dataset) == 0:

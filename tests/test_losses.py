@@ -573,7 +573,6 @@ def test_target_kernels_take_the_first_of_tied_maxima(n, n_e, m, layout, seed):
     pred, rows = np.argmax(s, axis=-1), np.arange(m)
     want = np.where(pred >= n, c[rows, np.maximum(pred - n, 0)], (pred != y) * 1.0)
     assert losses.deferral_loss_batch(s, y, c, shape).tobytes() == want.tobytes()
-    two = s[:, :n_e] if n_e > 1 else s[:, :2]
-    c2 = c if n_e > 1 else np.hstack([c, c])
+    two, c2 = s[:, :max(n_e, 2)], g.uniform(0.0, 1.0, (m, max(n_e, 2)))
     want = c2[rows, np.argmax(two, axis=-1)]
     assert losses.two_stage_deferral_loss_batch(two, c2).tobytes() == want.tobytes()

@@ -252,6 +252,7 @@ def test_stack_models_share_a_kernel_a_config_and_a_scorer_kind():
         ([sc, sc], [mae, mae], [tc, replace(tc, learning_rate=0.1)]),
         ([sc, init_mlp(4, 5, 5, seed=1)], [mae, mae], [tc, tc]),
         ([sc, sc], [mae], [tc, tc]),
+        ([], [], []),
     ]:
         with pytest.raises(ValueError, match="a stack needs"):
             train(scorers, ds, selectors, configs)
