@@ -250,7 +250,8 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
     stack's batches with one (S, B) index and makes one forward pass, loss
     kernel call, backward pass and update. Full-set evaluations (and the
     full-batch steps that reuse them) run per model, to hold one model's
-    full-set temporaries at a time.
+    full-set temporaries at a time. A non-finite loss in any model stops the
+    stack with TrainingDiverged.
     """
     stacked = isinstance(scorer, (list, tuple))
     scorers, selectors, configs = (list(a) if stacked else [a] for a in (scorer, selector, config))
