@@ -266,18 +266,6 @@ def deferral_loss_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     return out
 
 
-def deferral_loss_alt_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
-    """Rewritten deferral loss: a miss term weighted by the cost sum plus
-    per-expert terms that vanish exactly at the chosen expert. Must agree
-    with :func:`deferral_loss_batch` on all inputs."""
-    s, y, c = _labeled_inputs(scores, y, costs, shape)
-    pred = _argmax(s)
-    miss = (pred != y).astype(float)
-    bracket = c.sum(axis=-1) + 1.0 - shape.n_e
-    not_j = (pred[..., None] != shape.n + np.arange(shape.n_e)).astype(float)
-    return bracket * miss + ((1.0 - c) * not_j).sum(axis=-1) * miss
-
-
 def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
     """Two-stage deferral loss: cost of the expert with the highest score."""
     s, c = _two_stage_inputs(scores, costs)

@@ -55,9 +55,6 @@ class LinearScorer:
     bias: np.ndarray     # ([S,] output_width)
     seed: int = 0
 
-    def copy(self) -> "LinearScorer":
-        return LinearScorer(self.weights.copy(), self.bias.copy(), self.seed)
-
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
         if x.shape[-1] != self.weights.shape[-1]:
@@ -75,9 +72,6 @@ class MlpScorer:
     w2: np.ndarray  # ([S,] output_width, hidden_dim)
     b2: np.ndarray
     seed: int = 0
-
-    def copy(self) -> "MlpScorer":
-        return MlpScorer(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.seed)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))

@@ -41,8 +41,6 @@ __all__ = [
     "conditional_error",
     "conditional_min_surrogate",
     "conditional_regret_surrogate",
-    "numeric_min_two_stage_psi",
-    "grid_min_simplex",
     "minimizability_gap",
     "empirical_excess",
     "verify_bound_single_mae",
@@ -203,17 +201,6 @@ def bayes_two_stage(task: DiscreteTask) -> TabularHypothesis:
 # ---------------------------------------------------------------------------
 
 
-def _mae_given_probs(probs: np.ndarray, task: DiscreteTask, k: int) -> float:
-    """Expected q=1 surrogate at point k as a function of the output
-    probability vector, in the loss's bracket form (affine in probs)."""
-    n, n_e = task.shape.n, task.shape.n_e
-    c = task.costs[k]                       # (n, n_e)
-    a0 = c.sum(axis=1) + 1.0 - n_e          # (n,)
-    u0 = probs[:n, None]
-    per_label = a0 * (1.0 - probs[:n]) + ((1.0 - c) * (1.0 - u0 - probs[n:])).sum(axis=1)
-    return float(task.conditionals[k] @ per_label)
-
-
 def _qbar(task: DiscreteTask, k) -> np.ndarray:
     """Expected per-expert bracket coefficients for the two-stage surrogate."""
     b = losses.expert_brackets(task.costs[..., k, :, :], task.shape.n_e)  # (..., n, n_e)
@@ -309,75 +296,6 @@ def conditional_regret_surrogate(task: DiscreteTask, hyp: TabularHypothesis,
                                  k, loss: LossSelector):
     task = _aligned(task, hyp, loss.stage)
     return conditional_error(task, hyp, k, loss) - conditional_min_surrogate(task, k, loss)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def numeric_min_two_stage_psi(qbar: np.ndarray, psi: PsiSpec) -> float:
-    """Projected-gradient minimization of sum_j qbar_j Psi(S_j) over the
-    simplex; independent numeric cross-check for the closed forms.
-
-    Adaptive step: grow on measurable progress, halve on rejection, and stop
-    after 30000 steps or once a run of them makes no relative progress. The
-    stall cutoff matters because the objective is badly conditioned when the
-    qbar entries are very unbalanced."""
-    qbar = np.asarray(qbar, dtype=float)
-    n_e = len(qbar)
-    floor = 1e-14
-
-    def value(sv: np.ndarray) -> float:
-        return float(qbar @ psi.value(np.clip(sv, floor, 1.0)))
-
-    s = np.full(n_e, 1.0 / n_e)
-    best = value(s)
-    step = 0.1
-    stall = 0
-    for _ in range(30000):
-        grad = qbar * psi.deriv(np.clip(s, floor, 1.0))
-        cand = _project_simplex(s - step * grad)
-        fc = value(cand)
-        if fc < best - 1e-11 * max(1.0, abs(best)):
-            s, best, stall = cand, fc, 0
-            step = min(step * 1.5, 1e2)
-        elif fc <= best:
-            s, best = cand, fc
-            stall += 1
-        else:
-            step *= 0.5
-            stall += 1
-        if step < 1e-18 or stall > 400:
-            break
-    return best
-
-
-def grid_min_simplex(fn, width: int) -> float:
-    """Minimum of fn over the points of the probability simplex whose
-    coordinates are multiples of 0.02."""
-    steps = 50
-    best = np.inf
-
-    def rec(prefix: list[int], remaining: int, left: int):
-        nonlocal best
-        if remaining == 1:
-            point = np.array(prefix + [left], dtype=float) / steps
-            val = fn(point)
-            if val < best:
-                best = val
-            return
-        for t in range(left + 1):
-            rec(prefix + [t], remaining - 1, left - t)
-
-    rec([], width, steps)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +407,6 @@ class RegretReport(_Verdict):
     def violations(self) -> int:
         return int(np.count_nonzero(self.table()[-1] == "violation"))
 
-    @property
-    def max_negative_slack(self) -> float:
-        return float(min(self.slack.min(initial=0.0), np.min(self.aggregate_slack), 0.0))
-
     def csv_rows(self, task_id: str) -> list[tuple]:
         """One row per point, then the aggregate row, of one report."""
         if np.ndim(self.excess_target):
@@ -600,9 +514,27 @@ def minimal_margin(task: DiscreteTask, stage: str) -> np.ndarray:
     raise ValueError(f"unknown stage {stage!r}")
 
 
+def _noise_support(alpha: float, margins, marginals) -> tuple[np.ndarray, np.ndarray]:
+    """The margins and marginals of a noise profile, checked with its alpha;
+    a bad value raises ValueError naming its field."""
+    margins = np.asarray(margins, dtype=float)
+    marginals = np.asarray(marginals, dtype=float)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not margins.size or not np.isfinite(margins).all():
+        raise ValueError("margins must be nonempty and finite")
+    if np.any(margins <= 0.0):
+        raise ValueError("margins must be > 0: zero margin")
+    if marginals.shape != margins.shape:
+        raise ValueError(f"marginals shape {marginals.shape} != margins shape {margins.shape}")
+    return margins, marginals
+
+
 @dataclass
 class NoiseProfile:
-    """Fitted low-noise constants: Pr[margin <= t] <= B t^(alpha/(1-alpha))."""
+    """Fitted low-noise constants: Pr[margin <= t] <= B t^(alpha/(1-alpha)).
+    alpha must lie in (0, 1), B be finite and >= 0, the margins be nonempty,
+    finite and > 0, and the marginals have the margins' shape."""
 
     alpha: float
     B: float
@@ -611,6 +543,9 @@ class NoiseProfile:
     c_const: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self.margins, self.marginals = _noise_support(self.alpha, self.margins, self.marginals)
+        if not (np.isfinite(self.B) and self.B >= 0.0):
+            raise ValueError(f"B must be finite and >= 0, got {self.B}")
         self.c_const = self.B ** (1.0 - self.alpha) / self.alpha ** self.alpha
         expo = self.alpha / (1.0 - self.alpha)
         for t in np.unique(self.margins):
@@ -622,12 +557,7 @@ class NoiseProfile:
 def fit_tsybakov_B(margins: np.ndarray, marginals: np.ndarray, alpha: float) -> NoiseProfile:
     """Tightest B for the given margins; the step-function supremum of
     Pr[margin <= t] / t^(alpha/(1-alpha)) is attained at support points."""
-    margins = np.asarray(margins, dtype=float)
-    marginals = np.asarray(marginals, dtype=float)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if np.any(margins <= 0.0):
-        raise ValueError("zero margin")
+    margins, marginals = _noise_support(alpha, margins, marginals)
     expo = alpha / (1.0 - alpha)
     b = max(float(marginals[margins <= t].sum()) / t ** expo
             for t in np.unique(margins))
@@ -692,8 +622,8 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
     minimizability gap vanish, as theorem_mm requires.
     """
     _one_hypothesis(hyp)
-    if s < 1.0:
-        raise ValueError("s must be >= 1")
+    if not s >= 1.0:   # NaN fails too
+        raise ValueError(f"s must be >= 1, got {s}")
     stage = surrogate.stage
     tgt, sur = _per_point_regrets(task, hyp, _DEFERRAL[stage], surrogate)
     # unmet only where a point is known to break it, so NaN cannot skip the check

@@ -1,8 +1,23 @@
 """One-row value and gradient forms of the batch loss kernels that the
-package does not export, for tests written against one score vector."""
+package does not export, for tests written against one score vector, and
+the rewritten deferral loss that tests check the package's against."""
+
+import numpy as np
 
 from deferkit import losses
-from deferkit.losses import PsiSpec, _one_row
+from deferkit.losses import PsiSpec, ProblemShape, _argmax, _labeled_inputs, _one_row
+
+
+def deferral_loss_alt_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
+    """Rewritten deferral loss: a miss term weighted by the cost sum plus
+    per-expert terms that vanish exactly at the chosen expert. Must agree
+    with :func:`deferkit.losses.deferral_loss_batch` on all inputs."""
+    s, y, c = _labeled_inputs(scores, y, costs, shape)
+    pred = _argmax(s)
+    miss = (pred != y).astype(float)
+    bracket = c.sum(axis=-1) + 1.0 - shape.n_e
+    not_j = (pred[..., None] != shape.n + np.arange(shape.n_e)).astype(float)
+    return bracket * miss + ((1.0 - c) * not_j).sum(axis=-1) * miss
 
 
 def _one_row_grad(kernel, row_args: int):
@@ -18,7 +33,7 @@ def _one_row_grad(kernel, row_args: int):
 _LOG = PsiSpec(q=0.0)
 _MAE = PsiSpec(q=1.0)
 
-deferral_loss_alt = _one_row(losses.deferral_loss_alt_batch, 2)
+deferral_loss_alt = _one_row(deferral_loss_alt_batch, 2)
 baseline_mao = _one_row(losses.baseline_mao_batch, 2)
 surrogate_single_grad = _one_row_grad(losses.surrogate_single_with_grad_batch, 2)
 baseline_mao_grad = _one_row_grad(losses.baseline_mao_with_grad_batch, 2)

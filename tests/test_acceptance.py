@@ -18,17 +18,19 @@ from deferkit.losses import (
     ProblemShape,
     PsiSpec,
     deferral_loss_batch,
-    deferral_loss_alt_batch,
     surrogate_mae,
     surrogate_single,
+    surrogate_single_with_grad_batch,
     two_stage_surrogate_phi,
     two_stage_surrogate_psi,
 )
+from numeric_minima import grid_min_simplex, mae_given_probs, numeric_min_two_stage_psi
 from scalar_forms import (
     baseline_mao,
     baseline_mao_grad,
     baseline_verma,
     baseline_verma_grad,
+    deferral_loss_alt_batch,
     surrogate_mae_grad,
     surrogate_single_grad,
     two_stage_surrogate_phi_grad,
@@ -41,17 +43,15 @@ from deferkit.models import (
     train,
 )
 from deferkit.oracles import (
+    DiscreteTask,
     TabularHypothesis,
-    _mae_given_probs,
     _qbar,
     bayes_deferral,
     bayes_two_stage,
     conditional_min_surrogate,
     empirical_excess,
     fit_tsybakov_B,
-    grid_min_simplex,
     minimal_margin,
-    numeric_min_two_stage_psi,
     verify_bound_single_mae,
     verify_bound_two_expert_phi,
     verify_bound_two_stage,
@@ -190,7 +190,7 @@ def test_criterion_3_single_stage_factor_bound():
         hyp = TabularHypothesis(g.standard_normal((10, task.num_points, width)))
         rep = verify_bound_single_mae(task, hyp)
         violations += rep.violations
-        worst_slack = min(worst_slack, rep.max_negative_slack)
+        worst_slack = min(worst_slack, rep.table()[3].min())
     assert violations == 0, f"{violations} violations beyond -1e-9"
     elapsed = time.time() - t0
     budget(3, elapsed, 120.0)
@@ -226,14 +226,15 @@ def test_criterion_4_two_stage_bounds():
 
 def test_criterion_5_closed_forms_vs_numeric():
     """Closed-form two-stage conditional minima match projected-gradient
-    minimization within 1e-7 (200 instances per q); affine vertex minima
-    match 0.02-resolution grid search."""
+    minimization within 1e-7 (200 instances per q, solved in one stack per
+    n_e); affine vertex minima match 0.02-resolution grid search."""
     t0 = time.time()
     g = np.random.default_rng(55)
     worst = 0.0
     for q in (0.0, 0.25, 0.5, 0.75):
         psi = PsiSpec(q=q)
         loss = LossSelector("two_stage_psi", psi=psi)
+        by_width = {}   # n_e -> (closed minima, qbar rows)
         for _ in range(200):
             n = int(g.integers(2, 4))
             n_e = int(g.integers(2, 5))
@@ -241,16 +242,17 @@ def test_criterion_5_closed_forms_vs_numeric():
             # costs bounded away from 0 keep the simplex optimum moderately
             # conditioned, which plain projected gradient needs
             task_costs = g.uniform(0.75, 1.0, size=(k, n, n_e))
-            from deferkit.oracles import DiscreteTask
             task = DiscreteTask(g.dirichlet(np.ones(k)),
                                 g.dirichlet(np.ones(n), size=k),
                                 task_costs, ProblemShape(n, n_e))
             kk = int(g.integers(0, k))
-            closed = conditional_min_surrogate(task, kk, loss)
-            numeric = numeric_min_two_stage_psi(_qbar(task, kk), psi)
-            diff = abs(closed - numeric)
-            assert diff <= 1e-7, f"q={q}: |closed - pg| = {diff:.2e}"
-            worst = max(worst, diff)
+            closed, qbars = by_width.setdefault(n_e, ([], []))
+            closed.append(conditional_min_surrogate(task, kk, loss))
+            qbars.append(_qbar(task, kk))
+        for closed, qbars in by_width.values():
+            diff = np.abs(np.array(closed) - numeric_min_two_stage_psi(np.array(qbars), psi))
+            assert np.all(diff <= 1e-7), f"q={q}: |closed - pg| = {diff.max():.2e}"
+            worst = max(worst, float(diff.max()))
     # vertex property vs dense grid: two-stage q=1 (width <= 3)
     grid_worst = 0.0
     for i in range(10):
@@ -260,8 +262,7 @@ def test_criterion_5_closed_forms_vs_numeric():
         vertex = conditional_min_surrogate(task, 0,
                                            LossSelector("two_stage_psi",
                                                         psi=PsiSpec(q=1.0)))
-        grid = grid_min_simplex(lambda s: float(qbar @ (1.0 - s)),
-                                task.shape.n_e)
+        grid = grid_min_simplex(lambda s: (1.0 - s) @ qbar, task.shape.n_e)
         assert vertex <= grid + 1e-9
         grid_worst = max(grid_worst, abs(vertex - grid))
     # single-stage mae on n + n_e <= 4 shapes
@@ -270,7 +271,7 @@ def test_criterion_5_closed_forms_vs_numeric():
         if task.shape.augmented_size > 4:
             continue
         vertex = conditional_min_surrogate(task, 0, LossSelector("surrogate_mae"))
-        grid = grid_min_simplex(lambda s: _mae_given_probs(s, task, 0),
+        grid = grid_min_simplex(lambda s: mae_given_probs(s, task, 0),
                                 task.shape.augmented_size)
         assert vertex <= grid + 1e-9
         grid_worst = max(grid_worst, abs(vertex - grid))
@@ -408,16 +409,14 @@ def test_criterion_10_tabular_bayes_consistency():
     width = shape.augmented_size
     scores = np.zeros((task.num_points, width))
     lr = 2.0
+    # one row per (point, label), weighted by mu_k p(y|k)
+    labels = np.tile(np.arange(shape.n), task.num_points)
+    costs = task.costs.reshape(-1, shape.n_e)
+    weights = (task.mu[:, None] * task.conditionals)[..., None]
     for _ in range(3000):
-        grad = np.zeros_like(scores)
-        for k in range(task.num_points):
-            for y in range(shape.n):
-                p = task.conditionals[k, y]
-                if p == 0.0:
-                    continue
-                grad[k] += task.mu[k] * p * surrogate_mae_grad(
-                    scores[k], y, task.costs[k, y], shape)
-        scores -= lr * grad
+        _, grads = surrogate_single_with_grad_batch(np.repeat(scores, shape.n, axis=0), labels,
+                                                    costs, shape, PsiSpec(q=1.0))
+        scores -= lr * (weights * grads.reshape(task.num_points, shape.n, width)).sum(axis=1)
     excess = empirical_excess(task, TabularHypothesis(scores),
                               LossSelector("deferral"))
     assert excess <= 1e-3, f"deferral excess {excess:.2e}"

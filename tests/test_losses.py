@@ -21,6 +21,7 @@ from deferkit.losses import (
 )
 from deferkit.models import loss_and_grad
 import row_major_kernels
+import scalar_forms
 from scalar_forms import baseline_mao, baseline_verma, deferral_loss_alt
 
 
@@ -326,7 +327,7 @@ def _trainer(selector):
 # serves its values, baseline_mao_batch at q = 0.
 _KERNELS = [
     ("deferral_loss_batch", _labeled(losses.deferral_loss_batch), True),
-    ("deferral_loss_alt_batch", _labeled(losses.deferral_loss_alt_batch), True),
+    ("deferral_loss_alt_batch", _labeled(scalar_forms.deferral_loss_alt_batch), True),
     ("surrogate_single_batch", _labeled(losses.surrogate_single_batch, _PSI), True),
     ("surrogate_single_with_grad_batch",
      _labeled(losses.surrogate_single_with_grad_batch, _PSI), True),
@@ -547,7 +548,7 @@ def test_kernels_on_a_model_stack_equal_each_model_alone(n, n_e, m, models, qs, 
         y, c = g.integers(0, n, (m, models)), g.uniform(0.0, 1.0, (m, models, ne))
         spec = {"psi": PsiSpec.stack(specs), "phi": PhiSpec(kind), None: None}[takes]
         per_model = {"psi": specs, "phi": [spec] * models, None: [None] * models}[takes]
-        kernel = getattr(losses, name)
+        kernel = getattr(losses, name, None) or getattr(scalar_forms, name)
 
         def call(s, y, c, spec):
             args = (s, y, c, shape) if single else (s, c)

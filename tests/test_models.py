@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -114,7 +115,7 @@ def reference_train(scorer, dataset, selector, config):
     """The trainer before full-batch steps reused the last evaluation: every
     step makes its own forward pass and loss+grad call, and each epoch's
     evaluation discards its gradient."""
-    model = scorer.copy()
+    model = copy.deepcopy(scorer)
     x = dataset.features
     std = Standardizer.fit(x) if config.standardize else None
     if std is not None:

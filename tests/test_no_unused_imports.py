@@ -1,6 +1,7 @@
 """Every name a deferkit module imports is used in that module or listed in
-its ``__all__``. No linter ships with the package's test tools, so this
-guard parses each module with ``ast``."""
+its ``__all__``, and every name its ``__all__`` lists is bound in it. No
+linter ships with the package's test tools, so these guards parse each
+module with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -22,12 +23,32 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
     # an attribute chain such as np.asarray starts at the Name np
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
+    return sorted(imported - used - exports(tree))
+
+
+def exports(tree: ast.Module) -> set[str]:
+    """The names the module's ``__all__`` lists."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(imported - used - exported)
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level definition, assignment or
+    import of the source binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return sorted(exports(tree) - bound)
 
 
 def test_unused_imports_finds_an_unused_name():
@@ -39,3 +60,15 @@ def test_unused_imports_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unbound_exports_finds_a_listed_name_that_is_gone():
+    source = ("import numpy as np\nfrom .a import b\nX: int = 1\ny, z = 2, 3\n"
+              "def f():\n    gone = 1\nclass C:\n    pass\n"
+              "__all__ = ['np', 'b', 'X', 'y', 'f', 'C', 'gone']\n")
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_exports_only_names_it_binds(path):
+    assert unbound_exports(path.read_text()) == []

@@ -8,6 +8,7 @@ from deferkit.oracles import (
     ChainReport,
     DiscreteTask,
     EnhancedReport,
+    NoiseProfile,
     RegretReport,
     TabularHypothesis,
     _qbar,
@@ -23,10 +24,8 @@ from deferkit.oracles import (
     expected_costs,
     fit_tsybakov_B,
     generalization_error,
-    grid_min_simplex,
     minimal_margin,
     minimizability_gap,
-    numeric_min_two_stage_psi,
     verify_bound_single_mae,
     verify_bound_two_expert_phi,
     verify_bound_two_stage,
@@ -34,6 +33,13 @@ from deferkit.oracles import (
     verify_lemma_noise,
 )
 from deferkit.synthdata import gen_random_discrete_task
+from numeric_minima import (
+    _project_simplex,
+    _project_simplex_rows,
+    grid_min_simplex,
+    numeric_min_two_stage_psi,
+    numeric_min_two_stage_psi_scalar,
+)
 
 
 def one_point_task(p, costs, n_e):
@@ -89,14 +95,31 @@ def test_two_stage_q0_closed_form_hand_value():
     expected = -(qbar * np.log(qbar / qbar.sum())).sum()
     assert conditional_min_surrogate(t, 0, loss) == pytest.approx(expected)
     # the documented (2, 1) instance via the numeric minimizer
-    val = numeric_min_two_stage_psi(np.array([2.0, 1.0]), PsiSpec(q=0.0))
+    [val] = numeric_min_two_stage_psi(np.array([[2.0, 1.0]]), PsiSpec(q=0.0))
     assert val == pytest.approx(3 * np.log(3) - 2 * np.log(2), abs=1e-7)
     assert val == pytest.approx(1.9095, abs=1e-4)
 
 
 def test_two_stage_q1_vertex_minimum():
-    val = numeric_min_two_stage_psi(np.array([2.0, 1.0]), PsiSpec(q=1.0))
+    [val] = numeric_min_two_stage_psi(np.array([[2.0, 1.0]]), PsiSpec(q=1.0))
     assert val == pytest.approx(1.0, abs=1e-7)
+
+
+def test_batched_psi_minimizer_matches_the_scalar_reference():
+    # 8 qbar rows per (q, n_e), with costs in [0.75, 1] as in criterion 5
+    g = np.random.default_rng(5)
+    for q in (0.0, 0.25, 0.5, 0.75):
+        psi = PsiSpec(q=q)
+        for n_e in (2, 3, 4):
+            qbars = np.array([_qbar(one_point_task(g.dirichlet(np.ones(3)),
+                                                   g.uniform(0.75, 1.0, (3, n_e)), n_e), 0)
+                              for _ in range(8)])
+            batched = numeric_min_two_stage_psi(qbars, psi)
+            for qbar, got in zip(qbars, batched):
+                assert abs(got - numeric_min_two_stage_psi_scalar(qbar, psi)) <= 1e-8, (q, n_e)
+    rows = g.standard_normal((50, 4)) * 3
+    for v, got in zip(rows, _project_simplex_rows(rows)):
+        np.testing.assert_allclose(got, _project_simplex(v), rtol=0, atol=1e-15)
 
 
 def test_mae_conditional_min_degenerate():
@@ -203,6 +226,26 @@ def test_fit_tsybakov_zero_margin_error():
         fit_tsybakov_B(np.array([0.5]), np.array([1.0]), 1.5)
 
 
+_GOOD_NOISE = dict(alpha=0.5, B=2.0, margins=np.array([0.25, 0.5]), marginals=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 0.0), ("alpha", -0.5), ("alpha", 1.0), ("alpha", float("nan")),
+    ("B", float("nan")), ("B", float("inf")), ("B", -1.0),
+    ("margins", np.array([])), ("margins", np.array([0.25, np.nan])),
+    ("margins", np.array([0.25, np.inf])), ("margins", np.array([0.0, 0.5])),
+    ("margins", np.array([-0.25, 0.5])), ("marginals", np.array([1.0])),
+], ids=lambda v: str(np.asarray(v).tolist()))
+def test_noise_profile_rejects_a_bad_field(field, value):
+    # an alpha of 0 made c_const 1 and every noise chain an equality that passes
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        NoiseProfile(**{**_GOOD_NOISE, field: value})
+    if field != "B":
+        fit = {k: v for k, v in _GOOD_NOISE.items() if k != "B"}
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            fit_tsybakov_B(**{**fit, field: value})
+
+
 def test_noise_chain_at_bayes():
     task = gen_random_discrete_task(9, 0, constraint="positive_margin")
     prof = fit_tsybakov_B(minimal_margin(task, "single"), task.mu, 0.5)
@@ -233,6 +276,9 @@ def test_enhanced_bound_at_bayes_and_errors():
     assert rep.premise_met and rep.lhs == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         verify_enhanced_bound(task, bayes, LossSelector("surrogate_mae"), 0.5, "theorem_multi")
+    with pytest.raises(ValueError, match="s must"):
+        verify_enhanced_bound(task, bayes, LossSelector("surrogate_mae"), float("nan"),
+                              "theorem_multi")
     with pytest.raises(ValueError):
         verify_enhanced_bound(task, bayes, LossSelector("surrogate_mae"), 2.0, "theorem_mm")
 
@@ -282,7 +328,7 @@ def test_grid_matches_vertex_minimum_for_affine_losses():
     g = np.random.default_rng(31)
     qbar = g.uniform(0.2, 2.0, size=3)
     vertex = qbar.sum() - qbar.max()
-    grid = grid_min_simplex(lambda s: float(qbar @ (1.0 - s)), 3)
+    grid = grid_min_simplex(lambda s: (1.0 - s) @ qbar, 3)
     assert grid == pytest.approx(vertex, abs=1e-12)
 
 
@@ -368,13 +414,18 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def worst_slack(report) -> float:
+    """The most negative slack of the report's rows, or 0.0 if none is."""
+    return min(report.table()[3].min(), 0.0)
+
+
 def assert_same_report(got, want, task_id="t"):
     for name in ("target_regrets", "surrogate_regrets", "rhs", "slack"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
-    for name in ("excess_target", "excess_surrogate", "aggregate_rhs",
-                 "aggregate_slack", "max_negative_slack"):
+    for name in ("excess_target", "excess_surrogate", "aggregate_rhs", "aggregate_slack"):
         assert type(getattr(got, name)) is float, name
         assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert same_bits(worst_slack(got), worst_slack(want))
     assert (got.label, got.premise_met, got.note) == (want.label, want.premise_met, want.note)
     assert type(got.premise_met) is bool and type(got.note) is str
     assert got.violations == want.violations
@@ -402,8 +453,7 @@ def test_stacked_report_slices_equal_single_reports(family, num_hyps, seed):
     for h in range(num_hyps):
         assert_same_report(stacked[h], check(task, TabularHypothesis(scores[h])), f"t{h}")
     assert stacked.violations == sum(stacked[h].violations for h in range(num_hyps))
-    assert stacked.max_negative_slack == min(stacked[h].max_negative_slack
-                                             for h in range(num_hyps))
+    assert worst_slack(stacked) == min(worst_slack(stacked[h]) for h in range(num_hyps))
     # a NaN slack in one slice, per point or in aggregate, fails the stack
     g = np.random.default_rng(seed)
     h, k = g.integers(num_hyps), g.integers(task.num_points)
