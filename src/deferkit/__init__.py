@@ -12,7 +12,6 @@ from .models import (LabeledDataset, LinearScorer, MlpScorer,
                      system_accuracy, train)
 from .oracles import (DiscreteTask, NoiseProfile, RegretReport,
                       TabularHypothesis, bayes_deferral, bayes_two_stage,
-                      conditional_regret_def, conditional_regret_tdef,
                       fit_tsybakov_B, verify_bound_single_mae,
                       verify_bound_two_expert_phi, verify_bound_two_stage,
                       verify_enhanced_bound, verify_lemma_noise)
@@ -29,8 +28,7 @@ __all__ = [
     "TrainConfig", "TrainingDiverged", "init_linear", "init_mlp",
     "system_accuracy", "train",
     "DiscreteTask", "NoiseProfile", "RegretReport", "TabularHypothesis",
-    "bayes_deferral", "bayes_two_stage", "conditional_regret_def",
-    "conditional_regret_tdef", "fit_tsybakov_B",
+    "bayes_deferral", "bayes_two_stage", "fit_tsybakov_B",
     "verify_bound_single_mae", "verify_bound_two_expert_phi",
     "verify_bound_two_stage", "verify_enhanced_bound", "verify_lemma_noise",
     "ExpertRangeSpec", "MogConfig", "gen_random_discrete_task",

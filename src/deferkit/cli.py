@@ -251,11 +251,11 @@ def cmd_train(args) -> int:
     selector = _selector_from_config(cfg)
     if selector.stage != dataset.stage:
         raise ConfigError("loss stage does not match dataset stage")
+    dim, width = dataset.features.shape[1], dataset.shape.width(dataset.stage)
     if cfg["model"] == "linear":
-        scorer = init_linear(dataset.features.shape[1], dataset.output_width, args.seed)
+        scorer = init_linear(dim, width, args.seed)
     else:
-        scorer = init_mlp(dataset.features.shape[1], cfg["hidden"],
-                          dataset.output_width, args.seed)
+        scorer = init_mlp(dim, cfg["hidden"], width, args.seed)
     fitted, trajectory = train(scorer, dataset, selector, tc)
     out = Path(args.out)
     out.write_text(scorer_to_json(fitted) + "\n")

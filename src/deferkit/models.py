@@ -122,8 +122,10 @@ class TrainConfig:
     standardize: bool = True
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):   # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.optimizer not in ("gd", "momentum"):
@@ -162,10 +164,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    @property
-    def output_width(self) -> int:
-        return self.shape.width(self.stage)
 
 
 def loss_and_grad(selector: LossSelector, scores, y: np.ndarray, c: np.ndarray,
@@ -330,13 +328,9 @@ def replace_rows(dataset: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
 
 def fold_standardizer(model: Scorer, std: Standardizer) -> Scorer:
     """Rewrite the first affine layer so the scorer acts on raw features."""
-    if isinstance(model, LinearScorer):
-        w = model.weights / std.std
-        b = model.bias - w @ std.mean
-        return LinearScorer(w, b, model.seed)
-    w1 = model.w1 / std.std
-    b1 = model.b1 - w1 @ std.mean
-    return MlpScorer(w1, b1, model.w2.copy(), model.b2.copy(), model.seed)
+    w, b, *rest = model.params()
+    w = w / std.std
+    return type(model)(w, b - w @ std.mean, *(p.copy() for p in rest), model.seed)
 
 
 # ---------------------------------------------------------------------------

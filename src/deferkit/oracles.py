@@ -34,8 +34,6 @@ __all__ = [
     "NoiseProfile",
     "augmented_values",
     "expected_costs",
-    "conditional_regret_def",
-    "conditional_regret_tdef",
     "bayes_deferral",
     "bayes_two_stage",
     "conditional_error",
@@ -115,9 +113,6 @@ class TabularHypothesis:
         """Argmax action at point k (or at each point of an index k)."""
         return np.argmax(self.scores[..., k, :], axis=-1)
 
-    def actions(self) -> np.ndarray:
-        return self.action(slice(None))
-
 
 def _aligned(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> DiscreteTask:
     """The task with a unit axis after its task axes for each further
@@ -138,9 +133,10 @@ def _aligned(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> Discrete
     return view
 
 
-def _one_hypothesis(hyp: TabularHypothesis) -> None:
+def _one_hypothesis(hyp: TabularHypothesis) -> TabularHypothesis:
     if hyp.scores.ndim != 2:
         raise ValueError(f"needs one hypothesis, got a stack of shape {hyp.scores.shape}")
+    return hyp
 
 
 def _per_point(x):
@@ -173,16 +169,6 @@ def augmented_values(task: DiscreteTask, k) -> np.ndarray:
 
 def expected_costs(task: DiscreteTask, k) -> np.ndarray:
     return _vecmat(task.conditionals[..., k, :], task.costs[..., k, :, :])
-
-
-def conditional_regret_def(task: DiscreteTask, hyp: TabularHypothesis, k):
-    """Deferral-loss conditional regret: best augmented value minus the value
-    of the chosen action."""
-    return conditional_regret_surrogate(task, hyp, k, _DEFERRAL["single"])
-
-
-def conditional_regret_tdef(task: DiscreteTask, hyp: TabularHypothesis, k):
-    return conditional_regret_surrogate(task, hyp, k, _DEFERRAL["two"])
 
 
 def bayes_deferral(task: DiscreteTask) -> TabularHypothesis:
@@ -303,12 +289,6 @@ def conditional_regret_surrogate(task: DiscreteTask, hyp: TabularHypothesis,
 # ---------------------------------------------------------------------------
 
 
-def generalization_error(task: DiscreteTask, hyp: TabularHypothesis,
-                         loss: LossSelector) -> float:
-    _one_hypothesis(hyp)
-    return float(task.mu @ conditional_error(task, hyp, slice(None), loss))
-
-
 def empirical_excess(task: DiscreteTask, hyp: TabularHypothesis,
                      loss: LossSelector) -> float:
     """Excess error over the tabular-class optimum, by exact summation."""
@@ -328,8 +308,8 @@ def minimizability_gap(task: DiscreteTask, loss: LossSelector,
         return 0.0
     if not candidates:
         raise ValueError("a fixed family requires a nonempty candidate set")
-    best_overall = min(generalization_error(task, h, loss) for h in candidates)
-    errors = [conditional_error(task, h, slice(None), loss) for h in candidates]
+    errors = [conditional_error(task, _one_hypothesis(h), slice(None), loss) for h in candidates]
+    best_overall = min(float(task.mu @ e) for e in errors)
     return float(best_overall - task.mu @ np.min(errors, axis=0))
 
 
@@ -394,14 +374,6 @@ class RegretReport(_Verdict):
                       np.isfinite(lhs))
         points = np.broadcast_to(np.r_[:lhs.shape[-1] - 1, -1], lhs.shape)
         return points, lhs, rhs, slack, np.where(ok, "ok", "violation")
-
-    @property
-    def slack(self) -> np.ndarray:
-        return self.rhs - self.target_regrets
-
-    @property
-    def aggregate_slack(self) -> float:
-        return self.aggregate_rhs - self.excess_target
 
     @property
     def violations(self) -> int:
@@ -527,14 +499,24 @@ def _noise_support(alpha: float, margins, marginals) -> tuple[np.ndarray, np.nda
         raise ValueError("margins must be > 0: zero margin")
     if marginals.shape != margins.shape:
         raise ValueError(f"marginals shape {marginals.shape} != margins shape {margins.shape}")
+    if not (np.isfinite(marginals).all() and np.all(marginals >= 0.0)):
+        raise ValueError("marginals must be finite and >= 0")
     return margins, marginals
+
+
+def _check_noise(profile: "NoiseProfile", margins, marginals, where: str) -> None:
+    """Raise unless Pr[margin <= t] <= B t^(alpha/(1-alpha)) at each support point t."""
+    expo = profile.alpha / (1.0 - profile.alpha)
+    for t in np.unique(margins):
+        if not marginals[margins <= t].sum() <= profile.B * t ** expo + 1e-12:   # NaN fails
+            raise ValueError(f"profile: noise inequality violated at a support point of {where}")
 
 
 @dataclass
 class NoiseProfile:
     """Fitted low-noise constants: Pr[margin <= t] <= B t^(alpha/(1-alpha)).
     alpha must lie in (0, 1), B be finite and >= 0, the margins be nonempty,
-    finite and > 0, and the marginals have the margins' shape."""
+    finite and > 0, and the marginals finite, >= 0 and of the margins' shape."""
 
     alpha: float
     B: float
@@ -547,11 +529,7 @@ class NoiseProfile:
         if not (np.isfinite(self.B) and self.B >= 0.0):
             raise ValueError(f"B must be finite and >= 0, got {self.B}")
         self.c_const = self.B ** (1.0 - self.alpha) / self.alpha ** self.alpha
-        expo = self.alpha / (1.0 - self.alpha)
-        for t in np.unique(self.margins):
-            prob = float(self.marginals[self.margins <= t].sum())
-            if prob > self.B * t ** expo + 1e-12:
-                raise ValueError("noise inequality violated at a support point")
+        _check_noise(self, self.margins, self.marginals, "its margins")
 
 
 def fit_tsybakov_B(margins: np.ndarray, marginals: np.ndarray, alpha: float) -> NoiseProfile:
@@ -579,15 +557,17 @@ class ChainReport(_Verdict):
 
 def _disagreement(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> np.ndarray:
     bayes = bayes_deferral(task) if stage == "single" else bayes_two_stage(task)
-    return (hyp.actions() != bayes.actions()).astype(float)
+    return (hyp.action(slice(None)) != bayes.action(slice(None))).astype(float)
 
 
 def verify_lemma_noise(task: DiscreteTask, hyp: TabularHypothesis,
                        profile: NoiseProfile, stage: str) -> ChainReport:
-    """Checks Pr[disagree] <= c E[margin * disagree]^alpha <= c excess^alpha."""
+    """Checks Pr[disagree] <= c E[margin * disagree]^alpha <= c excess^alpha;
+    a profile whose noise condition fails on the task's margins raises."""
     _one_hypothesis(hyp)
-    disagree = _disagreement(task, hyp, stage)
     margins = minimal_margin(task, stage)
+    _check_noise(profile, margins, task.mu, f"the task's {stage}-stage margins")
+    disagree = _disagreement(task, hyp, stage)
     lhs = float(task.mu @ disagree)
     middle = profile.c_const * float(task.mu @ (margins * disagree)) ** profile.alpha
     rhs = profile.c_const * empirical_excess(task, hyp, _DEFERRAL[stage]) ** profile.alpha
@@ -619,12 +599,17 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
 
     Both gate on the pointwise premise: target regret <= surrogate
     regret^(1/s) at every support point. Tabular hypotheses make the target
-    minimizability gap vanish, as theorem_mm requires.
+    minimizability gap vanish, as theorem_mm requires; its profile must meet
+    the noise condition on the task's margins.
     """
     _one_hypothesis(hyp)
     if not s >= 1.0:   # NaN fails too
         raise ValueError(f"s must be >= 1, got {s}")
     stage = surrogate.stage
+    if mode == "theorem_mm":
+        if profile is None:
+            raise ValueError("theorem_mm requires a fitted NoiseProfile")
+        _check_noise(profile, minimal_margin(task, stage), task.mu, f"the task's {stage}-stage margins")
     tgt, sur = _per_point_regrets(task, hyp, _DEFERRAL[stage], surrogate)
     # unmet only where a point is known to break it, so NaN cannot skip the check
     premise = not np.any(tgt > sur ** (1.0 / s) + SLACK_FLOOR)
@@ -639,8 +624,6 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
         factor = 1.0 if s == 1.0 else disagree_mass ** (1.0 - 1.0 / s)
         rhs = factor * excess_s ** (1.0 / s)
     elif mode == "theorem_mm":
-        if profile is None:
-            raise ValueError("theorem_mm requires a fitted NoiseProfile")
         denom = s - profile.alpha * (s - 1.0)
         rhs = profile.c_const ** ((s - 1.0) / denom) * excess_s ** (1.0 / denom)
     else:

@@ -173,7 +173,7 @@ SELECTORS = [
 def test_train_matches_reference_loop(selector, model, optimizer, batch_size):
     # the dataset has 64 rows, so "full", 64 and 69 are all full-batch
     ds = small_single_dataset() if selector.stage == "single" else small_two_dataset()
-    width = ds.output_width
+    width = ds.shape.width(ds.stage)
     sc = init_linear(4, width, seed=8) if model == "linear" else init_mlp(4, 6, width, seed=8)
     tc = TrainConfig(learning_rate=0.5, epochs=7, seed=8, optimizer=optimizer,
                      batch_size=batch_size)
@@ -230,8 +230,9 @@ def test_stacked_train_is_each_model_trained_alone(stack, q, dim, model, hidden,
     ds = small_single_dataset() if selectors[0].stage == "single" else small_two_dataset()
     # one input or one hidden unit makes a matrix-vector product
     ds = LabeledDataset(ds.features[:, :dim], ds.labels, ds.costs, ds.shape, ds.stage)
-    scorers = [init_linear(dim, ds.output_width, seed) if model == "linear"
-               else init_mlp(dim, hidden, ds.output_width, seed) for seed in seeds]
+    width = ds.shape.width(ds.stage)
+    scorers = [init_linear(dim, width, seed) if model == "linear"
+               else init_mlp(dim, hidden, width, seed) for seed in seeds]
     configs = [TrainConfig(learning_rate=0.5, epochs=3, seed=seed, optimizer=optimizer,
                            batch_size=batch_size) for seed in seeds]
     fitted, traj = train(scorers, ds, selectors, configs)
@@ -270,6 +271,13 @@ def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         train(init_linear(4, 5, seed=0), empty, LossSelector("surrogate_mae"),
               TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "momentum"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0])
+def test_train_config_rejects_a_bad_rate(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0"):
+        TrainConfig(**{field: value})
 
 
 def test_divergence_raises_with_epoch():
@@ -311,7 +319,7 @@ ALL_SELECTORS = [
 def test_train_fails_closed_on_non_finite_parameters(selector, batch_size, model,
                                                      param, where, bad):
     ds = small_single_dataset(16) if selector.stage == "single" else small_two_dataset(16)
-    width = ds.output_width
+    width = ds.shape.width(ds.stage)
     sc = init_linear(4, width, seed=3) if model == "linear" else init_mlp(4, 5, width, seed=3)
     p = sc.params()[param % len(sc.params())]
     p.flat[where % p.size] = bad
