@@ -7,9 +7,8 @@ from .losses import (LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec,
                      deferral_loss, softmax, surrogate_mae, surrogate_single,
                      two_stage_deferral_loss, two_stage_surrogate_phi,
                      two_stage_surrogate_psi)
-from .models import (LabeledDataset, LinearScorer, MlpScorer,
-                     TrainConfig, TrainingDiverged, init_linear, init_mlp,
-                     system_accuracy, train)
+from .models import (LabeledDataset, Scorer, TrainConfig, TrainingDiverged,
+                     init_linear, init_mlp, system_accuracy, train)
 from .oracles import (DiscreteTask, NoiseProfile, RegretReport,
                       TabularHypothesis, bayes_deferral, bayes_two_stage,
                       fit_tsybakov_B, verify_bound_single_mae,
@@ -24,9 +23,8 @@ __all__ = [
     "deferral_loss", "softmax", "surrogate_mae", "surrogate_single",
     "two_stage_deferral_loss", "two_stage_surrogate_phi",
     "two_stage_surrogate_psi",
-    "LabeledDataset", "LinearScorer", "MlpScorer",
-    "TrainConfig", "TrainingDiverged", "init_linear", "init_mlp",
-    "system_accuracy", "train",
+    "LabeledDataset", "Scorer", "TrainConfig", "TrainingDiverged",
+    "init_linear", "init_mlp", "system_accuracy", "train",
     "DiscreteTask", "NoiseProfile", "RegretReport", "TabularHypothesis",
     "bayes_deferral", "bayes_two_stage", "fit_tsybakov_B",
     "verify_bound_single_mae", "verify_bound_two_expert_phi",

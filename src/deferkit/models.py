@@ -3,8 +3,8 @@
 Training is a pure function of (initial scorer, dataset, config): two runs
 with the same seed produce bit-identical parameters and trajectories.
 
-Scorers compute their outputs class-major, ``W @ x.T + b[:, None]``, and
-return the ``(m, width)`` transposed view: the bias add is one call per
+Scorers compute their output layer class-major, ``W @ x.T + b[:, None]``,
+and return the ``(m, width)`` transposed view: the bias add is one call per
 class, and the class-major loss kernels read the scores without a copy. The
 values are the bits of ``x @ W.T + b``.
 
@@ -24,8 +24,7 @@ from .losses import LossSelector, ProblemShape
 from .rng import substream
 
 __all__ = [
-    "LinearScorer",
-    "MlpScorer",
+    "Scorer",
     "TrainConfig",
     "LabeledDataset",
     "TrainingDiverged",
@@ -50,41 +49,26 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class LinearScorer:
-    weights: np.ndarray  # ([S,] output_width, input_dim)
-    bias: np.ndarray     # ([S,] output_width)
+class Scorer:
+    """Affine layers with a ReLU between them. ``layers`` holds one
+    ``(W, b)`` pair per layer, ``W`` of shape ``([S,] out, in)``: one pair is
+    a linear scorer, two are a one-hidden-layer MLP. Hidden layers run
+    row-major, the output layer class-major."""
+
+    layers: list[tuple[np.ndarray, np.ndarray]]
     seed: int = 0
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        if x.shape[-1] != self.weights.shape[-1]:
-            raise ValueError(f"input dim {x.shape[-1]} != {self.weights.shape[-1]}")
-        return _rows_first(self.weights @ x.swapaxes(-1, -2) + self.bias[..., None])
+        if x.shape[-1] != self.layers[0][0].shape[-1]:
+            raise ValueError(f"input dim {x.shape[-1]} != {self.layers[0][0].shape[-1]}")
+        for w, b in self.layers[:-1]:
+            x = np.maximum(0.0, x @ w.swapaxes(-1, -2) + b[..., None, :])
+        w, b = self.layers[-1]
+        return _rows_first(w @ x.swapaxes(-1, -2) + b[..., None])
 
     def params(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
-
-
-@dataclass
-class MlpScorer:
-    w1: np.ndarray  # ([S,] hidden_dim, input_dim)
-    b1: np.ndarray
-    w2: np.ndarray  # ([S,] output_width, hidden_dim)
-    b2: np.ndarray
-    seed: int = 0
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(features, dtype=float))
-        if x.shape[-1] != self.w1.shape[-1]:
-            raise ValueError(f"input dim {x.shape[-1]} != {self.w1.shape[-1]}")
-        hidden = np.maximum(0.0, x @ self.w1.swapaxes(-1, -2) + self.b1[..., None, :])
-        return _rows_first(self.w2 @ hidden.swapaxes(-1, -2) + self.b2[..., None])
-
-    def params(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-Scorer = LinearScorer | MlpScorer
+        return [p for layer in self.layers for p in layer]
 
 
 def _rows_first(out: np.ndarray) -> np.ndarray:
@@ -92,23 +76,22 @@ def _rows_first(out: np.ndarray) -> np.ndarray:
     return out.transpose(-1, *range(out.ndim - 1))
 
 
-def init_linear(input_dim: int, output_width: int, seed: int) -> LinearScorer:
-    """Uniform(-1/sqrt(d), 1/sqrt(d)) weights, zero biases."""
-    rng = substream(seed, "init-linear")
-    lim = 1.0 / np.sqrt(input_dim)
-    w = rng.uniform(-lim, lim, size=(output_width, input_dim))
-    return LinearScorer(w, np.zeros(output_width), seed)
+def _init(dims: list[int], seed: int, tag: str) -> Scorer:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights drawn layer by layer
+    from one substream, zero biases."""
+    rng = substream(seed, tag)
+    return Scorer([(rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_out, d_in)),
+                    np.zeros(d_out)) for d_in, d_out in zip(dims, dims[1:])], seed)
 
 
-def init_mlp(input_dim: int, hidden_dim: int, output_width: int, seed: int) -> MlpScorer:
+def init_linear(input_dim: int, output_width: int, seed: int) -> Scorer:
+    return _init([input_dim, output_width], seed, "init-linear")
+
+
+def init_mlp(input_dim: int, hidden_dim: int, output_width: int, seed: int) -> Scorer:
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
-    rng = substream(seed, "init-mlp")
-    lim1 = 1.0 / np.sqrt(input_dim)
-    lim2 = 1.0 / np.sqrt(hidden_dim)
-    w1 = rng.uniform(-lim1, lim1, size=(hidden_dim, input_dim))
-    w2 = rng.uniform(-lim2, lim2, size=(output_width, hidden_dim))
-    return MlpScorer(w1, np.zeros(hidden_dim), w2, np.zeros(output_width), seed)
+    return _init([input_dim, hidden_dim, output_width], seed, "init-mlp")
 
 
 @dataclass(frozen=True)
@@ -126,12 +109,13 @@ class TrainConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):   # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if ((isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1)
+                    and (name, value) != ("batch_size", "full")):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.optimizer not in ("gd", "momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size != "full" and int(self.batch_size) < 1:
-            raise ValueError("batch_size must be positive or 'full'")
 
 
 @dataclass
@@ -216,15 +200,18 @@ def _backprop(scorer: Scorer, x: np.ndarray, gout: np.ndarray) -> list[np.ndarra
     and an ``(m, width)`` gradient, or for a stack ``(S, m, d)`` rows and an
     ``(m, S, width)`` gradient."""
     m = x.shape[-2]
+    inputs, active = [x], []       # each layer's input rows; each ReLU's open units
+    for w, b in scorer.layers[:-1]:
+        pre = inputs[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
+        inputs.append(np.maximum(0.0, pre))
+        active.append(pre > 0)
     gt = gout.transpose(*range(1, gout.ndim), 0)     # ([S,] width, m)
-    if isinstance(scorer, LinearScorer):
-        return [gt @ x / m, gout.mean(axis=0)]
-    hidden_pre = x @ scorer.w1.swapaxes(-1, -2) + scorer.b1[..., None, :]
-    hidden = np.maximum(0.0, hidden_pre)
-    gw2 = gt @ hidden / m
-    gb2 = gout.mean(axis=0)
-    ghid = (gt.swapaxes(-1, -2) @ scorer.w2) * (hidden_pre > 0)
-    return [ghid.swapaxes(-1, -2) @ x / m, ghid.mean(axis=-2), gw2, gb2]
+    grads = [gt @ inputs[-1] / m, gout.mean(axis=0)]
+    for (w, _), x_in, on in zip(scorer.layers[:0:-1], inputs[-2::-1], active[::-1]):
+        g = (gt.swapaxes(-1, -2) @ w) * on           # ([S,] m, hidden)
+        gt = g.swapaxes(-1, -2)
+        grads[:0] = [gt @ x_in / m, g.mean(axis=-2)]
+    return grads
 
 
 def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
@@ -250,16 +237,17 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
     if not 0 < len(scorers) == len(selectors) == len(configs):
         raise ValueError("a stack needs one scorer, selector and config per model")
     selector, config = selectors[0], configs[0]
-    if (len({type(s) for s in scorers}) > 1
+    if (len({tuple(p.shape for p in s.params()) for s in scorers}) > 1
             or any((s.kernel, s.phi) != (selector.kernel, selector.phi) for s in selectors)
             or any(replace(c, seed=config.seed) != config for c in configs)):
-        raise ValueError("a stack needs one scorer kind, loss kernel, phi and config (but for "
+        raise ValueError("a stack needs one scorer shape, loss kernel, phi and config (but for "
                          "the seed) for all its models")
     if selector.stage != dataset.stage:
         raise ValueError(f"loss stage {selector.stage!r} != dataset stage {dataset.stage!r}")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    model = type(scorers[0])(*(np.stack(p) for p in zip(*(s.params() for s in scorers))))
+    model = Scorer([tuple(np.stack(p) for p in zip(*layer))
+                    for layer in zip(*(s.layers for s in scorers))])
     if not all(np.isfinite(p).all() for p in model.params()):
         raise ValueError("scorer parameters must be finite")
     psi = selector.psi and losses.PsiSpec.stack([s.psi for s in selectors])
@@ -272,7 +260,7 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
     shuffles = [substream(c.seed, "train-shuffle") for c in configs]
     velocity = [np.zeros_like(p) for p in model.params()]
     # each model as a scorer and velocity that view its slice of the stack
-    views = [(type(model)(*(p[s] for p in model.params()), sc.seed), [v[s] for v in velocity])
+    views = [(Scorer([(w[s], b[s]) for w, b in model.layers], sc.seed), [v[s] for v in velocity])
              for s, sc in enumerate(scorers)]
     trajectory = np.empty((config.epochs, len(scorers), 2))
 
@@ -328,9 +316,9 @@ def replace_rows(dataset: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
 
 def fold_standardizer(model: Scorer, std: Standardizer) -> Scorer:
     """Rewrite the first affine layer so the scorer acts on raw features."""
-    w, b, *rest = model.params()
+    (w, b), *rest = model.layers
     w = w / std.std
-    return type(model)(w, b - w @ std.mean, *(p.copy() for p in rest), model.seed)
+    return Scorer([(w, b - w @ std.mean), *rest], model.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -339,38 +327,28 @@ def fold_standardizer(model: Scorer, std: Standardizer) -> Scorer:
 
 
 def scorer_to_json(scorer: Scorer) -> str:
-    if isinstance(scorer, LinearScorer):
-        doc = {
-            "version": SCHEMA_VERSION,
-            "kind": "linear",
-            "dims": list(scorer.weights.shape),
-            "weights": scorer.weights.ravel().tolist(),
-            "bias": scorer.bias.tolist(),
-            "seed": scorer.seed,
-        }
-    else:
-        doc = {
-            "version": SCHEMA_VERSION,
-            "kind": "mlp",
-            "dims": [list(scorer.w1.shape), list(scorer.w2.shape)],
-            "weights": [scorer.w1.ravel().tolist(), scorer.w2.ravel().tolist()],
-            "bias": [scorer.b1.tolist(), scorer.b2.tolist()],
-            "seed": scorer.seed,
-        }
-    return json.dumps(doc, sort_keys=True)
+    """The ``linear`` kind writes its one layer's fields unnested, the
+    ``mlp`` kind a list of two per field."""
+    kind = {1: "linear", 2: "mlp"}.get(len(scorer.layers))
+    if kind is None:
+        raise ValueError(f"a scorer JSON holds 1 or 2 layers, not {len(scorer.layers)}")
+    fields = {"dims": [list(w.shape) for w, _ in scorer.layers],
+              "weights": [w.ravel().tolist() for w, _ in scorer.layers],
+              "bias": [b.tolist() for _, b in scorer.layers]}
+    doc = {name: value[0] if kind == "linear" else value for name, value in fields.items()}
+    return json.dumps(dict(doc, version=SCHEMA_VERSION, kind=kind, seed=scorer.seed),
+                      sort_keys=True)
 
 
 def scorer_from_json(text: str) -> Scorer:
     doc = json.loads(text)
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported scorer schema version {doc.get('version')}")
-    if doc["kind"] == "linear":
-        dims = tuple(doc["dims"])
-        return LinearScorer(np.array(doc["weights"]).reshape(dims),
-                            np.array(doc["bias"]), doc["seed"])
-    if doc["kind"] == "mlp":
-        d1, d2 = (tuple(d) for d in doc["dims"])
-        return MlpScorer(np.array(doc["weights"][0]).reshape(d1), np.array(doc["bias"][0]),
-                         np.array(doc["weights"][1]).reshape(d2), np.array(doc["bias"][1]),
-                         doc["seed"])
-    raise ValueError(f"unknown scorer kind {doc['kind']!r}")
+    if doc["kind"] not in ("linear", "mlp"):
+        raise ValueError(f"unknown scorer kind {doc['kind']!r}")
+    fields = [[doc[name]] if doc["kind"] == "linear" else doc[name]
+              for name in ("dims", "weights", "bias")]
+    if doc["kind"] == "mlp" and any(len(f) != 2 for f in fields):
+        raise ValueError("an mlp scorer holds exactly two layers")
+    return Scorer([(np.array(w).reshape(tuple(d)), np.array(b)) for d, w, b in zip(*fields)],
+                  doc["seed"])

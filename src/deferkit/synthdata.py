@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .losses import ProblemShape, expert_brackets
-from .models import LabeledDataset, LinearScorer
+from .models import LabeledDataset, Scorer
 from .oracles import DiscreteTask, minimal_margin
 
 __all__ = [
@@ -62,13 +62,12 @@ def _sample_features(config: MogConfig, num_samples: int, seed: int,
 
 
 def _draw_full_coverage_scorer(config: MogConfig, features: np.ndarray,
-                               width: int, seed: int, tag: str) -> tuple[LinearScorer, np.ndarray]:
+                               width: int, seed: int, tag: str) -> tuple[Scorer, np.ndarray]:
     """Random linear scorer redrawn until every output wins at least once on
     the given sample, so no action is vacuous."""
     for attempt in range(100):
         g = rng.substream(seed, f"{tag}-scorer", attempt)
-        scorer = LinearScorer(weights=g.standard_normal((width, config.dim)),
-                              bias=np.zeros(width), seed=seed)
+        scorer = Scorer([(g.standard_normal((width, config.dim)), np.zeros(width))], seed)
         preds = np.argmax(scorer.scores(features), axis=1)
         if len(np.unique(preds)) == width:
             return scorer, preds
@@ -76,7 +75,7 @@ def _draw_full_coverage_scorer(config: MogConfig, features: np.ndarray,
 
 
 def _gen_realizable(config: MogConfig, num_samples: int, seed: int, tag: str,
-                    stage: str) -> tuple[LabeledDataset, LinearScorer]:
+                    stage: str) -> tuple[LabeledDataset, Scorer]:
     """Realizable data: the action a hidden linear scorer picks is free and every
     other one costs 1, so the scorer has zero deferral loss. A picked label is
     the true label; other rows draw theirs uniformly."""
@@ -95,7 +94,7 @@ def _gen_realizable(config: MogConfig, num_samples: int, seed: int, tag: str,
 
 
 def gen_realizable_mog(config: MogConfig, num_samples: int,
-                       seed: int) -> tuple[LabeledDataset, LinearScorer]:
+                       seed: int) -> tuple[LabeledDataset, Scorer]:
     """Single-stage realizable data from a hidden predict-or-defer scorer."""
     return _gen_realizable(config, num_samples, seed, "mog", "single")
 
@@ -143,7 +142,7 @@ def gen_class_range_experts(config: MogConfig, spec: ExpertRangeSpec,
 
 
 def gen_realizable_two_stage(config: MogConfig, num_samples: int,
-                             seed: int) -> tuple[LabeledDataset, LinearScorer]:
+                             seed: int) -> tuple[LabeledDataset, Scorer]:
     """Two-stage realizable data from a hidden linear router over the experts."""
     return _gen_realizable(config, num_samples, seed, "two", "two")
 

@@ -368,6 +368,29 @@ def test_sweep_output_is_pinned(tmp_path):
         "5c59091a7bf10e69614c273ba0159f9d9babbbb6bc705f74468cee573fd61d34")
 
 
+@pytest.mark.parametrize("data,train,digest", [
+    ({"kind": "mog_two", "n_e": 4},
+     {"loss": "two_stage_psi", "q": 0.0, "optimizer": "momentum", "learning_rate": 5.0,
+      "epochs": 20, "batch_size": "full"},
+     "5df8edc08b65c638d9c46b35094b72643e410fa4513f6602a17f2ee3ea9b8b6d"),
+    ({"kind": "mog_single"},
+     {"loss": "surrogate_single", "q": 0.7, "model": "mlp", "hidden": 8,
+      "optimizer": "momentum", "epochs": 10, "batch_size": 64, "standardize": True},
+     "c3b0448a5281293101c6342ef2a20407be4cabdbb5d6828429150bee6fa4dbdb"),
+], ids=["linear-full-batch", "mlp-minibatch"])
+def test_train_output_is_pinned(tmp_path, data, train, digest):
+    # sha256 of the scorer JSON and then the trajectory CSV: a rewrite of
+    # the scorers or the trainer must keep every byte
+    data_cfg = write(tmp_path / "d.json", dict(version=1, num_samples=300, **data))
+    main(["gen-data", "--config", data_cfg, "--out", str(tmp_path / "d.npz"), "--seed", "3"])
+    cfg = write(tmp_path / "t.json", dict(version=1, data=str(tmp_path / "d.npz"), **train))
+    out = tmp_path / "scorer.json"
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    h = hashlib.sha256(out.read_bytes())
+    h.update((tmp_path / "scorer.trajectory.csv").read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_sweep_parallel_output_is_byte_identical(tmp_path):
     cfg = write(tmp_path / "s.json",
                 {"version": 1, "sizes": [100], "trials": 2, "epochs": 10,

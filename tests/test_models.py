@@ -1,4 +1,5 @@
 import copy
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from deferkit import losses, models
 from deferkit.losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
 from deferkit.models import (
     LabeledDataset,
-    LinearScorer,
+    Scorer,
     Standardizer,
     TrainConfig,
     TrainingDiverged,
@@ -42,12 +43,12 @@ def small_two_dataset(num=64, seed=0):
 
 
 def test_zero_weights_zero_scores():
-    sc = LinearScorer(weights=np.zeros((3, 4)), bias=np.zeros(3), seed=0)
+    sc = Scorer([(np.zeros((3, 4)), np.zeros(3))], seed=0)
     assert np.all(sc.scores(np.ones((5, 4))) == 0.0)
 
 
 def test_identity_linear():
-    sc = LinearScorer(weights=np.eye(4), bias=np.zeros(4), seed=0)
+    sc = Scorer([(np.eye(4), np.zeros(4))], seed=0)
     e2 = np.eye(4)[2]
     np.testing.assert_allclose(sc.scores(e2[None])[0], e2)
 
@@ -60,22 +61,24 @@ def test_scorers_give_the_bits_of_row_major_products(m, d, width, hidden, seed):
     g = np.random.default_rng(seed)
     x = g.standard_normal(d if m is None else (m, d))
     rows = np.atleast_2d(x)
-    lin = LinearScorer(g.standard_normal((width, d)), g.standard_normal(width))
-    assert lin.scores(x).tobytes() == (rows @ lin.weights.T + lin.bias).tobytes()
-    mlp = models.MlpScorer(g.standard_normal((hidden, d)), g.standard_normal(hidden),
-                           g.standard_normal((width, hidden)), g.standard_normal(width))
-    hid = np.maximum(0.0, rows @ mlp.w1.T + mlp.b1)
-    assert mlp.scores(x).tobytes() == (hid @ mlp.w2.T + mlp.b2).tobytes()
+    lin = Scorer([(g.standard_normal((width, d)), g.standard_normal(width))])
+    (w, b), = lin.layers
+    assert lin.scores(x).tobytes() == (rows @ w.T + b).tobytes()
+    mlp = Scorer([(g.standard_normal((hidden, d)), g.standard_normal(hidden)),
+                  (g.standard_normal((width, hidden)), g.standard_normal(width))])
+    (w1, b1), (w2, b2) = mlp.layers
+    hid = np.maximum(0.0, rows @ w1.T + b1)
+    assert mlp.scores(x).tobytes() == (hid @ w2.T + b2).tobytes()
 
 
 def test_init_determinism():
     a = init_linear(6, 4, seed=9)
     b = init_linear(6, 4, seed=9)
-    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.layers[0][0], b.layers[0][0])
     m1 = init_mlp(6, 8, 4, seed=9)
     m2 = init_mlp(6, 8, 4, seed=9)
-    np.testing.assert_array_equal(m1.w1, m2.w1)
-    np.testing.assert_array_equal(m1.w2, m2.w2)
+    np.testing.assert_array_equal(m1.layers[0][0], m2.layers[0][0])
+    np.testing.assert_array_equal(m1.layers[1][0], m2.layers[1][0])
 
 
 def test_zero_learning_rate_keeps_parameters():
@@ -84,8 +87,8 @@ def test_zero_learning_rate_keeps_parameters():
     fitted, _ = train(sc, ds, LossSelector("surrogate_mae"),
                       TrainConfig(learning_rate=0.0, epochs=3, seed=1,
                                   standardize=False))
-    np.testing.assert_array_equal(fitted.weights, sc.weights)
-    np.testing.assert_array_equal(fitted.bias, sc.bias)
+    np.testing.assert_array_equal(fitted.layers[0][0], sc.layers[0][0])
+    np.testing.assert_array_equal(fitted.layers[0][1], sc.layers[0][1])
 
 
 def test_training_is_deterministic():
@@ -96,7 +99,7 @@ def test_training_is_deterministic():
         fitted, traj = train(sc, ds, LossSelector("surrogate_mae"),
                              TrainConfig(learning_rate=0.5, epochs=10, seed=2,
                                          batch_size=16))
-        runs.append((fitted.weights.copy(), traj.copy()))
+        runs.append((fitted.layers[0][0].copy(), traj.copy()))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
@@ -239,7 +242,7 @@ def test_stacked_train_is_each_model_trained_alone(stack, q, dim, model, hidden,
     assert traj.shape == (3, len(seeds), 2)
     for s, (scorer, selector, config) in enumerate(zip(scorers, selectors, configs)):
         alone, alone_traj = train(scorer, ds, selector, config)
-        assert type(fitted[s]) is type(alone) and fitted[s].seed == alone.seed
+        assert len(fitted[s].layers) == len(alone.layers) and fitted[s].seed == alone.seed
         for got, want in zip(fitted[s].params(), alone.params()):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert traj[:, s].tobytes() == alone_traj.tobytes()
@@ -253,6 +256,8 @@ def test_stack_models_share_a_kernel_a_config_and_a_scorer_kind():
         ([sc, sc], [mae, LossSelector("baseline_verma")], [tc, tc]),
         ([sc, sc], [mae, mae], [tc, replace(tc, learning_rate=0.1)]),
         ([sc, init_mlp(4, 5, 5, seed=1)], [mae, mae], [tc, tc]),
+        ([init_mlp(4, 5, 5, seed=0), init_mlp(4, 6, 5, seed=1)], [mae, mae], [tc, tc]),
+        ([sc, init_linear(3, 5, seed=1)], [mae, mae], [tc, tc]),
         ([sc, sc], [mae], [tc, tc]),
         ([], [], []),
     ]:
@@ -280,12 +285,23 @@ def test_train_config_rejects_a_bad_rate(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 2.5), ("epochs", float("nan")), ("epochs", True), ("epochs", 3.0), ("epochs", 0),
+    ("batch_size", 2.7), ("batch_size", True), ("batch_size", float("nan")),
+    ("batch_size", 0), ("batch_size", "half"),
+])
+def test_train_config_rejects_a_bad_count(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+        TrainConfig(**{field: value})
+    TrainConfig(**{field: np.int64(3)})
+
+
 def test_divergence_raises_with_epoch():
     ds = small_two_dataset()
     sc = init_linear(4, 2, seed=4)
     sel = LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.EXPONENTIAL))
     # a scorer whose initial scores already overflow fails at the first step
-    huge = LinearScorer(np.array([[1e300] * 4, [-1e300] * 4]), np.zeros(2), seed=4)
+    huge = Scorer([(np.array([[1e300] * 4, [-1e300] * 4]), np.zeros(2))], seed=4)
     epochs = []
     for start, lr, batch_size in [(sc, 1e12, "full"), (sc, 1e12, 16), (sc, 3.0, "full"),
                                   (sc, 3.0, 16), (huge, 0.1, "full")]:
@@ -334,14 +350,13 @@ def test_system_accuracy_extremes():
     shape = ProblemShape(2, 1)
     feats = np.eye(2)
     # scorer that copies features: predicts the label for one-hot inputs
-    sc = LinearScorer(weights=np.vstack([np.eye(2), np.zeros((1, 2))]),
-                      bias=np.array([0.0, 0.0, -1.0]), seed=0)
+    sc = Scorer([(np.vstack([np.eye(2), np.zeros((1, 2))]), np.array([0.0, 0.0, -1.0]))],
+                seed=0)
     ds = LabeledDataset(features=feats, labels=np.array([0, 1]),
                         costs=np.ones((2, 1)), shape=shape, stage="single")
     assert system_accuracy(sc, ds) == 1.0
     # scorer that always defers to an expert with cost 1
-    defer = LinearScorer(weights=np.zeros((3, 2)), bias=np.array([0.0, 0.0, 9.0]),
-                         seed=0)
+    defer = Scorer([(np.zeros((3, 2)), np.array([0.0, 0.0, 9.0]))], seed=0)
     assert system_accuracy(defer, ds) == 0.0
 
 
@@ -368,9 +383,22 @@ def test_standardize_folds_back_to_raw_features():
 
 def test_scorer_json_round_trip():
     for scorer in (init_linear(4, 5, seed=7), init_mlp(4, 6, 5, seed=7)):
-        back = scorer_from_json(scorer_to_json(scorer))
+        text = scorer_to_json(scorer)
+        back = scorer_from_json(text)
         x = np.random.default_rng(0).standard_normal((3, 4))
         np.testing.assert_array_equal(scorer.scores(x), back.scores(x))
+        assert scorer_to_json(back) == text
+
+
+def test_scorer_json_holds_one_or_two_layers():
+    mlp = init_mlp(4, 6, 5, seed=7)
+    with pytest.raises(ValueError, match="1 or 2 layers"):
+        scorer_to_json(Scorer(mlp.layers + mlp.layers[1:]))
+    doc = json.loads(scorer_to_json(mlp))
+    for layers in ([0], [0, 1, 1]):
+        bad = dict(doc, **{k: [doc[k][i] for i in layers] for k in ("dims", "weights", "bias")})
+        with pytest.raises(ValueError, match="exactly two layers"):
+            scorer_from_json(json.dumps(bad))
 
 
 def test_dataset_validation():

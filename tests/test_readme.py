@@ -14,7 +14,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 DELETED = {
     # conditional_regret_surrogate(task, hyp, k, LossSelector(<target>)) and
     # conditional_error summed against task.mu
-    None: ("conditional_regret_def", "conditional_regret_tdef", "generalization_error"),
+    None: ("conditional_regret_def", "conditional_regret_tdef", "generalization_error",
+           # Scorer([(W, b)]) and Scorer([(W1, b1), (W2, b2)])
+           "LinearScorer", "MlpScorer"),
     "TabularHypothesis": ("actions",),              # action(slice(None))
     "RegretReport": ("slack", "aggregate_slack"),   # table()[3]
     "LabeledDataset": ("output_width",),            # shape.width(stage)
