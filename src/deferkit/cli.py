@@ -199,10 +199,12 @@ def cmd_gen_data(args) -> int:
     })
     mog = _mog_config(cfg)
     num = cfg["num_samples"]
-    if cfg["kind"] == "mog_single":
-        dataset, _ = gen_realizable_mog(mog, num, args.seed)
-    elif cfg["kind"] == "mog_two":
-        dataset, _ = gen_realizable_two_stage(mog, num, args.seed)
+    generate = {"mog_single": gen_realizable_mog, "mog_two": gen_realizable_two_stage}
+    if cfg["kind"] in generate:
+        try:
+            dataset, _ = generate[cfg["kind"]](mog, num, args.seed)
+        except ValueError as exc:   # fewer rows than outputs
+            raise ConfigError(str(exc)) from exc
     elif cfg["kind"] == "range_experts":
         try:
             dataset = gen_class_range_experts(mog, ExpertRangeSpec(cfg["ranges"]),
@@ -268,26 +270,22 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
                     mog: MogConfig, test_samples: int, config: TrainConfig) -> list[tuple]:
     """One (size, trial) of the sweep: one draw of realizable data, split into
     train and held-out test rows, on which each method trains its own linear
-    scorer under ``config`` at its own seed. The methods whose losses share a
-    kernel train as one model stack. Returns one row per method."""
+    scorer under ``config`` at its own seed. The methods' losses share one
+    kernel, so they train as one model stack. Returns one row per method."""
     data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
     train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
     test_set = replace_rows(train_set, np.arange(size, size + test_samples))
     train_set = replace_rows(train_set, np.arange(size))
-    stacks: dict[str, list[int]] = {}
-    for i, method in enumerate(methods):
-        stacks.setdefault(SWEEP_SELECTORS[method].kernel, []).append(i)
-    rows = [None] * len(methods)
-    for stack in stacks.values():
-        seeds = [rng.derive_seed(master_seed, f"sweep-{methods[i]}-{size}", trial) for i in stack]
-        fitted, _ = train([init_linear(mog.dim, mog.shape.augmented_size, seed) for seed in seeds],
-                          train_set, [SWEEP_SELECTORS[methods[i]] for i in stack],
-                          [dataclasses.replace(config, seed=seed) for seed in seeds])
-        for i, seed, scorer in zip(stack, seeds, fitted):
-            test_deferral = float(realized_deferral_loss(scorer, test_set).mean())
-            rows[i] = (methods[i], size, trial, seed,
-                       float(realized_deferral_loss(scorer, train_set).mean()),
-                       test_deferral, 1.0 - test_deferral)
+    seeds = [rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial) for method in methods]
+    fitted, _ = train([init_linear(mog.dim, mog.shape.augmented_size, seed) for seed in seeds],
+                      train_set, [SWEEP_SELECTORS[method] for method in methods],
+                      [dataclasses.replace(config, seed=seed) for seed in seeds])
+    rows = []
+    for method, seed, scorer in zip(methods, seeds, fitted):
+        test_deferral = float(realized_deferral_loss(scorer, test_set).mean())
+        rows.append((method, size, trial, seed,
+                     float(realized_deferral_loss(scorer, train_set).mean()),
+                     test_deferral, 1.0 - test_deferral))
     return rows
 
 

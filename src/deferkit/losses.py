@@ -5,9 +5,10 @@ name configs use, gives its stage and carries the Psi or Phi spec it takes.
 Each surrogate has one batch kernel for its values, ``<loss>_batch``, and
 one for its values and score gradients, ``<loss>_with_grad_batch``. Both
 take their values from one terms function per loss, so they agree bit for
-bit, and the value kernel skips the gradient work. Verma's baseline
-has no value kernel of its own: its value is :func:`baseline_mao_batch` at
-q = 0.
+bit, and the value kernel skips the gradient work. The four single-stage
+surrogates share :func:`surrogate_single_with_grad_batch`, whose unpaired
+rows are the baselines. Verma's baseline has no value kernel of its own:
+its value is :func:`baseline_mao_batch` at q = 0.
 
 Batch kernels take ``(m, width)`` scores (a single score vector is one row)
 with one label and one cost row per score row, and raise ``ValueError`` on
@@ -100,34 +101,46 @@ class PsiSpec:
             return -np.ones_like(u)
         return -np.minimum(np.maximum(u, self.clamp_epsilon), 1.0) ** (self.q - 1.0)
 
-    @staticmethod
-    def stack(specs) -> "PsiSpec | _PsiColumn":
-        """One spec for the models of a stack: the one they share, else a column."""
-        if len(set(specs)) == 1:
-            return specs[0]
-        if not all(spec.q for spec in specs):
-            raise ValueError("a model stack cannot mix q = 0 with q > 0")
-        return _PsiColumn(specs)
-
 
 class _PsiColumn:
-    """The specs, with different q in (0, 1], of a model stack: q is an
-    ``(S, 1)`` column over the model axis of the class-major terms. A scalar
-    ``** 0.5`` is a square root, so models at q = 0.5 take ``np.sqrt``."""
+    """The comp-sum coefficients of one model (one PsiSpec and one bool) or of
+    a stack (lists of them). A paired model's expert term j takes the mass
+    u0 + p_{n+j} and its label term the bracket a0; an unpaired one (a
+    baseline) takes p_{n+j} and 1. ``paired`` is one bool for all the models,
+    or an ``(S, 1)`` column (a factor beta of 1 or 0) on a stack's model axis,
+    as is the clamp floor; psi clamps all rows at once, then runs PsiSpec's
+    calls per q (but 1 - u, with derivative -1, at q = 1), so each model
+    keeps the bits it has alone."""
 
-    def __init__(self, specs):
-        self.q = np.array([[spec.q] for spec in specs], dtype=float)
-        self.roots = [s for s, spec in enumerate(specs) if spec.q == 0.5]
+    def __init__(self, specs, paired):
+        column = (len(specs), 1) if isinstance(specs, list) else ()
+        specs = specs if column else [specs]
+        alike = len(set(np.ravel(paired))) == 1
+        self.paired = bool(np.ravel(paired)[0]) if alike else np.reshape(paired, column)
+        self.floor = np.reshape([PsiSpec.clamp_epsilon * (s.q == 0.0) for s in specs], column)
+        runs = {s.q: [k for k, other in enumerate(specs) if other.q == s.q] for s in specs}
+        self.only = specs[0].q if len(runs) == 1 else None
+        # each q's models but q = 1 as an index of a stack's terms, a slice where they run
+        self.groups = [((..., slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r,
+                         slice(None)), q) for q, r in runs.items() if q != 1.0]
+
+    def _per_q(self, x: np.ndarray, fill, term) -> np.ndarray:
+        """``term(x, q)`` on each q's models, on a ``fill(x)`` that holds the q = 1 terms."""
+        if self.only is not None:
+            return fill(x) if self.only == 1.0 else term(x, self.only)
+        out = fill(x)
+        for at, q in self.groups:
+            out[at] = term(x[at], q)
+        return out
 
     def value(self, u: np.ndarray) -> np.ndarray:
-        x = np.minimum(np.maximum(u, 0.0), 1.0)
-        power = x ** self.q
-        for s in self.roots:
-            power[..., s, :] = np.sqrt(x[..., s, :])
-        return (1.0 - power) / self.q
+        return self._per_q(np.minimum(np.maximum(u, self.floor), 1.0), lambda x: 1.0 - x,
+                           lambda x, q: -np.log(x) if q == 0.0 else (1.0 - x ** q) / q)
 
     def deriv(self, u: np.ndarray) -> np.ndarray:
-        return -np.minimum(np.maximum(u, PsiSpec.clamp_epsilon), 1.0) ** (self.q - 1.0)
+        return self._per_q(np.minimum(np.maximum(u, PsiSpec.clamp_epsilon), 1.0),
+                           lambda x: np.full(x.shape, -1.0),
+                           lambda x, q: -1.0 / x if q == 0.0 else -(x ** (q - 1.0)))
 
 
 class PhiKind(str, Enum):
@@ -197,10 +210,17 @@ def _row_major(g: np.ndarray) -> np.ndarray:
     return rows if rows.ndim == 2 else rows.swapaxes(0, 1)
 
 
-def _label_slots(y: np.ndarray) -> tuple:
-    """Each row's label slot in class-major ``(width, [S,] m)`` arrays."""
+def _label_slots(y: np.ndarray):
+    """Each row's label slot in class-major ``(width, [S,] m)`` arrays: an
+    index of the array, or of a stack's flat view (one index array, which
+    numpy reads several times faster than three)."""
     rows = np.arange(len(y))
-    return (y, rows) if y.ndim == 1 else (y.T, np.arange(y.shape[1])[:, None], rows)
+    return (y, rows) if y.ndim == 1 else y.T * y.size + np.arange(y.size).reshape(y.shape[::-1])
+
+
+def _label_view(a: np.ndarray, at) -> np.ndarray:
+    """The view of a class-major array that the label slots ``at`` index."""
+    return a if isinstance(at, tuple) else a.reshape(-1)
 
 
 def _argmax(s: np.ndarray) -> np.ndarray:
@@ -277,37 +297,56 @@ def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi: PsiSpec):
-    """The surrogate values and their class-major terms: the ``(width, [S,] m)``
-    softmax p, the label slots, the label and label-or-expert masses u0
-    ``([S,] m)`` and uj ``(n_e, [S,] m)`` and their brackets a0 and wj."""
+def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi):
+    """The comp-sum values and their class-major terms: the ``(width, [S,] m)``
+    softmax p, the label slots, the label mass u0 ``([S,] m)``, the expert
+    masses uj ``(n_e, [S,] m)`` and their brackets a0 and wj. A PsiSpec pairs
+    every model's terms; a :class:`_PsiColumn` gives each model's pairing."""
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _class_softmax(s)
     at = _label_slots(y)
     ct = np.ascontiguousarray(c.T)
-    u0 = p[at]                               # softmax mass on the true label
-    uj = u0 + p[shape.n:]                    # mass on {label, expert j}
-    a0 = ct.sum(axis=0) + 1.0 - shape.n_e    # may be negative; kept as-is
+    u0 = _label_view(p, at)[at]              # softmax mass on the true label
+    paired = isinstance(psi, PsiSpec) or psi.paired
+    if paired is False:                      # each expert's own mass, bracket 1
+        uj, a0 = p[shape.n:], 1.0
+    else:                                    # mass on {label, expert j}
+        uj = u0 + p[shape.n:] if paired is True else paired * u0 + p[shape.n:]
+        a0 = ct.sum(axis=0) + 1.0 - shape.n_e    # may be negative; kept as-is
+        a0 = a0 if paired is True else np.where(paired, a0, 1.0)
     wj = 1.0 - ct
-    values = a0 * psi.value(u0) + (wj * psi.value(uj)).sum(axis=0)
-    return values.T, (p, at, u0, uj, a0, wj)
+    label, experts = _bracketed(psi.value, psi, u0, uj, a0, wj)
+    values = label + experts.sum(axis=0)
+    return values.T, (p, at, u0, uj, a0, wj, paired)
 
 
-def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
+def _bracketed(f, psi, u0: np.ndarray, uj: np.ndarray, a0, wj: np.ndarray) -> tuple:
+    """``a0 f(u0)`` and ``wj f(uj)`` for ``f`` psi's value or deriv; a column of
+    several q takes u0 and uj as one array, halving its per-q work."""
+    if isinstance(psi, PsiSpec) or psi.only is not None:
+        return a0 * f(u0), wj * f(uj)
+    both = f(np.concatenate((u0[None], uj)))
+    return a0 * both[0], wj * both[1:]
+
+
+def surrogate_single_batch(scores, y, costs, shape: ProblemShape, psi) -> np.ndarray:
     """Comp-sum deferral surrogate: the miss bracket applied to the true-label
     softmax mass plus per-expert brackets applied to pairwise masses."""
     return _single_stage_terms(scores, y, costs, shape, psi)[0]
 
 
 def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
-                                     psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Loss and score gradient from a single softmax pass."""
-    loss, (p, at, u0, uj, a0, wj) = _single_stage_terms(scores, y, costs, shape, psi)
-    p0 = a0 * psi.deriv(u0)                  # coefficient of the label term
-    pj = wj * psi.deriv(uj)                  # per-expert coefficients
+                                     psi) -> tuple[np.ndarray, np.ndarray]:
+    """Loss and score gradient from a single softmax pass: the one kernel of
+    the surrogate family and the baselines, on one model or a stack."""
+    loss, (p, at, u0, uj, a0, wj, paired) = _single_stage_terms(scores, y, costs, shape, psi)
+    # the coefficients of the label term and of each expert term
+    p0, pj = _bracketed(psi.deriv, psi, u0, uj, a0, wj)
     base = -(p0 * u0 + (pj * uj).sum(axis=0))
     grad = p * base
-    grad[at] += u0 * (p0 + pj.sum(axis=0))
+    if paired is not False:                  # paired expert terms hold the label's mass
+        p0 = p0 + (pj.sum(axis=0) if paired is True else paired * pj.sum(axis=0))
+    _label_view(grad, at)[at] += u0 * p0
     grad[shape.n:] += p[shape.n:] * pj
     return loss, _row_major(grad)
 
@@ -322,43 +361,20 @@ def surrogate_mae_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     return surrogate_single_batch(scores, y, costs, shape, _MAE)
 
 
-# ---------------------------------------------------------------------------
-# baseline surrogates (comparison arms only)
-# ---------------------------------------------------------------------------
-
-
-def _baseline_terms(scores, y, costs, shape: ProblemShape, psi: PsiSpec):
-    """The baseline values and their class-major terms: the softmax p, the
-    label mass u0, the expert masses pe and their weights wj."""
-    s, y, c = _labeled_inputs(scores, y, costs, shape)
-    p, at = _class_softmax(s), _label_slots(y)
-    u0, pe, wj = p[at], p[shape.n:], 1.0 - np.ascontiguousarray(c.T)
-    return (psi.value(u0) + (wj * psi.value(pe)).sum(axis=0)).T, (p, at, u0, pe, wj)
-
-
 def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    """Comp-sum cross-entropy-style baseline: separate terms on the label
-    slot and each expert slot, weighted by one minus the expert cost. At
-    q = 0 it is the multi-expert cross-entropy of Verma et al."""
-    return _baseline_terms(scores, y, costs, shape, psi)[0]
+    """Comp-sum cross-entropy-style baseline (a comparison arm): the unpaired
+    comp-sum terms, separate on the label slot and each expert slot, weighted
+    by one minus the expert cost. At q = 0 it is the multi-expert
+    cross-entropy of Verma et al."""
+    return surrogate_single_batch(scores, y, costs, shape, _PsiColumn(psi, False))
 
 
 def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                  psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Loss and score gradient from a single softmax pass."""
-    loss, (p, at, u0, pe, wj) = _baseline_terms(scores, y, costs, shape, psi)
-    q0 = psi.deriv(u0) * u0
-    qj = wj * psi.deriv(pe) * pe
-    total = q0 + qj.sum(axis=0)
-    grad = -p * total
-    grad[at] += q0
-    grad[shape.n:] += qj
-    return loss, _row_major(grad)
+    return surrogate_single_with_grad_batch(scores, y, costs, shape, _PsiColumn(psi, False))
 
 
 def baseline_verma_with_grad_batch(scores, y, costs, shape: ProblemShape) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-expert cross-entropy baseline: :func:`baseline_mao_with_grad_batch`
-    at q = 0."""
     return baseline_mao_with_grad_batch(scores, y, costs, shape, _LOG)
 
 
@@ -421,18 +437,20 @@ def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tupl
 # the loss table and the scalar forms
 # ---------------------------------------------------------------------------
 
-# name -> (stage, spec, kernel): "psi" or "phi" for the spec a loss takes, a
-# PsiSpec for the one a loss fixes, None for a target loss, which takes no
-# spec and has no value-and-gradient kernel (named here, looked up on losses)
+# name -> (stage, spec, kernel, paired): "psi" or "phi" for the spec a loss
+# takes, a PsiSpec for the one a loss fixes, None for a target loss, which
+# takes no spec and has no value-and-gradient kernel (named here, looked up on
+# losses); the baselines are the unpaired rows of the comp-sum kernel
+_COMP_SUM = "surrogate_single_with_grad_batch"
 _LOSSES = {
-    "surrogate_single": ("single", "psi", "surrogate_single_with_grad_batch"),
-    "surrogate_mae": ("single", _MAE, "surrogate_single_with_grad_batch"),
-    "baseline_verma": ("single", _LOG, "baseline_mao_with_grad_batch"),
-    "baseline_mao": ("single", "psi", "baseline_mao_with_grad_batch"),
-    "two_stage_phi": ("two", "phi", "two_stage_surrogate_phi_with_grad_batch"),
-    "two_stage_psi": ("two", "psi", "two_stage_surrogate_psi_with_grad_batch"),
-    "deferral": ("single", None, None),
-    "two_stage_deferral": ("two", None, None),
+    "surrogate_single": ("single", "psi", _COMP_SUM, True),
+    "surrogate_mae": ("single", _MAE, _COMP_SUM, True),
+    "baseline_verma": ("single", _LOG, _COMP_SUM, False),
+    "baseline_mao": ("single", "psi", _COMP_SUM, False),
+    "two_stage_phi": ("two", "phi", "two_stage_surrogate_phi_with_grad_batch", True),
+    "two_stage_psi": ("two", "psi", "two_stage_surrogate_psi_with_grad_batch", True),
+    "deferral": ("single", None, None, True),
+    "two_stage_deferral": ("two", None, None, True),
 }
 
 
@@ -475,6 +493,16 @@ class LossSelector:
     def kernel(self) -> str | None:
         """The name of the value-and-gradient kernel (a model stack shares one)."""
         return _LOSSES[self.name][2]
+
+    @staticmethod
+    def stack(selectors) -> "PsiSpec | PhiSpec | _PsiColumn | None":
+        """The spec that one model, or a stack, with these selectors passes to
+        their shared kernel: the one spec they share, else a column."""
+        specs = [(sel.phi or sel.psi, _LOSSES[sel.name][3]) for sel in selectors]
+        if len(set(specs)) > 1:
+            return _PsiColumn(*(list(column) for column in zip(*specs)))
+        spec, paired = specs[0]
+        return spec if paired or spec is None else _PsiColumn(spec, False)
 
 
 def _one_row(kernel, row_args: int):

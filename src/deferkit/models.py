@@ -58,6 +58,16 @@ class Scorer:
     layers: list[tuple[np.ndarray, np.ndarray]]
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.layers:
+            raise ValueError("layers: a scorer needs at least one (W, b) layer")
+        width = np.shape(self.layers[0][0])[-1:]
+        for k, (w, b) in enumerate(self.layers):
+            # W is ([S,] out, in), in the width of the layer before; b is ([S,] out)
+            if np.ndim(w) < 2 or np.shape(w)[-1:] != width or np.shape(b) != np.shape(w)[:-1]:
+                raise ValueError(f"layers: layer {k} has W {np.shape(w)} and b {np.shape(b)}")
+            width = np.shape(w)[-2:-1]
+
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
         if x.shape[-1] != self.layers[0][0].shape[-1]:
@@ -154,11 +164,11 @@ def loss_and_grad(selector: LossSelector, scores, y: np.ndarray, c: np.ndarray,
                   shp: ProblemShape, psi=None):
     """Per-row surrogate losses and their score gradients, from the kernel
     that the selector's row of the loss table names. A model stack passes
-    ``psi``, its models' specs stacked by ``PsiSpec.stack``, in place of the
-    selector's."""
+    ``psi``, ``LossSelector.stack`` of its models' selectors, in place of the
+    selector's own spec."""
     if selector.kernel is None:
         raise ValueError(f"{selector.name} is a target loss: it has no gradient to train on")
-    kernel, spec = getattr(losses, selector.kernel), selector.phi or psi or selector.psi
+    kernel, spec = getattr(losses, selector.kernel), psi or LossSelector.stack([selector])
     return kernel(scores, y, c, shp, spec) if selector.stage == "single" else kernel(scores, c, spec)
 
 
@@ -250,7 +260,7 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
                     for layer in zip(*(s.layers for s in scorers))])
     if not all(np.isfinite(p).all() for p in model.params()):
         raise ValueError("scorer parameters must be finite")
-    psi = selector.psi and losses.PsiSpec.stack([s.psi for s in selectors])
+    spec = LossSelector.stack(selectors)
     x = dataset.features
     std = Standardizer.fit(x) if config.standardize else None
     if std is not None:
@@ -280,7 +290,7 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
                 xb = x.take(idx, axis=0)
                 loss_vals, gout = loss_and_grad(
                     selector, model.scores(xb), dataset.labels.take(idx.T),
-                    dataset.costs.take(idx.T, axis=0), dataset.shape, psi)
+                    dataset.costs.take(idx.T, axis=0), dataset.shape, spec)
                 steps = [(model, xb, loss_vals, gout, velocity)]
             for one, xb, loss_vals, gout, vel in steps:
                 if not np.isfinite(loss_vals).all():
@@ -332,6 +342,8 @@ def scorer_to_json(scorer: Scorer) -> str:
     kind = {1: "linear", 2: "mlp"}.get(len(scorer.layers))
     if kind is None:
         raise ValueError(f"a scorer JSON holds 1 or 2 layers, not {len(scorer.layers)}")
+    if not all(np.isfinite(p).all() for p in scorer.params()):
+        raise ValueError("a scorer JSON holds finite parameters only")
     fields = {"dims": [list(w.shape) for w, _ in scorer.layers],
               "weights": [w.ravel().tolist() for w, _ in scorer.layers],
               "bias": [b.tolist() for _, b in scorer.layers]}
@@ -344,6 +356,9 @@ def scorer_from_json(text: str) -> Scorer:
     doc = json.loads(text)
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported scorer schema version {doc.get('version')}")
+    missing = [name for name in ("kind", "dims", "weights", "bias", "seed") if name not in doc]
+    if missing:
+        raise ValueError(f"a scorer JSON needs the fields {missing}")
     if doc["kind"] not in ("linear", "mlp"):
         raise ValueError(f"unknown scorer kind {doc['kind']!r}")
     fields = [[doc[name]] if doc["kind"] == "linear" else doc[name]

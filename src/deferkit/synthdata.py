@@ -79,9 +79,13 @@ def _gen_realizable(config: MogConfig, num_samples: int, seed: int, tag: str,
     """Realizable data: the action a hidden linear scorer picks is free and every
     other one costs 1, so the scorer has zero deferral loss. A picked label is
     the true label; other rows draw theirs uniformly."""
+    width = config.shape.width(stage)
+    if (isinstance(num_samples, bool) or not isinstance(num_samples, (int, np.integer))
+            or num_samples < width):
+        raise ValueError(f"num_samples must be an integer >= {width} (one row per output), "
+                         f"got {num_samples!r}")
     features, _ = _sample_features(config, num_samples, seed, tag)
-    scorer, preds = _draw_full_coverage_scorer(config, features, config.shape.width(stage),
-                                               seed, tag)
+    scorer, preds = _draw_full_coverage_scorer(config, features, width, seed, tag)
     g = rng.substream(seed, f"{tag}-labels", 0)
     offset = config.n if stage == "single" else 0   # score index of expert 0
     labels = np.where(preds < offset, preds, g.integers(0, config.n, size=num_samples))

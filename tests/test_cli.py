@@ -217,6 +217,8 @@ def two_stage_data(tmp_path_factory):
     ("train", "q", 0.5, {"loss": "two_stage_phi", "phi": "logistic"}),
     ("train", "loss", "two_stage_deferral", {"q": None}),
     ("train", "hidden", 0, {}),
+    ("gen-data", "num_samples", 5, {}),
+    ("gen-data", "num_samples", 1, {"kind": "mog_two"}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, two_stage_data,
                                           command, field, value, extra):
@@ -366,6 +368,25 @@ def test_sweep_output_is_pinned(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "5c59091a7bf10e69614c273ba0159f9d9babbbb6bc705f74468cee573fd61d34")
+
+
+@pytest.mark.parametrize("methods,jobs", [
+    (["ours_q07", "ours_q1", "verma23", "mao24"], "1"),
+    (["ours_q07", "ours_q1", "verma23", "mao24"], "2"),
+    (["mao24", "verma23", "ours_q1", "ours_q07"], "1"),
+])
+def test_minibatch_sweep_output_is_pinned(tmp_path, methods, jobs):
+    # sha256 of the CSV of all four methods trained in minibatches of 64 of
+    # 300 rows, so every step of the stacked trainer's minibatch path counts;
+    # the rows are sorted by key, so the order of the methods does not matter
+    cfg = write(tmp_path / "s.json", {"version": 1, "methods": methods, "sizes": [300],
+                                      "trials": 2, "epochs": 3, "batch_size": 64,
+                                      "test_samples": 100})
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5",
+                 "--jobs", jobs]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0ccbed978c1fad1761530bb88536480fc169909120b7c6c7e5ca670be6ad0c9b")
 
 
 @pytest.mark.parametrize("data,train,digest", [

@@ -512,15 +512,18 @@ def test_class_major_kernels_match_row_major(width, q, m, layout, scale, seed):
                 assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1.0)), name
 
 
-# each stack kernel by name: (single stage, takes a spec), called with the
-# spec of the stack or of one model
+# each stack kernel by name: (single stage, the spec it takes), called with
+# the spec of the stack or of one model. The comp-sum kernel's models each
+# take the surrogate or the baseline, so the stack mixes q and pairing, as
+# LossSelector.stack gives it; the baseline kernels take one shared PsiSpec.
 _STACK_KERNELS = {
     "deferral_loss_batch": (True, None), "deferral_loss_alt_batch": (True, None),
-    "surrogate_single_batch": (True, "psi"), "surrogate_single_with_grad_batch": (True, "psi"),
-    "baseline_mao_batch": (True, "psi"), "baseline_mao_with_grad_batch": (True, "psi"),
+    "surrogate_single_batch": (True, "comp_sum"),
+    "surrogate_single_with_grad_batch": (True, "comp_sum"),
+    "baseline_mao_batch": (True, "one_psi"), "baseline_mao_with_grad_batch": (True, "one_psi"),
     "two_stage_deferral_loss_batch": (False, None),
-    "two_stage_surrogate_psi_batch": (False, "psi"),
-    "two_stage_surrogate_psi_with_grad_batch": (False, "psi"),
+    "two_stage_surrogate_psi_batch": (False, "two_stage_psi"),
+    "two_stage_surrogate_psi_with_grad_batch": (False, "two_stage_psi"),
     "two_stage_surrogate_phi_batch": (False, "phi"),
     "two_stage_surrogate_phi_with_grad_batch": (False, "phi"),
 }
@@ -529,7 +532,7 @@ _STACK_KERNELS = {
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 4), n_e=st.integers(1, 3), m=st.integers(0, 40), models=st.integers(1, 4),
        qs=st.one_of(st.just([0.0] * 4),
-                    st.lists(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0)),
+                    st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 1.0)),
                              min_size=4, max_size=4)),
        kind=st.sampled_from(list(PhiKind)), ties=st.booleans(),
        layout=st.sampled_from(["scorer", "C"]), seed=st.integers(0, 2**31 - 1))
@@ -537,6 +540,9 @@ def test_kernels_on_a_model_stack_equal_each_model_alone(n, n_e, m, models, qs, 
                                                          layout, seed):
     g = np.random.default_rng(seed)
     specs = [PsiSpec(q=q) for q in qs[:models]]
+    comp_sum = [LossSelector(("surrogate_single", "baseline_mao")[b], psi=spec)
+                for b, spec in zip(g.integers(0, 2, models), specs)]
+    two_stage_psi = [LossSelector("two_stage_psi", psi=spec) for spec in specs]
     for name, (single, takes) in _STACK_KERNELS.items():
         ne = 2 if "phi" in name else n_e if single else max(n_e, 2)
         shape = ProblemShape(n, ne)
@@ -546,8 +552,13 @@ def test_kernels_on_a_model_stack_equal_each_model_alone(n, n_e, m, models, qs, 
         s = np.round(2 * s) / 2 if ties else s
         s = np.ascontiguousarray(s) if layout == "C" else s
         y, c = g.integers(0, n, (m, models)), g.uniform(0.0, 1.0, (m, models, ne))
-        spec = {"psi": PsiSpec.stack(specs), "phi": PhiSpec(kind), None: None}[takes]
-        per_model = {"psi": specs, "phi": [spec] * models, None: [None] * models}[takes]
+        selectors = {"comp_sum": comp_sum, "two_stage_psi": two_stage_psi}.get(takes)
+        if selectors:
+            spec, per_model = (LossSelector.stack(selectors),
+                               [LossSelector.stack([sel]) for sel in selectors])
+        else:
+            spec = {"one_psi": specs[0], "phi": PhiSpec(kind), None: None}[takes]
+            per_model = [spec] * models
         kernel = getattr(losses, name, None) or getattr(scalar_forms, name)
 
         def call(s, y, c, spec):

@@ -206,12 +206,16 @@ def test_full_batch_epoch_makes_one_loss_grad_call(monkeypatch, batch_size, call
 
 
 # per stack kind, the selectors its models take in turn: q = 1 beside a q in
-# (0, 1), the two baselines at q = 0, per-model two-stage q, one shared phi
+# [0, 1), the two baselines at q = 0, the four single-stage losses of the
+# comp-sum kernel in a drawn order, per-model two-stage q, one shared phi
 _STACKS = {
     "single": lambda q: [LossSelector("surrogate_single", psi=PsiSpec(q=q)),
                          LossSelector("surrogate_mae")],
     "baseline": lambda q: [LossSelector("baseline_verma"),
                            LossSelector("baseline_mao", psi=PsiSpec(q=0.0))],
+    "comp_sum": lambda q: [LossSelector("surrogate_single", psi=PsiSpec(q=q)),
+                           LossSelector("surrogate_mae"), LossSelector("baseline_verma"),
+                           LossSelector("baseline_mao", psi=PsiSpec(q=q))],
     "two_stage_psi": lambda q: [LossSelector("two_stage_psi", psi=PsiSpec(q=q)),
                                 LossSelector("two_stage_psi", psi=PsiSpec(q=1.0))],
     "two_stage_phi": lambda q: [LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.HINGE))],
@@ -219,17 +223,20 @@ _STACKS = {
 
 
 @settings(max_examples=80, deadline=None)
-@given(stack=st.sampled_from(sorted(_STACKS)), q=st.one_of(st.just(0.5), st.floats(0.01, 0.99)),
+@given(stack=st.sampled_from(sorted(_STACKS)),
+       q=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.01, 0.99)),
+       order=st.permutations(range(4)),
        dim=st.sampled_from([1, 4]), model=st.sampled_from(["linear", "mlp"]),
        hidden=st.integers(1, 5),
        optimizer=st.sampled_from(["gd", "momentum"]),
        # 64 rows: batches of 21 leave a last batch of 1, of 23 one of 18
        batch_size=st.sampled_from(["full", 16, 21, 23]),
-       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
-def test_stacked_train_is_each_model_trained_alone(stack, q, dim, model, hidden, optimizer,
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_stacked_train_is_each_model_trained_alone(stack, q, order, dim, model, hidden, optimizer,
                                                    batch_size, seeds):
     kinds = _STACKS[stack](q)
-    selectors = [kinds[s % len(kinds)] for s in range(len(seeds))]
+    order = order if stack == "comp_sum" else range(len(kinds))
+    selectors = [kinds[order[s % len(kinds)]] for s in range(len(seeds))]
     ds = small_single_dataset() if selectors[0].stage == "single" else small_two_dataset()
     # one input or one hidden unit makes a matrix-vector product
     ds = LabeledDataset(ds.features[:, :dim], ds.labels, ds.costs, ds.shape, ds.stage)
@@ -253,7 +260,7 @@ def test_stack_models_share_a_kernel_a_config_and_a_scorer_kind():
     sc, mae = init_linear(4, 5, seed=1), LossSelector("surrogate_mae")
     tc = TrainConfig(epochs=1, seed=1)
     for scorers, selectors, configs in [
-        ([sc, sc], [mae, LossSelector("baseline_verma")], [tc, tc]),
+        ([sc, sc], [mae, LossSelector("two_stage_psi", psi=PsiSpec(q=0.5))], [tc, tc]),
         ([sc, sc], [mae, mae], [tc, replace(tc, learning_rate=0.1)]),
         ([sc, init_mlp(4, 5, 5, seed=1)], [mae, mae], [tc, tc]),
         ([init_mlp(4, 5, 5, seed=0), init_mlp(4, 6, 5, seed=1)], [mae, mae], [tc, tc]),
@@ -263,11 +270,9 @@ def test_stack_models_share_a_kernel_a_config_and_a_scorer_kind():
     ]:
         with pytest.raises(ValueError, match="a stack needs"):
             train(scorers, ds, selectors, configs)
-    # seeds may differ, and so may q, but not across q = 0 and q > 0
+    # seeds may differ (and so may q and the single-stage loss: see
+    # test_stacked_train_is_each_model_trained_alone)
     train([sc, sc], ds, [mae, mae], [tc, replace(tc, seed=2)])
-    with pytest.raises(ValueError, match="cannot mix q = 0"):
-        train([sc, sc], ds, [mae, LossSelector("surrogate_single", psi=PsiSpec(q=0.0))],
-              [tc, tc])
 
 
 def test_train_rejects_empty_dataset():
@@ -393,12 +398,43 @@ def test_scorer_json_round_trip():
 def test_scorer_json_holds_one_or_two_layers():
     mlp = init_mlp(4, 6, 5, seed=7)
     with pytest.raises(ValueError, match="1 or 2 layers"):
-        scorer_to_json(Scorer(mlp.layers + mlp.layers[1:]))
+        scorer_to_json(Scorer(mlp.layers[:1] + [(np.eye(6), np.zeros(6))] + mlp.layers[1:]))
     doc = json.loads(scorer_to_json(mlp))
     for layers in ([0], [0, 1, 1]):
         bad = dict(doc, **{k: [doc[k][i] for i in layers] for k in ("dims", "weights", "bias")})
         with pytest.raises(ValueError, match="exactly two layers"):
             scorer_from_json(json.dumps(bad))
+
+
+def test_scorer_checks_its_layer_shapes():
+    mlp = init_mlp(4, 6, 5, seed=7)
+    (w1, b1), (w2, b2) = mlp.layers
+    for layers in ([], [(w1, b1), (np.zeros((5, 7)), b2)], [(w1, np.zeros(5))],
+                   [(w1[None], b1)], [(np.zeros(4), np.zeros(()))]):
+        with pytest.raises(ValueError, match="^layers: "):
+            Scorer(layers)
+    # a stack of two models is one scorer
+    Scorer([(np.stack([w1, w1]), np.stack([b1, b1])), (np.stack([w2, w2]), np.stack([b2, b2]))])
+    # an mlp document whose second layer does not chain, and a linear one
+    # whose bias does not fit its layer, fail on load
+    doc = json.loads(scorer_to_json(mlp))
+    doc["dims"][1], doc["weights"][1] = [5, 7], [0.0] * 35
+    linear = dict(json.loads(scorer_to_json(init_linear(4, 5, seed=7))), bias=[0.0] * 3)
+    for bad in (doc, linear):
+        with pytest.raises(ValueError, match="^layers: "):
+            scorer_from_json(json.dumps(bad))
+
+
+def test_scorer_json_fails_closed():
+    doc = json.loads(scorer_to_json(init_linear(4, 5, seed=7)))
+    for field in ("seed", "kind", "bias"):
+        with pytest.raises(ValueError, match=field):
+            scorer_from_json(json.dumps({k: v for k, v in doc.items() if k != field}))
+    for bad in (np.nan, np.inf):
+        sc = init_linear(4, 5, seed=7)
+        sc.layers[0][0][2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            scorer_to_json(sc)
 
 
 def test_dataset_validation():

@@ -60,6 +60,18 @@ def test_realizable_two_stage_zero_loss():
         assert np.all(ds.costs.sum(axis=1) == n_e - 1)
 
 
+@pytest.mark.parametrize("generate,num_samples", [
+    (gen_realizable_mog, 0), (gen_realizable_mog, 5), (gen_realizable_mog, 6.0),
+    (gen_realizable_mog, True), (gen_realizable_two_stage, 1), (gen_realizable_two_stage, -3),
+])
+def test_realizable_generators_need_a_row_per_output(generate, num_samples):
+    # MogConfig() has 4 labels and 2 experts: 6 single-stage outputs, 2 two-stage
+    with pytest.raises(ValueError, match="^num_samples must be an integer >= "):
+        generate(MogConfig(), num_samples, seed=0)
+    least = 6 if generate is gen_realizable_mog else 2
+    assert len(generate(MogConfig(), np.int64(least), seed=0)[0]) == least
+
+
 def test_class_range_experts_costs():
     cfg = MogConfig(n=10, n_e=2)
     spec = ExpertRangeSpec(ranges=((0, 3), (3, 6)))

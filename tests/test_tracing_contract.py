@@ -83,6 +83,9 @@ def test_traced_sweep_records_every_required_metric(tmp_path):
     # each step and each epoch's evaluation makes one loss+grad call, so one
     # method's kernel called past its wrapped name leaves a shortfall
     assert metrics["losses.loss_grad.mini.calls"] == metrics["models.steps"] + metrics["models.evals"]
+    # 300 rows in batches of 128 for one epoch: the four methods train as one
+    # model stack, which makes 3 steps, and each model is evaluated once
+    assert metrics["models.steps"] == 3 and metrics["models.evals"] == 4
 
 
 def test_traced_full_batch_train_records_every_required_metric(tmp_path):
