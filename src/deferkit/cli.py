@@ -274,12 +274,13 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
     kernel, so they train as one model stack. Returns one row per method."""
     data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
     train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
-    test_set = replace_rows(train_set, np.arange(size, size + test_samples))
-    train_set = replace_rows(train_set, np.arange(size))
+    test_set = replace_rows(train_set, slice(size, size + test_samples))   # views, not copies
+    train_set = replace_rows(train_set, slice(size))
     seeds = [rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial) for method in methods]
     fitted, _ = train([init_linear(mog.dim, mog.shape.augmented_size, seed) for seed in seeds],
                       train_set, [SWEEP_SELECTORS[method] for method in methods],
-                      [dataclasses.replace(config, seed=seed) for seed in seeds])
+                      [dataclasses.replace(config, seed=seed) for seed in seeds],
+                      trajectory=False)
     rows = []
     for method, seed, scorer in zip(methods, seeds, fitted):
         test_deferral = float(realized_deferral_loss(scorer, test_set).mean())
@@ -362,9 +363,12 @@ def cmd_verify(args) -> int:
         for i in range(cfg["num_tasks"]):
             key = (constraint, ne_max, i)
             if key not in tasks:
-                tasks[key] = gen_random_discrete_task(
-                    args.seed, index=i, n_max=cfg["n_max"], ne_max=ne_max,
-                    k_max=cfg["k_max"], constraint=constraint)
+                try:
+                    tasks[key] = gen_random_discrete_task(
+                        args.seed, index=i, n_max=cfg["n_max"], ne_max=ne_max,
+                        k_max=cfg["k_max"], constraint=constraint)
+                except ValueError as exc:   # a bound that the family cannot draw under
+                    raise ConfigError(str(exc)) from exc
             task = tasks[key]
             # one draw (the numbers of a draw per hypothesis) per task
             g = rng.substream(args.seed, f"verify-{family}", i)

@@ -229,7 +229,7 @@ def _argmax(s: np.ndarray) -> np.ndarray:
     st = s.T
     best, pred = st[0], np.zeros(st.shape[1:], dtype=int)
     for k in range(1, len(st)):
-        pred = np.where(st[k] > best, k, pred)
+        np.maximum(pred, (st[k] > best) * k, out=pred)   # exact: pred < k here
         best = np.maximum(best, st[k])
     return pred.T
 
@@ -281,7 +281,7 @@ def deferral_loss_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     pred = _argmax(s)
     defer = pred >= shape.n
-    out = np.where(pred == y, 0.0, 1.0)
+    out = (pred != y).astype(float)
     out[defer] = c[(*np.nonzero(defer), pred[defer] - shape.n)]
     return out
 
@@ -289,7 +289,9 @@ def deferral_loss_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
 def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
     """Two-stage deferral loss: cost of the expert with the highest score."""
     s, c = _two_stage_inputs(scores, costs)
-    return np.take_along_axis(c, _argmax(s)[..., None], axis=-1)[..., 0]
+    pred = _argmax(s)
+    pred += np.arange(0, c.size, c.shape[-1]).reshape(pred.shape)   # its row's flat offset
+    return c.reshape(-1).take(pred)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ class Scorer:
             if np.ndim(w) < 2 or np.shape(w)[-1:] != width or np.shape(b) != np.shape(w)[:-1]:
                 raise ValueError(f"layers: layer {k} has W {np.shape(w)} and b {np.shape(b)}")
             width = np.shape(w)[-2:-1]
+        if not all(np.isfinite(p).all() for p in self.params()):
+            raise ValueError("layers: a scorer's parameters must be finite")
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
@@ -225,13 +227,15 @@ def _backprop(scorer: Scorer, x: np.ndarray, gout: np.ndarray) -> list[np.ndarra
 
 
 def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
-          selector: LossSelector | list[LossSelector], config: TrainConfig | list[TrainConfig]):
+          selector: LossSelector | list[LossSelector], config: TrainConfig | list[TrainConfig],
+          *, trajectory: bool = True):
     """Gradient-descent training.
 
     Returns the trained scorer and a (epochs, 2) trajectory of
     (mean surrogate loss, mean deferral loss), both evaluated on the full
     training set after each epoch's update. When one batch holds every row,
     an epoch makes one loss+grad call: its evaluation feeds the next step.
+    ``trajectory=False`` keeps only the last row, so a minibatch run evaluates just once.
 
     A stack of S models passes the three as sequences, one entry per model,
     and gets a list of scorers and an (epochs, S, 2) trajectory; model s is,
@@ -258,8 +262,6 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
         raise ValueError("empty dataset")
     model = Scorer([tuple(np.stack(p) for p in zip(*layer))
                     for layer in zip(*(s.layers for s in scorers))])
-    if not all(np.isfinite(p).all() for p in model.params()):
-        raise ValueError("scorer parameters must be finite")
     spec = LossSelector.stack(selectors)
     x = dataset.features
     std = Standardizer.fit(x) if config.standardize else None
@@ -272,7 +274,7 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
     # each model as a scorer and velocity that view its slice of the stack
     views = [(Scorer([(w[s], b[s]) for w, b in model.layers], sc.seed), [v[s] for v in velocity])
              for s, sc in enumerate(scorers)]
-    trajectory = np.empty((config.epochs, len(scorers), 2))
+    rows = np.empty((config.epochs, len(scorers), 2))
 
     if batch == m:
         evals = [loss_and_grad(sel, one.scores(x), dataset.labels, dataset.costs, dataset.shape)
@@ -303,6 +305,8 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
                     else:
                         p -= config.learning_rate * g
 
+        if batch < m and not trajectory and epoch < config.epochs - 1:
+            continue
         evals = []
         for s, (sel, (one, _)) in enumerate(zip(selectors, views)):
             full_scores = one.scores(x)
@@ -311,15 +315,16 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
             tgt = _deferral_losses(full_scores, dataset)
             if not np.all(np.isfinite(sur)):
                 raise TrainingDiverged(epoch)
-            trajectory[epoch, s] = (sur.mean(), tgt.mean())
+            rows[epoch, s] = (sur.mean(), tgt.mean())
             if batch == m:
                 evals.append((sur, gout))
 
     fitted = [one if std is None else fold_standardizer(one, std) for one, _ in views]
-    return (fitted, trajectory) if stacked else (fitted[0], trajectory[:, 0])
+    rows = rows if trajectory else rows[-1:]
+    return (fitted, rows) if stacked else (fitted[0], rows[:, 0])
 
 
-def replace_rows(dataset: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
+def replace_rows(dataset: LabeledDataset, idx: np.ndarray | slice) -> LabeledDataset:
     return LabeledDataset(dataset.features[idx], dataset.labels[idx],
                           dataset.costs[idx], dataset.shape, dataset.stage)
 

@@ -58,7 +58,8 @@ def _sample_features(config: MogConfig, num_samples: int, seed: int,
     means = config.mean_scale * g_means.standard_normal((config.components, config.dim))
     g = rng.substream(seed, f"{tag}-sample", 0)
     comps = g.integers(0, config.components, size=num_samples)
-    return means[comps] + g.standard_normal((num_samples, config.dim)), comps
+    features = g.standard_normal((num_samples, config.dim))
+    return np.add(features, means[comps], out=features), comps
 
 
 def _draw_full_coverage_scorer(config: MogConfig, features: np.ndarray,
@@ -69,7 +70,7 @@ def _draw_full_coverage_scorer(config: MogConfig, features: np.ndarray,
         g = rng.substream(seed, f"{tag}-scorer", attempt)
         scorer = Scorer([(g.standard_normal((width, config.dim)), np.zeros(width))], seed)
         preds = np.argmax(scorer.scores(features), axis=1)
-        if len(np.unique(preds)) == width:
+        if np.bincount(preds, minlength=width).all():
             return scorer, preds
     raise RuntimeError("no scorer draw covered every output in 100 attempts")
 
@@ -181,12 +182,15 @@ def gen_random_discrete_task(seed: int, index: int = 0, n_max: int = 4,
     """
     if constraint not in ("none", "theorem7_premise", "positive_margin"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    g = rng.substream(seed, f"task-{constraint}", index)
     # margins and brackets over experts need at least two of them
     ne_min = 1 if constraint == "none" else 2
+    for name, value, least in (("n_max", n_max, 2), ("ne_max", ne_max, ne_min), ("k_max", k_max, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least} under constraint {constraint!r}, got {value}")
+    g = rng.substream(seed, f"task-{constraint}", index)
     for attempt in range(_MAX_RESAMPLES + 1):
         n = int(g.integers(2, n_max + 1))
-        n_e = int(g.integers(ne_min, max(ne_min, ne_max) + 1))
+        n_e = int(g.integers(ne_min, ne_max + 1))
         k = int(g.integers(2, k_max + 1))
         mu = g.dirichlet(np.ones(k))
         conditionals = g.dirichlet(np.ones(n), size=k)

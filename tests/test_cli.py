@@ -152,7 +152,7 @@ def test_verify_writes_report(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("num_tasks", "ten"), ("num_tasks", 2.5), ("num_tasks", True),
-    ("hyps_per_task", 0), ("n_max", 1), ("ne_max", 0), ("k_max", 1),
+    ("hyps_per_task", 0), ("n_max", 1), ("ne_max", 0), ("k_max", 1), ("ne_max", 1),
 ])
 def test_verify_bad_config_value_is_config_error(tmp_path, capsys, field, value):
     cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 2, field: value})

@@ -205,6 +205,46 @@ def test_full_batch_epoch_makes_one_loss_grad_call(monkeypatch, batch_size, call
     assert len(counted) == calls
 
 
+@pytest.mark.parametrize("batch_size", ["full", 16])
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_train_without_trajectory_keeps_the_last_row(monkeypatch, stacked, model, batch_size):
+    ds = small_single_dataset()
+    seeds = (5, 6) if stacked else (5,)
+    scorers = [init_linear(4, 5, seed) if model == "linear" else init_mlp(4, 3, 5, seed)
+               for seed in seeds]
+    selectors = [LossSelector("surrogate_single", psi=PsiSpec(q=0.7)),
+                 LossSelector("surrogate_mae")][:len(seeds)]
+    configs = [TrainConfig(learning_rate=0.5, epochs=4, seed=seed, optimizer="momentum",
+                           batch_size=batch_size) for seed in seeds]
+    args = (scorers, ds, selectors, configs) if stacked else (scorers[0], ds, selectors[0],
+                                                              configs[0])
+    want, want_traj = train(*args)
+    counted = {"targets": 0, "full_loss_grad": 0}
+    targets, loss_grad = models._deferral_losses, models.loss_and_grad
+
+    def counting_targets(scores, dataset):
+        counted["targets"] += 1
+        return targets(scores, dataset)
+
+    def counting_loss_grad(selector, *args):
+        counted["full_loss_grad"] += len(args[0]) == len(ds)
+        return loss_grad(selector, *args)
+
+    monkeypatch.setattr(models, "_deferral_losses", counting_targets)
+    monkeypatch.setattr(models, "loss_and_grad", counting_loss_grad)
+    got, traj = train(*args, trajectory=False)
+    assert traj.shape == (1, *want_traj.shape[1:])
+    assert traj.tobytes() == want_traj[-1:].tobytes()
+    for a, b in zip(got if stacked else [got], want if stacked else [want]):
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(a.params(), b.params()))
+    # a minibatch run evaluates each model once, after its last epoch; a
+    # full-batch run still scores every row before each step
+    evals = 4 if batch_size == "full" else 1
+    assert counted == {"targets": len(seeds) * evals,
+                       "full_loss_grad": len(seeds) * (evals + (batch_size == "full"))}
+
+
 # per stack kind, the selectors its models take in turn: q = 1 beside a q in
 # [0, 1), the two baselines at q = 0, the four single-stage losses of the
 # comp-sum kernel in a drawn order, per-model two-stage q, one shared phi
@@ -423,6 +463,20 @@ def test_scorer_checks_its_layer_shapes():
     for bad in (doc, linear):
         with pytest.raises(ValueError, match="^layers: "):
             scorer_from_json(json.dumps(bad))
+
+
+def test_scorer_refuses_non_finite_parameters():
+    for bad in (np.nan, np.inf, -np.inf):
+        for param in range(4):   # W and b of both layers
+            mlp = init_mlp(4, 6, 5, seed=7)
+            mlp.params()[param].flat[-1] = bad
+            with pytest.raises(ValueError, match="^layers: .*finite"):
+                Scorer(mlp.layers)
+    doc = json.loads(scorer_to_json(init_linear(4, 5, seed=7)))
+    text = json.dumps(dict(doc, bias=[0.0, float("inf"), 0.0, 0.0, 0.0]))
+    assert "Infinity" in text
+    with pytest.raises(ValueError, match="^layers: .*finite"):
+        scorer_from_json(text)
 
 
 def test_scorer_json_fails_closed():

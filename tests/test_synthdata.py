@@ -146,3 +146,14 @@ def test_random_task_determinism_and_errors():
     assert a.costs.shape != c.costs.shape or not np.array_equal(a.costs, c.costs)
     with pytest.raises(ValueError):
         gen_random_discrete_task(8, 0, constraint="bogus")
+
+
+@pytest.mark.parametrize("field,value,constraint", [
+    ("n_max", 1, "none"), ("k_max", 1, "none"), ("k_max", 0, "positive_margin"),
+    ("ne_max", 0, "none"), ("ne_max", 1, "theorem7_premise"), ("ne_max", 1, "positive_margin"),
+])
+def test_random_task_bounds_name_their_field(field, value, constraint):
+    # a bound that the draw cannot meet is an error, never lifted in silence
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        gen_random_discrete_task(0, 0, constraint=constraint, **{field: value})
+    assert gen_random_discrete_task(0, 0, ne_max=1).shape.n_e == 1

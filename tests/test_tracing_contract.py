@@ -88,6 +88,16 @@ def test_traced_sweep_records_every_required_metric(tmp_path):
     assert metrics["models.steps"] == 3 and metrics["models.evals"] == 4
 
 
+def test_traced_sweep_evaluates_each_model_once(tmp_path):
+    # two epochs of 3 steps each; the sweep keeps no trajectory, so each of
+    # the four models is evaluated on its training rows after the last epoch
+    cfg = {"sizes": [300], "test_samples": 100, "trials": 1, "epochs": 2,
+           "batch_size": 128}
+    metrics = traced_run("sweep-minibatch", [command(tmp_path, "sweep", cfg, "s.csv")])
+    assert metrics["models.steps"] == 6 and metrics["models.evals"] == 4
+    assert metrics["losses.loss_grad.mini.calls"] == metrics["models.steps"] + metrics["models.evals"]
+
+
 def test_traced_full_batch_train_records_every_required_metric(tmp_path):
     # more rows than a minibatch call may hold, so each call counts as full
     data = {"kind": "mog_two", "num_samples": 1500, "n_e": 4}
