@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import sys
 import zipfile
 from collections.abc import Iterable, Sequence
@@ -315,6 +314,7 @@ def cmd_sweep(args) -> int:
     if not jobs or not cfg["methods"]:
         raise ConfigError("sweep config runs no cells")
     if args.jobs > 1:
+        import multiprocessing   # here, not at the top: a one-process run skips its import
         with multiprocessing.Pool(args.jobs) as pool:
             trials = pool.starmap(run_sweep_trial, jobs)
     else:

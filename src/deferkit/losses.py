@@ -7,8 +7,9 @@ one for its values and score gradients, ``<loss>_with_grad_batch``. Both
 take their values from one terms function per loss, so they agree bit for
 bit, and the value kernel skips the gradient work. The four single-stage
 surrogates share :func:`surrogate_single_with_grad_batch`, whose unpaired
-rows are the baselines. Verma's baseline has no value kernel of its own:
-its value is :func:`baseline_mao_batch` at q = 0.
+rows are the baselines; the baselines' values are
+:func:`surrogate_single_batch` on the spec ``LossSelector.stack`` gives them.
+Psi_q is computed in one place, :class:`_PsiColumn`.
 
 Batch kernels take ``(m, width)`` scores (a single score vector is one row)
 with one label and one cost row per score row, and raise ``ValueError`` on
@@ -28,6 +29,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -75,7 +77,8 @@ class PsiSpec:
     """Selects the decreasing auxiliary function applied to softmax sums.
 
     q = 0 is the negative log; q in (0, 1] is (1 - u**q) / q. For q = 0 the
-    argument is clamped to [clamp_epsilon, 1] to keep values finite.
+    argument is clamped to [clamp_epsilon, 1] to keep values finite. Values
+    and derivatives are those of the spec's one-model :class:`_PsiColumn`.
     """
 
     q: float
@@ -85,38 +88,29 @@ class PsiSpec:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
 
-    # np.minimum(np.maximum(...)) is np.clip (NaN included) without the
-    # Python wrapper np.clip adds to every call
     def value(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.q == 0.0:
-            return -np.log(np.minimum(np.maximum(u, self.clamp_epsilon), 1.0))
-        return (1.0 - np.minimum(np.maximum(u, 0.0), 1.0) ** self.q) / self.q
+        return _column(self).value(u)
 
     def deriv(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.q == 0.0:
-            return -1.0 / np.minimum(np.maximum(u, self.clamp_epsilon), 1.0)
-        if self.q == 1.0:
-            return -np.ones_like(u)
-        return -np.minimum(np.maximum(u, self.clamp_epsilon), 1.0) ** (self.q - 1.0)
+        return _column(self).deriv(u)
 
 
 class _PsiColumn:
-    """The comp-sum coefficients of one model (one PsiSpec and one bool) or of
-    a stack (lists of them). A paired model's expert term j takes the mass
-    u0 + p_{n+j} and its label term the bracket a0; an unpaired one (a
-    baseline) takes p_{n+j} and 1. ``paired`` is one bool for all the models,
-    or an ``(S, 1)`` column (a factor beta of 1 or 0) on a stack's model axis,
-    as is the clamp floor; psi clamps all rows at once, then runs PsiSpec's
-    calls per q (but 1 - u, with derivative -1, at q = 1), so each model
+    """Psi_q and the comp-sum pairing of one model (one PsiSpec and one bool)
+    or of a stack (lists of them). A paired model's expert term j takes the
+    mass u0 + p_{n+j} and its label term the bracket a0; an unpaired one (a
+    baseline) takes p_{n+j} and 1. ``paired`` is that factor, 1.0 or 0.0, for
+    all the models, or an ``(S, 1)`` column of them on a stack's model axis,
+    as is the clamp floor. psi clamps all rows at once (np.minimum(np.maximum())
+    is np.clip, NaN included, without its Python wrapper), then runs each q's
+    formula on its models (1 - u, with derivative -1, at q = 1), so each model
     keeps the bits it has alone."""
 
     def __init__(self, specs, paired):
         column = (len(specs), 1) if isinstance(specs, list) else ()
         specs = specs if column else [specs]
-        alike = len(set(np.ravel(paired))) == 1
-        self.paired = bool(np.ravel(paired)[0]) if alike else np.reshape(paired, column)
+        paired = np.reshape(np.asarray(paired, dtype=float), column)
+        self.paired = float(paired.flat[0]) if len(set(paired.flat)) == 1 else paired
         self.floor = np.reshape([PsiSpec.clamp_epsilon * (s.q == 0.0) for s in specs], column)
         runs = {s.q: [k for k, other in enumerate(specs) if other.q == s.q] for s in specs}
         self.only = specs[0].q if len(runs) == 1 else None
@@ -141,6 +135,12 @@ class _PsiColumn:
         return self._per_q(np.minimum(np.maximum(u, PsiSpec.clamp_epsilon), 1.0),
                            lambda x: np.full(x.shape, -1.0),
                            lambda x, q: -1.0 / x if q == 0.0 else -(x ** (q - 1.0)))
+
+
+@functools.cache
+def _column(spec: PsiSpec) -> _PsiColumn:
+    """A PsiSpec's paired one-model column, built once per spec."""
+    return _PsiColumn(spec, True)
 
 
 class PhiKind(str, Enum):
@@ -187,9 +187,19 @@ def as_scores(scores) -> np.ndarray:
     return s
 
 
+def as_costs(costs) -> np.ndarray:
+    """Costs as a float array; a cost outside [0, 1] is an error."""
+    c = np.asarray(costs, dtype=float)
+    if not ((c >= 0.0) & (c <= 1.0)).all():   # NaN fails: its comparisons are false
+        raise ValueError("costs must lie in [0, 1]")
+    return c
+
+
 def softmax(scores) -> np.ndarray:
     """Stable softmax over the last axis (max-shifted before exponentiation)."""
     s = as_scores(scores)
+    if s.ndim == 0 or s.shape[-1] == 0:
+        raise ValueError(f"scores need a nonempty last axis, got shape {s.shape}")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -210,17 +220,11 @@ def _row_major(g: np.ndarray) -> np.ndarray:
     return rows if rows.ndim == 2 else rows.swapaxes(0, 1)
 
 
-def _label_slots(y: np.ndarray):
-    """Each row's label slot in class-major ``(width, [S,] m)`` arrays: an
-    index of the array, or of a stack's flat view (one index array, which
-    numpy reads several times faster than three)."""
-    rows = np.arange(len(y))
-    return (y, rows) if y.ndim == 1 else y.T * y.size + np.arange(y.size).reshape(y.shape[::-1])
-
-
-def _label_view(a: np.ndarray, at) -> np.ndarray:
-    """The view of a class-major array that the label slots ``at`` index."""
-    return a if isinstance(at, tuple) else a.reshape(-1)
+def _label_slots(y: np.ndarray) -> np.ndarray:
+    """Each row's label slot in the flat view of a class-major ``(width, [S,] m)``
+    array: one index array, which numpy reads several times faster than a
+    tuple of them."""
+    return y.T * y.size + np.arange(y.size).reshape(y.shape[::-1])
 
 
 def _argmax(s: np.ndarray) -> np.ndarray:
@@ -300,32 +304,30 @@ def two_stage_deferral_loss_batch(scores, costs) -> np.ndarray:
 
 
 def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi):
-    """The comp-sum values and their class-major terms: the ``(width, [S,] m)``
-    softmax p, the label slots, the label mass u0 ``([S,] m)``, the expert
-    masses uj ``(n_e, [S,] m)`` and their brackets a0 and wj. A PsiSpec pairs
-    every model's terms; a :class:`_PsiColumn` gives each model's pairing."""
+    """The comp-sum values and their class-major terms: the column psi (a
+    PsiSpec stands for its paired column), the ``(width, [S,] m)`` softmax
+    p, the label slots, the label mass u0 ``([S,] m)``, the expert masses uj
+    ``(n_e, [S,] m)`` and their brackets a0 and wj."""
+    psi = _column(psi) if isinstance(psi, PsiSpec) else psi
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _class_softmax(s)
     at = _label_slots(y)
     ct = np.ascontiguousarray(c.T)
-    u0 = _label_view(p, at)[at]              # softmax mass on the true label
-    paired = isinstance(psi, PsiSpec) or psi.paired
-    if paired is False:                      # each expert's own mass, bracket 1
-        uj, a0 = p[shape.n:], 1.0
-    else:                                    # mass on {label, expert j}
-        uj = u0 + p[shape.n:] if paired is True else paired * u0 + p[shape.n:]
-        a0 = ct.sum(axis=0) + 1.0 - shape.n_e    # may be negative; kept as-is
-        a0 = a0 if paired is True else np.where(paired, a0, 1.0)
+    u0 = p.reshape(-1)[at]                   # softmax mass on the true label
+    # paired: the mass on {label, expert j} and a0 (may be negative; kept
+    # as-is); unpaired: each expert's own mass and 1
+    uj = psi.paired * u0 + p[shape.n:]
+    a0 = np.where(psi.paired, ct.sum(axis=0) + 1.0 - shape.n_e, 1.0)
     wj = 1.0 - ct
     label, experts = _bracketed(psi.value, psi, u0, uj, a0, wj)
     values = label + experts.sum(axis=0)
-    return values.T, (p, at, u0, uj, a0, wj, paired)
+    return values.T, (psi, p, at, u0, uj, a0, wj)
 
 
-def _bracketed(f, psi, u0: np.ndarray, uj: np.ndarray, a0, wj: np.ndarray) -> tuple:
+def _bracketed(f, psi: _PsiColumn, u0: np.ndarray, uj: np.ndarray, a0, wj: np.ndarray) -> tuple:
     """``a0 f(u0)`` and ``wj f(uj)`` for ``f`` psi's value or deriv; a column of
     several q takes u0 and uj as one array, halving its per-q work."""
-    if isinstance(psi, PsiSpec) or psi.only is not None:
+    if psi.only is not None:
         return a0 * f(u0), wj * f(uj)
     both = f(np.concatenate((u0[None], uj)))
     return a0 * both[0], wj * both[1:]
@@ -341,14 +343,13 @@ def surrogate_single_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                      psi) -> tuple[np.ndarray, np.ndarray]:
     """Loss and score gradient from a single softmax pass: the one kernel of
     the surrogate family and the baselines, on one model or a stack."""
-    loss, (p, at, u0, uj, a0, wj, paired) = _single_stage_terms(scores, y, costs, shape, psi)
+    loss, (psi, p, at, u0, uj, a0, wj) = _single_stage_terms(scores, y, costs, shape, psi)
     # the coefficients of the label term and of each expert term
     p0, pj = _bracketed(psi.deriv, psi, u0, uj, a0, wj)
     base = -(p0 * u0 + (pj * uj).sum(axis=0))
     grad = p * base
-    if paired is not False:                  # paired expert terms hold the label's mass
-        p0 = p0 + (pj.sum(axis=0) if paired is True else paired * pj.sum(axis=0))
-    _label_view(grad, at)[at] += u0 * p0
+    # paired expert terms hold the label's mass
+    grad.reshape(-1)[at] += u0 * (p0 + psi.paired * pj.sum(axis=0))
     grad[shape.n:] += p[shape.n:] * pj
     return loss, _row_major(grad)
 
@@ -363,16 +364,10 @@ def surrogate_mae_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
     return surrogate_single_batch(scores, y, costs, shape, _MAE)
 
 
-def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
-    """Comp-sum cross-entropy-style baseline (a comparison arm): the unpaired
-    comp-sum terms, separate on the label slot and each expert slot, weighted
-    by one minus the expert cost. At q = 0 it is the multi-expert
-    cross-entropy of Verma et al."""
-    return surrogate_single_batch(scores, y, costs, shape, _PsiColumn(psi, False))
-
-
 def baseline_mao_with_grad_batch(scores, y, costs, shape: ProblemShape,
                                  psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Mao et al.'s comp-sum baseline, the unpaired comp-sum rows; at q = 0 it
+    is the multi-expert cross-entropy of Verma et al."""
     return surrogate_single_with_grad_batch(scores, y, costs, shape, _PsiColumn(psi, False))
 
 
@@ -509,9 +504,11 @@ class LossSelector:
 
 def _one_row(kernel, row_args: int):
     """The scalar form of a batch kernel: one score vector and ``row_args``
-    more per-row arguments (label and costs, or costs) in, a float out."""
+    more per-row arguments (label and costs, or costs; costs are checked) in,
+    a float out."""
     def one_row(scores, *args):
-        rows = [[a] for a in args[:row_args]]
+        *labels, costs = args[:row_args]
+        rows = [[a] for a in (*labels, as_costs(costs))]
         return float(kernel([scores], *rows, *args[row_args:])[0])
 
     one_row.__name__ = one_row.__qualname__ = kernel.__name__.removesuffix("_batch")

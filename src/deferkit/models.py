@@ -88,22 +88,24 @@ def _rows_first(out: np.ndarray) -> np.ndarray:
     return out.transpose(-1, *range(out.ndim - 1))
 
 
-def _init(dims: list[int], seed: int, tag: str) -> Scorer:
+def _init(dims: dict[str, int], seed: int, tag: str) -> Scorer:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights drawn layer by layer
-    from one substream, zero biases."""
-    rng = substream(seed, tag)
+    from one substream, zero biases; ``dims`` names each layer width."""
+    for name, d in dims.items():
+        if d < 1:
+            raise ValueError(f"{name} must be >= 1")
+    widths, rng = list(dims.values()), substream(seed, tag)
     return Scorer([(rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_out, d_in)),
-                    np.zeros(d_out)) for d_in, d_out in zip(dims, dims[1:])], seed)
+                    np.zeros(d_out)) for d_in, d_out in zip(widths, widths[1:])], seed)
 
 
 def init_linear(input_dim: int, output_width: int, seed: int) -> Scorer:
-    return _init([input_dim, output_width], seed, "init-linear")
+    return _init({"input_dim": input_dim, "output_width": output_width}, seed, "init-linear")
 
 
 def init_mlp(input_dim: int, hidden_dim: int, output_width: int, seed: int) -> Scorer:
-    if hidden_dim < 1:
-        raise ValueError("hidden_dim must be >= 1")
-    return _init([input_dim, hidden_dim, output_width], seed, "init-mlp")
+    return _init({"input_dim": input_dim, "hidden_dim": hidden_dim, "output_width": output_width},
+                 seed, "init-mlp")
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,7 @@ class LabeledDataset:
                              f"got {self.features.shape}, {self.labels.shape} and {self.costs.shape}")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-        # written so that NaN fails: every comparison with NaN is false
-        if not ((self.costs >= 0) & (self.costs <= 1)).all():
-            raise ValueError("costs must lie in [0, 1]")
+        losses.as_costs(self.costs)
         if not ((self.labels >= 0) & (self.labels < self.shape.n)).all():
             raise ValueError(f"labels must lie in [0, {self.shape.n})")
         if self.stage not in ("single", "two"):

@@ -73,12 +73,11 @@ class DiscreteTask:
         self.costs = np.asarray(self.costs, dtype=float)
         if not all(np.isfinite(a).all() for a in (self.mu, self.conditionals, self.costs)):
             raise ValueError("marginals, conditionals and costs must be finite")
-        if np.any(self.mu < 0) or np.any(np.abs(self.mu.sum(axis=-1) - 1.0) > 1e-12):
+        if (self.mu < 0).any() or (np.abs(self.mu.sum(axis=-1) - 1.0) > 1e-12).any():
             raise ValueError("marginals must be nonnegative and sum to 1")
-        if np.any(np.abs(self.conditionals.sum(axis=-1) - 1.0) > 1e-12):
+        if (np.abs(self.conditionals.sum(axis=-1) - 1.0) > 1e-12).any():
             raise ValueError("conditional rows must sum to 1")
-        if np.any(self.costs < 0) or np.any(self.costs > 1):
-            raise ValueError("costs must lie in [0, 1]")
+        losses.as_costs(self.costs)
         if self.conditionals.shape != self.mu.shape + (self.shape.n,):
             raise ValueError("conditionals shape mismatch")
         if self.costs.shape != self.mu.shape + (self.shape.n, self.shape.n_e):

@@ -5,7 +5,7 @@ the rewritten deferral loss that tests check the package's against."""
 import numpy as np
 
 from deferkit import losses
-from deferkit.losses import PsiSpec, ProblemShape, _argmax, _labeled_inputs, _one_row
+from deferkit.losses import LossSelector, PsiSpec, ProblemShape, _argmax, _labeled_inputs, _one_row
 
 
 def deferral_loss_alt_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray:
@@ -30,11 +30,36 @@ def _one_row_grad(kernel, row_args: int):
     return grad
 
 
+def baseline_mao_batch(scores, y, costs, shape: ProblemShape, psi: PsiSpec) -> np.ndarray:
+    """Mao et al.'s baseline values: the comp-sum value kernel on the spec
+    that ``LossSelector.stack`` gives a lone baseline_mao model."""
+    spec = LossSelector.stack([LossSelector("baseline_mao", psi=psi)])
+    return losses.surrogate_single_batch(scores, y, costs, shape, spec)
+
+
+def psi_value_reference(psi: PsiSpec, u) -> np.ndarray:
+    """PsiSpec.value written out on its own: the reference for the column's bits."""
+    u = np.asarray(u, dtype=float)
+    if psi.q == 0.0:
+        return -np.log(np.minimum(np.maximum(u, psi.clamp_epsilon), 1.0))
+    return (1.0 - np.minimum(np.maximum(u, 0.0), 1.0) ** psi.q) / psi.q
+
+
+def psi_deriv_reference(psi: PsiSpec, u) -> np.ndarray:
+    """PsiSpec.deriv written out on its own: the reference for the column's bits."""
+    u = np.asarray(u, dtype=float)
+    if psi.q == 0.0:
+        return -1.0 / np.minimum(np.maximum(u, psi.clamp_epsilon), 1.0)
+    if psi.q == 1.0:
+        return -np.ones_like(u)
+    return -np.minimum(np.maximum(u, psi.clamp_epsilon), 1.0) ** (psi.q - 1.0)
+
+
 _LOG = PsiSpec(q=0.0)
 _MAE = PsiSpec(q=1.0)
 
 deferral_loss_alt = _one_row(deferral_loss_alt_batch, 2)
-baseline_mao = _one_row(losses.baseline_mao_batch, 2)
+baseline_mao = _one_row(baseline_mao_batch, 2)
 surrogate_single_grad = _one_row_grad(losses.surrogate_single_with_grad_batch, 2)
 baseline_mao_grad = _one_row_grad(losses.baseline_mao_with_grad_batch, 2)
 baseline_verma_grad = _one_row_grad(losses.baseline_verma_with_grad_batch, 2)

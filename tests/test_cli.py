@@ -1,8 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,3 +563,12 @@ def test_sweep_draws_each_size_and_trial_once(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert len(calls) == 4 and len({repr(c) for c in calls}) == 4
     assert len(out.read_text().splitlines()) == 1 + 4 * len(cli.SWEEP_METHODS)
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only a sweep with --jobs > 1 imports it; every other run skips that cost
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, deferkit.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

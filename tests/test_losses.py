@@ -22,7 +22,7 @@ from deferkit.losses import (
 from deferkit.models import loss_and_grad
 import row_major_kernels
 import scalar_forms
-from scalar_forms import baseline_mao, baseline_verma, deferral_loss_alt
+from scalar_forms import baseline_mao, baseline_mao_batch, baseline_verma, deferral_loss_alt
 
 
 def test_softmax_uniform():
@@ -43,6 +43,10 @@ def test_softmax_two_point():
 def test_softmax_rejects_nonfinite():
     with pytest.raises(ValueError, match="invalid scores"):
         softmax(np.array([np.nan, 0.0]))
+    # an empty score axis is an error that names the scores
+    for empty in ([], np.zeros((3, 0)), 1.0):
+        with pytest.raises(ValueError, match="^scores need a nonempty last axis"):
+            softmax(empty)
 
 
 def test_deferral_loss_correct_prediction():
@@ -304,6 +308,50 @@ def test_psi_clamp_equals_clip(q, u):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# each scalar form on one row, called with that row's costs
+_SCALAR_FORMS = {
+    "deferral_loss": lambda c: deferral_loss([0.0, 0.0, 5.0, 0.0], 0, c, ProblemShape(2, 2)),
+    "two_stage_deferral_loss": lambda c: two_stage_deferral_loss([5.0, 0.0], c),
+    "surrogate_single": lambda c: surrogate_single([0.0, 1.0, 0.5, 0.0], 0, c,
+                                                   ProblemShape(2, 2), PsiSpec(q=0.7)),
+    "surrogate_mae": lambda c: surrogate_mae([0.0, 1.0, 0.5, 0.0], 0, c, ProblemShape(2, 2)),
+    "two_stage_surrogate_phi": lambda c: two_stage_surrogate_phi([0.5, 0.0], c, PhiSpec()),
+    "two_stage_surrogate_psi": lambda c: two_stage_surrogate_psi([0.5, 0.0], c, PsiSpec(q=0.7)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(form=st.sampled_from(sorted(_SCALAR_FORMS)),
+       bad=st.one_of(st.just(np.nan), st.floats(max_value=-5e-324),
+                     st.floats(min_value=1.0, exclude_min=True)),
+       good=st.floats(0.0, 1.0), slot=st.integers(0, 1))
+def test_scalar_forms_reject_a_cost_outside_the_unit_interval(form, bad, good, slot):
+    # a cost outside [0, 1] is refused, never read into a loss
+    costs = [good, good]
+    assert np.isfinite(_SCALAR_FORMS[form](costs))
+    costs[slot] = bad
+    with pytest.raises(ValueError, match="^costs must lie in"):
+        _SCALAR_FORMS[form](costs)
+
+
+_REFERENCE_U = [0.0, 1e-13, 1e-12, 0.5, 1.0, 1.5, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.one_of(st.sampled_from([0.0, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)),
+       u=st.lists(st.one_of(st.sampled_from(_REFERENCE_U), st.floats(-2.0, 3.0)), max_size=16))
+def test_psi_spec_keeps_the_bits_of_its_own_formulas(q, u):
+    # PsiSpec's value and deriv, which its comp-sum column computes, keep the
+    # bits of the reference formulas
+    psi, u = PsiSpec(q=q), np.array(u + _REFERENCE_U)
+    with np.errstate(over="ignore"):         # a subnormal q overflows both alike
+        pairs = ((psi.value(u), scalar_forms.psi_value_reference(psi, u)),
+                 (psi.deriv(u), scalar_forms.psi_deriv_reference(psi, u)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 _SHAPE = ProblemShape(3, 2)
 _PSI = PsiSpec(q=0.7)
 _PHI = PhiSpec(PhiKind.LOGISTIC)
@@ -323,8 +371,8 @@ def _trainer(selector):
 
 # every batch kernel by id, called on (scores, labels, costs), and whether it
 # reads labels. The ids of the removed *_grad_batch forms run the trainer's
-# dispatch for that loss, and baseline_verma_batch runs the kernel that
-# serves its values, baseline_mao_batch at q = 0.
+# dispatch for that loss, and baseline_mao_batch and baseline_verma_batch
+# run the comp-sum value kernel on the baseline's spec.
 _KERNELS = [
     ("deferral_loss_batch", _labeled(losses.deferral_loss_batch), True),
     ("deferral_loss_alt_batch", _labeled(scalar_forms.deferral_loss_alt_batch), True),
@@ -334,10 +382,10 @@ _KERNELS = [
     ("surrogate_single_grad_batch", _trainer(LossSelector("surrogate_single", psi=_PSI)), True),
     ("surrogate_mae_batch", _labeled(losses.surrogate_mae_batch), True),
     ("surrogate_mae_grad_batch", _trainer(LossSelector("surrogate_mae")), True),
-    ("baseline_mao_batch", _labeled(losses.baseline_mao_batch, _PSI), True),
+    ("baseline_mao_batch", _labeled(baseline_mao_batch, _PSI), True),
     ("baseline_mao_with_grad_batch", _labeled(losses.baseline_mao_with_grad_batch, _PSI), True),
     ("baseline_mao_grad_batch", _trainer(LossSelector("baseline_mao", psi=_PSI)), True),
-    ("baseline_verma_batch", _labeled(losses.baseline_mao_batch, PsiSpec(q=0.0)), True),
+    ("baseline_verma_batch", _labeled(baseline_mao_batch, PsiSpec(q=0.0)), True),
     ("baseline_verma_with_grad_batch", _labeled(losses.baseline_verma_with_grad_batch), True),
     ("baseline_verma_grad_batch", _trainer(LossSelector("baseline_verma")), True),
     ("two_stage_deferral_loss_batch", _two_stage(losses.two_stage_deferral_loss_batch), False),
@@ -440,8 +488,8 @@ def test_kernels_accept_an_empty_batch(kernel):
 _VALUE_KERNELS = {
     "surrogate_single": lambda sel, s, y, c, shp: losses.surrogate_single_batch(s, y, c, shp, sel.psi),
     "surrogate_mae": lambda sel, s, y, c, shp: losses.surrogate_mae_batch(s, y, c, shp),
-    "baseline_verma": lambda sel, s, y, c, shp: losses.baseline_mao_batch(s, y, c, shp, sel.psi),
-    "baseline_mao": lambda sel, s, y, c, shp: losses.baseline_mao_batch(s, y, c, shp, sel.psi),
+    "baseline_verma": lambda sel, s, y, c, shp: baseline_mao_batch(s, y, c, shp, sel.psi),
+    "baseline_mao": lambda sel, s, y, c, shp: baseline_mao_batch(s, y, c, shp, sel.psi),
     "two_stage_phi": lambda sel, s, y, c, shp: losses.two_stage_surrogate_phi_batch(s, c, sel.phi),
     "two_stage_psi": lambda sel, s, y, c, shp: losses.two_stage_surrogate_psi_batch(s, c, sel.psi),
 }
@@ -499,7 +547,8 @@ def test_class_major_kernels_match_row_major(width, q, m, layout, scale, seed):
         shape, y = ProblemShape(n, width - n), g.integers(0, n, m)
         calls += [(name, (s, y, c[:, n:], shape, psi)) for name in _CLASS_MAJOR_SINGLE]
     for name, args in calls:
-        got, want = getattr(losses, name)(*args), getattr(row_major_kernels, name)(*args)
+        kernel = getattr(losses, name, None) or getattr(scalar_forms, name)
+        got, want = kernel(*args), getattr(row_major_kernels, name)(*args)
         if name.endswith("_with_grad_batch"):
             assert got[1].flags.c_contiguous, name
         else:

@@ -16,7 +16,9 @@ DELETED = {
     # conditional_error summed against task.mu
     None: ("conditional_regret_def", "conditional_regret_tdef", "generalization_error",
            # Scorer([(W, b)]) and Scorer([(W1, b1), (W2, b2)])
-           "LinearScorer", "MlpScorer"),
+           "LinearScorer", "MlpScorer",
+           # surrogate_single_batch on LossSelector.stack([LossSelector("baseline_mao", psi)])
+           "baseline_mao_batch"),
     "TabularHypothesis": ("actions",),              # action(slice(None))
     "RegretReport": ("slack", "aggregate_slack"),   # table()[3]
     "LabeledDataset": ("output_width",),            # shape.width(stage)
