@@ -3,6 +3,7 @@
 Subcommands: gen-data (synthetic datasets with a manifest), train (fit one
 scorer from a config), sweep (learning-curve comparison across losses and
 training-set sizes), verify (bound checks on random finite-support tasks).
+Each command's config fields, defaults and rules are its table in ``_CONFIGS``.
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 runtime failure,
 3 bound violations found by verify.
@@ -16,7 +17,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import sys
 import zipfile
 from collections.abc import Iterable, Sequence
@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rng
-from .losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
-from .models import (LabeledDataset, TrainConfig, init_linear,
-                     init_mlp, replace_rows, scorer_to_json, system_accuracy,
-                     train, realized_deferral_loss)
+from .losses import (LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec, check_int,
+                     check_number)
+from .models import (LabeledDataset, TrainConfig, init_linear, init_mlp, replace_rows,
+                     scorer_to_json, system_accuracy, train, realized_deferral_loss)
 from .oracles import (DiscreteTask, TabularHypothesis, verify_bound_single_mae,
                       verify_bound_two_expert_phi, verify_bound_two_stage)
 from .synthdata import (ExpertRangeSpec, MogConfig, gen_class_range_experts,
@@ -105,65 +105,64 @@ def _write_csv(path: Path, header: list[str], blocks: Iterable[Sequence]) -> Non
             fh.write(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
-def _load_config(path: str, allowed: dict) -> dict:
-    """Reads a JSON config, checks the schema version, fills defaults and
-    rejects unknown fields."""
+@dataclasses.dataclass(frozen=True)
+class Rule:
+    """The values of a config field: an integer (``int``) or a finite number
+    (``float``) at least ``arg``; a bool; a string (``str``), one of ``arg``
+    if given; or any value (``object``), which its domain object checks.
+    ``many`` asks for a nonempty list of such values, and a value in
+    ``unset`` leaves the field unset."""
+
+    kind: type
+    arg: object = None
+    many: bool = False
+    unset: tuple = ()
+
+    def check(self, name: str, value) -> None:
+        """Raises ConfigError, naming the field, when the value breaks the rule."""
+        if value in self.unset:
+            return
+        if self.many and not (isinstance(value, list) and value):
+            raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+        for item in value if self.many else [value]:
+            try:   # an integer or a number follows the rule of the package's own arguments
+                if self.kind in (int, float):
+                    (check_int if self.kind is int else check_number)(item, name, self.arg)
+                elif not isinstance(item, self.kind) or self.arg is not None and item not in self.arg:
+                    what = f"one of {list(self.arg)}" if self.arg else f"a {self.kind.__name__}"
+                    raise ValueError(f"{name} must be {what}, got {item!r}")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+
+
+def _load_config(path: str, command: str) -> dict:
+    """Reads a JSON config, checks its version and its fields against the
+    command's table in ``_CONFIGS``, and returns it resolved: every field of
+    the table, with its default where the config leaves it out."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("version") != 1:
-        raise ConfigError(f"unsupported config version {doc.get('version')!r}")
-    unknown = set(doc) - set(allowed) - {"version"}
+    version = doc.pop("version", None)
+    if version != 1:
+        raise ConfigError(f"unsupported config version {version!r}")
+    table = _CONFIGS[command]
+    unknown = set(doc) - set(table)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update({k: v for k, v in doc.items() if k != "version"})
-    missing = [k for k, v in merged.items() if v is _REQUIRED]
+    cfg = {name: doc.get(name, default) for name, (default, _) in table.items()}
+    missing = [name for name, value in cfg.items() if value is REQUIRED]
     if missing:
         raise ConfigError(f"missing config fields: {missing}")
-    _check_minima(merged, {name: least for name, least in _LEAST.items()
-                           if name in merged and (name, merged[name]) not in _UNSET})
-    return merged
-
-
-_REQUIRED = object()
-# least value of each numeric config field of any command; the task generator
-# draws label counts from [2, n_max] and support sizes from [2, k_max]
-_LEAST = {"num_samples": 1, "dim": 1, "components": 1, "n": 2, "n_e": 1,
-          "epochs": 1, "learning_rate": 0.0, "batch_size": 1, "momentum": 0.0,
-          "hidden": 1, "q": 0.0, "trials": 1, "test_samples": 1,
-          "num_tasks": 1, "hyps_per_task": 1, "n_max": 2, "ne_max": 1, "k_max": 2}
-# (field, value) pairs that leave a field unset, so it has no least value
-_UNSET = (("q", None), ("batch_size", "full"))
-
-
-def _check_minima(cfg: dict, minima: dict) -> None:
-    """Raises ConfigError naming the first field that has the wrong type or
-    lies below its least value. An int least value asks for an integer, a
-    float one for any finite number."""
-    for name, least in minima.items():
-        value = cfg[name]
-        kind = int if isinstance(least, int) else (int, float)
-        if (isinstance(value, bool) or not isinstance(value, kind)
-                or (isinstance(value, float) and not math.isfinite(value))
-                or value < least):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{name} must be {what} >= {least}, got {value!r}")
-
-
-def _train_config(**fields) -> TrainConfig:
-    try:
-        return TrainConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for name, (_, rule) in table.items():
+        rule.check(name, cfg[name])
+    return cfg
 
 
 def _mog_config(cfg: dict) -> MogConfig:
-    return MogConfig(dim=cfg["dim"], components=cfg["components"],
-                     n=cfg["n"], n_e=cfg["n_e"])
+    return MogConfig(**{name: cfg[name] for name in _MOG})
 
 
 def _save_dataset(path: Path, dataset: LabeledDataset, seed: int,
@@ -171,11 +170,8 @@ def _save_dataset(path: Path, dataset: LabeledDataset, seed: int,
     np.savez(path, features=dataset.features, labels=dataset.labels,
              costs=dataset.costs, n=dataset.shape.n, n_e=dataset.shape.n_e,
              stage=dataset.stage)
-    manifest = {
-        "seed": seed,
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "generator_version": __version__,
-    }
+    manifest = {"seed": seed, "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+                "generator_version": __version__}
     path.with_suffix(".manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -192,64 +188,37 @@ def load_dataset(path: str) -> LabeledDataset:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config, {
-        "kind": _REQUIRED, "num_samples": _REQUIRED, "dim": 16,
-        "components": 8, "n": 4, "n_e": 2, "ranges": None,
-    })
-    mog = _mog_config(cfg)
-    num = cfg["num_samples"]
-    generate = {"mog_single": gen_realizable_mog, "mog_two": gen_realizable_two_stage}
-    if cfg["kind"] in generate:
-        try:
-            dataset, _ = generate[cfg["kind"]](mog, num, args.seed)
-        except ValueError as exc:   # fewer rows than outputs
-            raise ConfigError(str(exc)) from exc
-    elif cfg["kind"] == "range_experts":
-        try:
-            dataset = gen_class_range_experts(mog, ExpertRangeSpec(cfg["ranges"]),
-                                              num, args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"ranges: {exc}") from exc
-    else:
-        raise ConfigError(f"unknown data kind {cfg['kind']!r}")
+    cfg = _load_config(args.config, "gen-data")
+    mog, num, kind = _mog_config(cfg), cfg["num_samples"], cfg["kind"]
+    try:   # ranges that do not fit, or fewer rows than outputs
+        if kind == "range_experts":
+            dataset = gen_class_range_experts(mog, ExpertRangeSpec(cfg["ranges"]), num, args.seed)
+        else:
+            generate = gen_realizable_mog if kind == "mog_single" else gen_realizable_two_stage
+            dataset, _ = generate(mog, num, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _save_dataset(Path(args.out), dataset, args.seed, Path(args.config).read_text())
     return 0
 
 
-def _selector_from_config(cfg: dict) -> LossSelector:
-    """The surrogate a train config names; an error names the field at fault."""
-    try:
-        psi = None if cfg["q"] is None else PsiSpec(q=float(cfg["q"]))
-        phi = None if cfg["phi"] is None else PhiSpec(cfg["phi"])
-        selector = LossSelector(cfg["loss"], psi=psi, phi=phi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if selector.is_target:
-        raise ConfigError(f"loss {selector.name!r} is a target loss; train needs a surrogate")
-    return selector
-
-
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, {
-        "data": _REQUIRED, "loss": _REQUIRED, "q": None, "phi": None,
-        "model": "linear", "hidden": 64, "learning_rate": 0.5,
-        "epochs": 500, "batch_size": "full", "optimizer": "gd",
-        "momentum": 0.9, "standardize": True,
-    })
-    if cfg["model"] not in ("linear", "mlp"):
-        raise ConfigError(f"unknown model {cfg['model']!r}")
-    if not isinstance(cfg["standardize"], bool):
-        raise ConfigError(f"standardize must be true or false, got {cfg['standardize']!r}")
-    tc = _train_config(learning_rate=float(cfg["learning_rate"]),
-                       epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                       seed=args.seed, optimizer=cfg["optimizer"],
-                       momentum=float(cfg["momentum"]),
-                       standardize=cfg["standardize"])
+    cfg = _load_config(args.config, "train")
+    tc = TrainConfig(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
+                     batch_size=cfg["batch_size"], seed=args.seed, optimizer=cfg["optimizer"],
+                     momentum=float(cfg["momentum"]), standardize=cfg["standardize"])
     try:
         dataset = load_dataset(cfg["data"])
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"data: cannot load {cfg['data']!r}: {exc}") from exc
-    selector = _selector_from_config(cfg)
+    try:
+        psi = None if cfg["q"] is None else PsiSpec(q=float(cfg["q"]))
+        phi = None if cfg["phi"] is None else PhiSpec(cfg["phi"])
+        selector = LossSelector(cfg["loss"], psi=psi, phi=phi)
+    except ValueError as exc:   # a spec the loss does not take, or q above 1
+        raise ConfigError(str(exc)) from exc
+    if selector.is_target:
+        raise ConfigError(f"loss {selector.name!r} is a target loss; train needs a surrogate")
     if selector.stage != dataset.stage:
         raise ConfigError("loss stage does not match dataset stage")
     dim, width = dataset.features.shape[1], dataset.shape.width(dataset.stage)
@@ -272,47 +241,31 @@ def run_sweep_trial(master_seed: int, methods: Sequence[str], size: int, trial: 
     scorer under ``config`` at its own seed. The methods' losses share one
     kernel, so they train as one model stack. Returns one row per method."""
     data_seed = rng.derive_seed(master_seed, "sweep-data", trial)
-    train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
+    try:
+        train_set, _ = gen_realizable_mog(mog, size + test_samples, data_seed)
+    except ValueError as exc:   # fewer rows than outputs
+        raise ConfigError(f"sizes and test_samples: {exc}") from exc
     test_set = replace_rows(train_set, slice(size, size + test_samples))   # views, not copies
     train_set = replace_rows(train_set, slice(size))
     seeds = [rng.derive_seed(master_seed, f"sweep-{method}-{size}", trial) for method in methods]
-    fitted, _ = train([init_linear(mog.dim, mog.shape.augmented_size, seed) for seed in seeds],
-                      train_set, [SWEEP_SELECTORS[method] for method in methods],
-                      [dataclasses.replace(config, seed=seed) for seed in seeds],
-                      trajectory=False)
-    rows = []
-    for method, seed, scorer in zip(methods, seeds, fitted):
-        test_deferral = float(realized_deferral_loss(scorer, test_set).mean())
-        rows.append((method, size, trial, seed,
-                     float(realized_deferral_loss(scorer, train_set).mean()),
-                     test_deferral, 1.0 - test_deferral))
-    return rows
+    fitted, last = train([init_linear(mog.dim, mog.shape.augmented_size, seed) for seed in seeds],
+                         train_set, [SWEEP_SELECTORS[method] for method in methods],
+                         [dataclasses.replace(config, seed=seed) for seed in seeds],
+                         trajectory=False)
+    # train_deferral is the target loss of the last trajectory row, on the training rows
+    tests = [float(realized_deferral_loss(scorer, test_set).mean()) for scorer in fitted]
+    return [(method, size, trial, seed, float(row[1]), test, 1.0 - test)
+            for method, seed, row, test in zip(methods, seeds, last[0], tests)]
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, {
-        "methods": list(SWEEP_METHODS), "sizes": list(SWEEP_SIZES),
-        "trials": 5, "dim": 16, "components": 8, "n": 4, "n_e": 2,
-        "epochs": 200, "learning_rate": 0.3, "test_samples": 10_000,
-        # minibatch updates matter here: full-batch descent stalls on the
-        # saturated plateaus of the single-stage surrogates on some draws
-        "optimizer": "momentum", "batch_size": 128,
-    })
-    bad = set(cfg["methods"]) - set(SWEEP_METHODS)
-    if bad:
-        raise ConfigError(f"unknown sweep methods: {sorted(bad)}")
-    if not isinstance(cfg["sizes"], list):
-        raise ConfigError("sizes must be a list")
-    for size in cfg["sizes"]:
-        _check_minima({"sizes": size}, {"sizes": 1})
-    tc = _train_config(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
-                       optimizer=cfg["optimizer"], batch_size=cfg["batch_size"])
+    cfg = _load_config(args.config, "sweep")
+    tc = TrainConfig(learning_rate=float(cfg["learning_rate"]), epochs=cfg["epochs"],
+                     optimizer=cfg["optimizer"], batch_size=cfg["batch_size"])
     mog = _mog_config(cfg)
     # one job per (size, trial): its methods share that job's data draw
     jobs = [(args.seed, cfg["methods"], s, t, mog, cfg["test_samples"], tc)
             for s in cfg["sizes"] for t in range(cfg["trials"])]
-    if not jobs or not cfg["methods"]:
-        raise ConfigError("sweep config runs no cells")
     if args.jobs > 1:
         import multiprocessing   # here, not at the top: a one-process run skips its import
         with multiprocessing.Pool(args.jobs) as pool:
@@ -343,15 +296,7 @@ _VERIFY_FAMILIES = {
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config, {
-        "families": list(_VERIFY_FAMILIES), "num_tasks": 100,
-        "hyps_per_task": 5, "n_max": 4, "ne_max": 3, "k_max": 6,
-    })
-    if not isinstance(cfg["families"], list):
-        raise ConfigError("families must be a list")
-    bad = set(cfg["families"]) - set(_VERIFY_FAMILIES)
-    if bad:
-        raise ConfigError(f"unknown verify families: {sorted(bad)}")
+    cfg = _load_config(args.config, "verify")
     checked: list[tuple[str, list]] = []   # per family: (task indices, report) per check
     # families with the same generator arguments check the same tasks
     tasks = {}
@@ -381,8 +326,6 @@ def cmd_verify(args) -> int:
             family_checks.append((index, check(DiscreteTask.stack(group),
                                                TabularHypothesis(np.stack(scores)))))
         checked.append((family, family_checks))
-    if not checked:
-        raise ConfigError("verify config checks no reports")
     violations: list[int] = []
     _write_csv(Path(args.out), ["family", "task_id", "point", "lhs", "rhs", "slack", "verdict"],
                _verify_blocks(checked, cfg["hyps_per_task"], violations))
@@ -407,12 +350,39 @@ def _verify_blocks(checked, hyps: int, violations: list[int]):
         yield block
 
 
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
+REQUIRED = object()   # the default of a field that each config must give
+_COUNT, _NUMBER = Rule(int, 1), Rule(float, 0.0)
+_BATCH, _OPTIMIZER = Rule(int, 1, unset=("full",)), Rule(str, TrainConfig.optimizers)
+# the MogConfig fields of gen-data and sweep; a label set holds at least 2 labels
+_MOG = {"dim": (16, _COUNT), "components": (8, _COUNT), "n": (4, Rule(int, 2)), "n_e": (2, _COUNT)}
+# each command's table: field -> (default or REQUIRED, rule)
+_CONFIGS = {
+    "gen-data": {"kind": (REQUIRED, Rule(str, ("mog_single", "mog_two", "range_experts"))),
+                 "num_samples": (REQUIRED, _COUNT), **_MOG, "ranges": (None, Rule(object))},
+    "train": {
+        "data": (REQUIRED, Rule(str)), "loss": (REQUIRED, Rule(str)),
+        "q": (None, Rule(float, 0.0, unset=(None,))),
+        "phi": (None, Rule(str, tuple(kind.value for kind in PhiKind), unset=(None,))),
+        "model": ("linear", Rule(str, ("linear", "mlp"))), "hidden": (64, _COUNT),
+        "learning_rate": (0.5, _NUMBER), "epochs": (500, _COUNT), "batch_size": ("full", _BATCH),
+        "optimizer": ("gd", _OPTIMIZER), "momentum": (0.9, _NUMBER),
+        "standardize": (True, Rule(bool))},
+    "sweep": {
+        "methods": (list(SWEEP_METHODS), Rule(str, SWEEP_METHODS, many=True)),
+        "sizes": (list(SWEEP_SIZES), Rule(int, 1, many=True)), "trials": (5, _COUNT), **_MOG,
+        "epochs": (200, _COUNT), "learning_rate": (0.3, _NUMBER), "test_samples": (10_000, _COUNT),
+        # minibatch updates matter here: full-batch descent stalls on the
+        # saturated plateaus of the single-stage surrogates on some draws
+        "optimizer": ("momentum", _OPTIMIZER), "batch_size": (128, _BATCH)},
+    # the task generator draws label counts from [2, n_max] and support sizes
+    # from [2, k_max]; it checks ne_max >= 2 for a two-stage family
+    "verify": {
+        "families": (list(_VERIFY_FAMILIES), Rule(str, tuple(_VERIFY_FAMILIES), many=True)),
+        "num_tasks": (100, _COUNT), "hyps_per_task": (5, _COUNT), "n_max": (4, Rule(int, 2)),
+        "ne_max": (3, _COUNT), "k_max": (6, Rule(int, 2))},
 }
+_COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "sweep": cmd_sweep,
+             "verify": cmd_verify}
 
 
 @functools.cache  # built once per process: building costs several times a parse
@@ -435,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on bad arguments; remap to the config code
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_minima({"--jobs": args.jobs}, {"--jobs": 1})
+        _COUNT.check("--jobs", args.jobs)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

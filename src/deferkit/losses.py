@@ -58,10 +58,8 @@ class ProblemShape:
     n_e: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need at least 2 class labels")
-        if self.n_e < 1:
-            raise ValueError("need at least 1 expert")
+        check_int(self.n, "n", 2)
+        check_int(self.n_e, "n_e", 1)
 
     @property
     def augmented_size(self) -> int:
@@ -177,6 +175,21 @@ class PhiSpec:
         if self.kind is PhiKind.EXPONENTIAL:
             return -np.exp(-t)
         return np.where(t < 1.0, -1.0, 0.0)
+
+
+def check_int(value, name: str, least: int) -> None:
+    """Raises ValueError naming the argument unless the value is an integer
+    (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_number(value, name: str, least: float) -> None:
+    """Raises ValueError naming the argument unless the value is a finite real
+    number (not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not least <= value < np.inf):   # NaN fails: its comparisons are false
+        raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
 
 
 def as_scores(scores) -> np.ndarray:
@@ -309,6 +322,8 @@ def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi):
     p, the label slots, the label mass u0 ``([S,] m)``, the expert masses uj
     ``(n_e, [S,] m)`` and their brackets a0 and wj."""
     psi = _column(psi) if isinstance(psi, PsiSpec) else psi
+    if not isinstance(psi, _PsiColumn):
+        raise ValueError(f"psi must be a PsiSpec or a LossSelector.stack column, got {psi!r}")
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _class_softmax(s)
     at = _label_slots(y)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -92,8 +93,7 @@ def _init(dims: dict[str, int], seed: int, tag: str) -> Scorer:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights drawn layer by layer
     from one substream, zero biases; ``dims`` names each layer width."""
     for name, d in dims.items():
-        if d < 1:
-            raise ValueError(f"{name} must be >= 1")
+        losses.check_int(d, name, 1)
     widths, rng = list(dims.values()), substream(seed, tag)
     return Scorer([(rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_out, d_in)),
                     np.zeros(d_out)) for d_in, d_out in zip(widths, widths[1:])], seed)
@@ -114,21 +114,18 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int | str = "full"
     seed: int = 0
-    optimizer: str = "gd"          # "gd" or "momentum"
+    optimizer: str = "gd"          # one of optimizers
     momentum: float = 0.9
     standardize: bool = True
+    optimizers: ClassVar[tuple[str, ...]] = ("gd", "momentum")
 
     def __post_init__(self) -> None:
         for name in ("learning_rate", "momentum"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):   # NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            losses.check_number(getattr(self, name), name, 0.0)
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if ((isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1)
-                    and (name, value) != ("batch_size", "full")):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.optimizer not in ("gd", "momentum"):
+            if (name, getattr(self, name)) != ("batch_size", "full"):
+                losses.check_int(getattr(self, name), name, 1)
+        if self.optimizer not in self.optimizers:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 

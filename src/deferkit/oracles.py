@@ -107,6 +107,8 @@ class TabularHypothesis:
 
     def __post_init__(self) -> None:
         self.scores = losses.as_scores(self.scores)
+        if self.scores.ndim < 2 or 0 in self.scores.shape[-2:]:
+            raise ValueError(f"scores must hold one score row per point, got {self.scores.shape}")
 
     def action(self, k):
         """Argmax action at point k (or at each point of an index k)."""
@@ -197,6 +199,10 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
     """Expected loss at point k under the label conditional. The losses with
     an exact oracle are the two targets, surrogate_mae, two_stage_psi and
     two_stage_phi."""
+    try:
+        np.empty(task.num_points)[k]   # k indexes the points as every per-point array does
+    except IndexError:
+        raise ValueError(f"k must index the task's {task.num_points} points, got {k!r}") from None
     task = _aligned(task, hyp, loss.stage)
     s = hyp.scores[..., k, :]
     p = task.conditionals[..., k, :]

@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import rng
-from .losses import ProblemShape, expert_brackets
+from .losses import ProblemShape, check_int, expert_brackets
 from .models import LabeledDataset, Scorer
 from .oracles import DiscreteTask, minimal_margin
 
@@ -42,8 +42,8 @@ class MogConfig:
     mean_scale: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.components < 1:
-            raise ValueError("dim and components must be positive")
+        check_int(self.dim, "dim", 1)
+        check_int(self.components, "components", 1)
         ProblemShape(self.n, self.n_e)  # checks n >= 2 and n_e >= 1
 
     @property
@@ -81,10 +81,7 @@ def _gen_realizable(config: MogConfig, num_samples: int, seed: int, tag: str,
     other one costs 1, so the scorer has zero deferral loss. A picked label is
     the true label; other rows draw theirs uniformly."""
     width = config.shape.width(stage)
-    if (isinstance(num_samples, bool) or not isinstance(num_samples, (int, np.integer))
-            or num_samples < width):
-        raise ValueError(f"num_samples must be an integer >= {width} (one row per output), "
-                         f"got {num_samples!r}")
+    check_int(num_samples, "num_samples", width)   # one row per output
     features, _ = _sample_features(config, num_samples, seed, tag)
     scorer, preds = _draw_full_coverage_scorer(config, features, width, seed, tag)
     g = rng.substream(seed, f"{tag}-labels", 0)
@@ -117,13 +114,13 @@ class ExpertRangeSpec:
         try:
             ranges = tuple(map(tuple, self.ranges))
         except TypeError:
-            raise ValueError(f"need a sequence of [lo, hi] pairs, "
+            raise ValueError(f"ranges: need a sequence of [lo, hi] pairs, "
                              f"got {self.ranges!r}") from None
         for r in ranges:
             if not (len(r) == 2
                     and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
                     and 0 <= r[0] < r[1]):
-                raise ValueError(f"bad range {r!r}: need integers 0 <= lo < hi")
+                raise ValueError(f"ranges: bad range {r!r}: need integers 0 <= lo < hi")
         object.__setattr__(self, "ranges", ranges)
 
 
@@ -132,7 +129,7 @@ def gen_class_range_experts(config: MogConfig, spec: ExpertRangeSpec,
     """Mixture features with labels tied to components; expert costs come
     from simulated range-limited predictions."""
     if len(spec.ranges) != config.n_e or any(hi > config.n for _, hi in spec.ranges):
-        raise ValueError(f"need one range per expert (n_e = {config.n_e}), each with "
+        raise ValueError(f"ranges: need one range per expert (n_e = {config.n_e}), each with "
                          f"hi <= n = {config.n}; got {spec.ranges}")
     features, comps = _sample_features(config, num_samples, seed, "range")
     labels = comps % config.n

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -240,6 +241,111 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, two_stage_data,
     # n and q on almost any message
     assert re.search(rf"\b{re.escape(field)}\b", capsys.readouterr().err)
     assert not list(tmp_path.glob("out*"))
+
+
+# per command, each field's bad values: a wrong type, then a value below the
+# rule's least or outside its choices where the rule has one
+BAD_VALUES = {
+    "gen-data": {"kind": [5, "mog"], "num_samples": ["ten", 2.5, True, 0], "dim": ["16", 0],
+                 "components": [None, 0], "n": [4.0, 1], "n_e": [False, 0],
+                 "ranges": ["abc", [[0, 9], [2, 4]]]},
+    "train": {"data": [5], "loss": [5, "bogus"], "q": ["abc", True, -0.5], "phi": [5, "bogus"],
+              "model": [5, "cnn"], "hidden": [1.5, 0], "learning_rate": ["fast", True, -1],
+              "epochs": ["ten", 2.0, 0], "batch_size": ["half", 2.5, 0], "optimizer": [5, "adam"],
+              "momentum": ["x", None, -0.5], "standardize": ["no", 1]},
+    "sweep": {"methods": ["ours_q1", [5], ["bogus"], []], "sizes": [100, ["50"], [0], []],
+              "trials": ["1", 0], "dim": [1.0, 0], "components": ["8", 0], "n": [True, 1],
+              "n_e": [2.5, 0], "epochs": [None, 0], "learning_rate": ["0.3", -0.1],
+              "test_samples": [20.0, 0], "optimizer": [None, "adam"],
+              "batch_size": ["half", 0]},
+    "verify": {"families": ["single_mae", [1], ["bogus"], []], "num_tasks": ["ten", 0],
+               "hyps_per_task": [2.0, 0], "n_max": ["4", 1], "ne_max": [None, 0],
+               "k_max": [6.5, 1]},
+}
+# fields whose rule another field sets off
+BAD_VALUE_EXTRA = {("gen-data", "ranges"): {"kind": "range_experts", "n": 6,
+                                             "ranges": [[0, 2], [2, 4]]},
+                   ("train", "phi"): {"loss": "two_stage_phi", "q": None, "phi": "hinge"}}
+
+
+def config_base(command, two_stage_data):
+    """A config of each command that runs, and runs briefly."""
+    return {
+        "gen-data": {"kind": "mog_single", "num_samples": 50},
+        "train": {"data": two_stage_data, "loss": "two_stage_psi", "q": 0.5, "epochs": 2},
+        "sweep": {"sizes": [50], "trials": 1, "epochs": 1, "test_samples": 20,
+                  "methods": ["ours_q1"]},
+        "verify": {"num_tasks": 2, "hyps_per_task": 1, "families": ["single_mae"]},
+    }[command]
+
+
+def test_every_config_field_has_bad_values():
+    assert {c: set(fields) for c, fields in BAD_VALUES.items()} == {
+        c: set(table) for c, table in cli._CONFIGS.items()}
+
+
+@pytest.mark.parametrize("command,field,value", [
+    (command, field, value) for command, fields in BAD_VALUES.items()
+    for field, values in fields.items() for value in values])
+def test_each_config_rule_names_its_field(tmp_path, capsys, two_stage_data, command, field,
+                                          value):
+    base = dict(config_base(command, two_stage_data),
+                **BAD_VALUE_EXTRA.get((command, field), {}), version=1)
+    ok = tmp_path / "ok" / "out"
+    ok.parent.mkdir()
+    assert main([command, "--config", write(tmp_path / "ok.json", base), "--out", str(ok)]) == 0
+    cfg = write(tmp_path / "c.json", dict(base, **{field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert re.search(rf"(?<![\w-]){re.escape(field)}(?![\w-])", capsys.readouterr().err)
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_each_cli_config_key_is_a_field_of_its_command():
+    # every cfg["..."] that a function of cli.py reads is a field of each
+    # command whose function is, or names, that function
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    names = {name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
+             for name, f in functions.items()}
+    read = {command: set() for command in cli._COMMANDS}
+    for name, function in functions.items():
+        keys = {n.slice.value for n in ast.walk(function) if isinstance(n, ast.Subscript)
+                and getattr(n.value, "id", None) == "cfg" and isinstance(n.slice, ast.Constant)}
+        commands = [c for c, cmd in cli._COMMANDS.items()
+                    if cmd.__name__ == name or name in names[cmd.__name__]]
+        assert commands or not keys, name
+        for command in commands:
+            assert keys <= set(cli._CONFIGS[command]), (name, command, keys)
+            read[command] |= keys
+    assert all(read.values()), read   # each command's own function reads its config
+
+
+@pytest.mark.parametrize("command,given,resolved", [
+    ("gen-data", {"kind": "mog_single", "num_samples": 50},
+     {"kind": "mog_single", "num_samples": 50, "dim": 16, "components": 8, "n": 4, "n_e": 2,
+      "ranges": None}),
+    ("train", {"data": "d.npz", "loss": "surrogate_mae"},
+     {"data": "d.npz", "loss": "surrogate_mae", "q": None, "phi": None, "model": "linear",
+      "hidden": 64, "learning_rate": 0.5, "epochs": 500, "batch_size": "full",
+      "optimizer": "gd", "momentum": 0.9, "standardize": True}),
+    ("sweep", {},
+     {"methods": ["ours_q07", "ours_q1", "verma23", "mao24"],
+      "sizes": [250, 500, 1000, 2000, 4000, 8000, 16000], "trials": 5, "dim": 16,
+      "components": 8, "n": 4, "n_e": 2, "epochs": 200, "learning_rate": 0.3,
+      "test_samples": 10_000, "optimizer": "momentum", "batch_size": 128}),
+    ("verify", {},
+     {"families": ["single_mae", "two_stage_q0", "two_stage_q05", "two_stage_q1",
+                   "two_expert_logistic"],
+      "num_tasks": 100, "hyps_per_task": 5, "n_max": 4, "ne_max": 3, "k_max": 6}),
+])
+def test_load_config_resolves_the_defaults(tmp_path, command, given, resolved):
+    cfg = write(tmp_path / "c.json", dict(given, version=1))
+    assert cli._load_config(cfg, command) == resolved
+    # a config that gives every field, one of them off its default, keeps them all
+    key = next(k for k, v in resolved.items() if type(v) is int)
+    given = dict(resolved, **{key: resolved[key] + 1})
+    assert cli._load_config(write(tmp_path / "c.json", dict(given, version=1)), command) == given
 
 
 @pytest.mark.parametrize("field,value", [("trials", 0), ("methods", []), ("sizes", [])])
@@ -537,14 +643,25 @@ def reference_sweep_cell(master_seed, method, size, trial, mog, epochs,
             system_accuracy(fitted, test_set))
 
 
-@pytest.mark.parametrize("size", [200, 300])
-@pytest.mark.parametrize("trial", [0, 1])
-def test_sweep_trial_matches_per_cell_reference(size, trial):
+# the cells at master seed 5, then master seeds, sizes and trials drawn once:
+# the sweep's train_deferral, read off the trainer's last evaluation, must be
+# the float that scoring the training rows again gives
+_DRAWN = np.random.default_rng(2026)
+SWEEP_CELLS = [pytest.param(5, size, trial, id=f"{trial}-{size}")
+               for trial in (0, 1) for size in (200, 300)] + [
+    pytest.param(seed, size, trial, id=f"seed{seed}-{trial}-{size}")
+    for seed, size, trial in zip(_DRAWN.integers(0, 2**32, 4).tolist(),
+                                 _DRAWN.integers(100, 4001, 4).tolist(), (0, 1, 0, 1))]
+
+
+@pytest.mark.parametrize("master_seed,size,trial", SWEEP_CELLS)
+def test_sweep_trial_matches_per_cell_reference(master_seed, size, trial):
     mog = MogConfig()
     args = (size, trial, mog, 3, 0.3, 150, "momentum", 64)
-    expected = [reference_sweep_cell(5, m, *args) for m in cli.SWEEP_METHODS]
+    expected = [reference_sweep_cell(master_seed, m, *args) for m in cli.SWEEP_METHODS]
     config = TrainConfig(learning_rate=0.3, epochs=3, optimizer="momentum", batch_size=64)
-    assert cli.run_sweep_trial(5, cli.SWEEP_METHODS, size, trial, mog, 150, config) == expected
+    assert cli.run_sweep_trial(master_seed, cli.SWEEP_METHODS, size, trial, mog, 150,
+                               config) == expected
 
 
 def test_sweep_draws_each_size_and_trial_once(tmp_path, monkeypatch):

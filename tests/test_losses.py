@@ -126,6 +126,21 @@ def test_surrogate_single_saturates_to_zero():
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,n_e,field", [
+    (2, float("nan"), "n_e"), (2.5, 1, "n"), ("a", 1, "n"), (True, 1, "n"), (2, 1.0, "n_e"),
+    (1, 1, "n"), (2, 0, "n_e"),
+])
+def test_problem_shape_needs_integer_counts(n, n_e, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        ProblemShape(n, n_e)
+    assert ProblemShape(np.int64(2), np.int64(1)).augmented_size == 3
+
+
+def test_surrogate_single_names_a_missing_psi():
+    with pytest.raises(ValueError, match="^psi must be a PsiSpec"):
+        surrogate_single(np.zeros(3), 0, [0.5], ProblemShape(2, 1), None)
+
+
 def test_psi_spec_validation():
     with pytest.raises(ValueError):
         PsiSpec(q=1.5)

@@ -463,13 +463,16 @@ def test_scorer_checks_its_layer_shapes():
     for bad in (doc, linear):
         with pytest.raises(ValueError, match="^layers: "):
             scorer_from_json(json.dumps(bad))
-    # a layer width below 1 names the argument that gave it
+    # a layer width below 1, or not an integer, names the argument that gave it
     for call, field in ((lambda: init_linear(0, 4, 0), "input_dim"),
                         (lambda: init_linear(4, 0, 0), "output_width"),
                         (lambda: init_mlp(0, 6, 5, 0), "input_dim"),
                         (lambda: init_mlp(4, 0, 5, 0), "hidden_dim"),
-                        (lambda: init_mlp(4, 6, -1, 0), "output_width")):
-        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+                        (lambda: init_mlp(4, 6, -1, 0), "output_width"),
+                        (lambda: init_linear(2.5, 4, 0), "input_dim"),
+                        (lambda: init_linear(4, "5", 0), "output_width"),
+                        (lambda: init_mlp(4, True, 5, 0), "hidden_dim")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
             call()
 
 

@@ -606,6 +606,23 @@ def test_task_stack_rejects_mixed_shapes_and_unaligned_hypotheses():
             verify_bound_single_mae(stack, TabularHypothesis(np.zeros(lead + (1, 3))))
 
 
+def test_tabular_hypothesis_needs_a_score_row_per_point():
+    for scores in ([], np.zeros(3), np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((4, 0, 3))):
+        with pytest.raises(ValueError, match="^scores must hold one score row per point"):
+            TabularHypothesis(scores)
+
+
+def test_conditional_error_names_a_point_outside_the_task():
+    task = next(t for t in (gen_random_discrete_task(5, i) for i in range(100))
+                if t.num_points == 5)
+    hyp = TabularHypothesis(np.zeros((5, task.shape.augmented_size)))
+    for k in (99, 5, -6, [0, 99], 1.5):
+        with pytest.raises(ValueError, match="^k must index the task's 5 points"):
+            conditional_error(task, hyp, k, LossSelector("deferral"))
+    assert conditional_error(task, hyp, -1, LossSelector("deferral")) == conditional_error(
+        task, hyp, 4, LossSelector("deferral"))
+
+
 def test_single_hypothesis_functions_reject_a_stack():
     task = gen_random_discrete_task(43, 0, constraint="positive_margin")
     g = np.random.default_rng(43)

@@ -1,12 +1,15 @@
 """The fenced python blocks of README.md run as written against the package,
-and neither the package nor README.md names a deleted second spelling."""
+neither the package nor README.md names a deleted second spelling, and
+README.md's config tables are the CLI's."""
 
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import deferkit
+from deferkit import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,3 +50,42 @@ def test_deleted_names_stay_gone():
         # an attribute is named after a dot; the word slack alone names a column
         prefix = r"\b" if owner is None else r"\."
         assert not [n for n in names if re.search(rf"{prefix}{n}\b", text)], owner
+
+
+def rule_text(rule: cli.Rule) -> str:
+    """A config rule as README.md's tables write it."""
+    if rule.kind in (int, float):
+        text = f"{'integer' if rule.kind is int else 'number'} >= {rule.arg}"
+    elif rule.arg is not None:
+        text = "one of " + ", ".join(f"`{choice}`" for choice in rule.arg)
+    else:
+        text = {bool: "bool", str: "string", object: "any, checked where it is used"}[rule.kind]
+    if rule.many:
+        text = f"nonempty list, each {text}"
+    return text + "".join(f", or `{json.dumps(value)}`" for value in rule.unset)
+
+
+def schema_rows() -> dict:
+    """Each command's (field, default, rule) rows, from its config table."""
+    return {command: [(f"`{name}`", "required" if default is cli.REQUIRED
+                       else f"`{json.dumps(default)}`", rule_text(rule))
+                      for name, (default, rule) in table.items()]
+            for command, table in cli._CONFIGS.items()}
+
+
+def readme_rows() -> dict:
+    """The rows of each command's table in README.md's "Command line" section."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows, command = {}, None
+    for line in section.splitlines():
+        heading = re.fullmatch(r"\*\*`([a-z-]+)` config\*\*", line)
+        if heading:
+            command = heading[1]
+            rows[command] = []
+        elif command and re.fullmatch(r"\| `\w+` \|.*\|", line):
+            rows[command].append(tuple(cell.strip() for cell in line.strip("|").split(" | ")))
+    return rows
+
+
+def test_readme_config_tables_are_the_schema():
+    assert readme_rows() == schema_rows()
