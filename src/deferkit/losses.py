@@ -30,6 +30,7 @@ operations are pure functions.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -83,7 +84,8 @@ class PsiSpec:
     clamp_epsilon: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q <= 1.0:
+        check_number(self.q, "q", 0.0)
+        if self.q > 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
 
     def value(self, u: np.ndarray) -> np.ndarray:
@@ -506,34 +508,40 @@ class LossSelector:
         """The name of the value-and-gradient kernel (a model stack shares one)."""
         return _LOSSES[self.name][2]
 
+    @property
+    def paired(self) -> bool:
+        return _LOSSES[self.name][3]
+
     @staticmethod
     def stack(selectors) -> "PsiSpec | PhiSpec | _PsiColumn | None":
         """The spec that one model, or a stack, with these selectors passes to
         their shared kernel: the one spec they share, else a column."""
-        specs = [(sel.phi or sel.psi, _LOSSES[sel.name][3]) for sel in selectors]
+        specs = [(sel.phi or sel.psi, sel.paired) for sel in selectors]
         if len(set(specs)) > 1:
             return _PsiColumn(*(list(column) for column in zip(*specs)))
         spec, paired = specs[0]
         return spec if paired or spec is None else _PsiColumn(spec, False)
 
 
-def _one_row(kernel, row_args: int):
-    """The scalar form of a batch kernel: one score vector and ``row_args``
-    more per-row arguments (label and costs, or costs; costs are checked) in,
-    a float out."""
-    def one_row(scores, *args):
-        *labels, costs = args[:row_args]
-        rows = [[a] for a in (*labels, as_costs(costs))]
-        return float(kernel([scores], *rows, *args[row_args:])[0])
+def _one_row(kernel):
+    """The scalar form of a batch kernel, a float: it takes the kernel's arguments by
+    position or keyword, with one score vector, label and cost row (costs checked)."""
+    signature = inspect.signature(kernel)
+
+    def one_row(*args, **kwargs):
+        given = signature.bind(*args, **kwargs).arguments
+        given["costs"] = as_costs(given["costs"])
+        return float(kernel(**{name: [value] if name in ("scores", "y", "costs") else value
+                               for name, value in given.items()})[0])
 
     one_row.__name__ = one_row.__qualname__ = kernel.__name__.removesuffix("_batch")
     one_row.__doc__ = f"One row of :func:`{kernel.__name__}`, as a float."
     return one_row
 
 
-deferral_loss = _one_row(deferral_loss_batch, 2)
-two_stage_deferral_loss = _one_row(two_stage_deferral_loss_batch, 1)
-surrogate_single = _one_row(surrogate_single_batch, 2)
-surrogate_mae = _one_row(surrogate_mae_batch, 2)
-two_stage_surrogate_phi = _one_row(two_stage_surrogate_phi_batch, 1)
-two_stage_surrogate_psi = _one_row(two_stage_surrogate_psi_batch, 1)
+deferral_loss = _one_row(deferral_loss_batch)
+two_stage_deferral_loss = _one_row(two_stage_deferral_loss_batch)
+surrogate_single = _one_row(surrogate_single_batch)
+surrogate_mae = _one_row(surrogate_mae_batch)
+two_stage_surrogate_phi = _one_row(two_stage_surrogate_phi_batch)
+two_stage_surrogate_psi = _one_row(two_stage_surrogate_psi_batch)

@@ -196,38 +196,35 @@ def _qbar(task: DiscreteTask, k) -> np.ndarray:
 
 def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
                       loss: LossSelector):
-    """Expected loss at point k under the label conditional. The losses with
-    an exact oracle are the two targets, surrogate_mae, two_stage_psi and
-    two_stage_phi."""
+    """Expected loss at point k under the label conditional, for every loss
+    of the table: its row's stage, target flag and spec choose the path."""
     try:
         np.empty(task.num_points)[k]   # k indexes the points as every per-point array does
     except IndexError:
         raise ValueError(f"k must index the task's {task.num_points} points, got {k!r}") from None
     task = _aligned(task, hyp, loss.stage)
     s = hyp.scores[..., k, :]
-    p = task.conditionals[..., k, :]
-    if loss.name == "deferral":
+    if loss.is_target and loss.stage == "single":
         out = 1.0 - _pick(augmented_values(task, k), hyp.action(k))
-    elif loss.name == "two_stage_deferral":
+    elif loss.is_target:
         out = _pick(expected_costs(task, k), hyp.action(k))
-    elif loss.name == "surrogate_mae":
-        # one row per (hypothesis, point, label): the scores against that label
+    elif loss.stage == "single":
+        # every comp-sum row: one row per (hypothesis, point, label), the scores against that label
         lead = s.shape[:-1] + (task.shape.n,)
         rows = np.broadcast_to(s[..., None, :], lead + s.shape[-1:]).reshape(-1, s.shape[-1])
         labels = np.broadcast_to(np.arange(task.shape.n), lead).ravel()
         costs = np.broadcast_to(task.costs[..., k, :, :], lead + task.costs.shape[-1:])
-        vals = losses.surrogate_mae_batch(rows, labels, costs.reshape(-1, task.shape.n_e), task.shape)
-        out = _dot(p, vals.reshape(lead))
-    elif loss.name == "two_stage_psi":
+        vals = losses.surrogate_single_batch(rows, labels, costs.reshape(-1, task.shape.n_e),
+                                             task.shape, LossSelector.stack([loss]))
+        out = _dot(task.conditionals[..., k, :], vals.reshape(lead))
+    elif loss.psi is not None:
         out = _dot(_qbar(task, k), loss.psi.value(losses.softmax(s)))
-    elif loss.name == "two_stage_phi":
+    else:
         # linear in the costs: the kernel at the expected costs; a width
         # other than 2 reaches the kernel whole, which rejects it
         e = np.broadcast_to(expected_costs(task, k), s.shape)
         rows = (a.reshape(-1, s.shape[-1]) for a in (s, e))
         out = losses.two_stage_surrogate_phi_batch(*rows, loss.phi).reshape(s.shape[:-1])
-    else:
-        raise ValueError(f"no exact oracle for loss {loss.name!r}")
     return _per_point(out)
 
 
@@ -256,8 +253,11 @@ def _psi_min(qbar: np.ndarray, q: float) -> np.ndarray:
 def conditional_min_surrogate(task: DiscreteTask, k, loss: LossSelector):
     """Infimum of the conditional surrogate error over all score vectors.
 
-    surrogate_mae: as a0_y + sum_j (1 - c_yj) = 1, the error is
-    1 - <augmented values, output probabilities>, least at the best vertex.
+    Paired comp-sum rows at q = 1 (surrogate_mae): as a0_y + sum_j (1 - c_yj)
+    = 1, the error is 1 - <augmented values, output probabilities>, least at
+    the best vertex; at q < 1 they have no closed form. The unpaired rows
+    (the baselines) err sum_i w_i Psi_q(s_i), w the augmented values: the
+    two-stage Psi form with qbar = w.
     two_stage_psi: closed-form stationary point for q in [0, 1), vertex
     minimum for q = 1.
     two_stage_phi: the minimal conditional margin risks of Bartlett, Jordan
@@ -265,14 +265,17 @@ def conditional_min_surrogate(task: DiscreteTask, k, loss: LossSelector):
     (e0 + e1) H(e0 / (e0 + e1)) with H the binary entropy in nats
     (logistic), 2 sqrt(e0 e1) (exponential) and 2 min(e0, e1) (hinge).
     """
-    if loss.name in ("deferral", "surrogate_mae"):
+    single = loss.stage == "single"
+    if single and (loss.is_target or loss.paired and loss.psi.q == 1.0):
         out = 1.0 - augmented_values(task, k).max(axis=-1)
-    elif loss.name == "two_stage_deferral":
+    elif single and not loss.paired:
+        out = _psi_min(augmented_values(task, k), loss.psi.q)
+    elif single:
+        raise ValueError(f"no exact oracle for loss {loss.name!r} at q = {loss.psi.q}")
+    elif loss.is_target:
         out = expected_costs(task, k).min(axis=-1)
-    elif loss.name == "two_stage_psi":
+    elif loss.psi is not None:
         out = _psi_min(_qbar(task, k), loss.psi.q)
-    elif loss.name != "two_stage_phi":
-        raise ValueError(f"no exact oracle for loss {loss.name!r}")
     elif loss.phi.kind is losses.PhiKind.LOGISTIC:
         out = _weighted_entropy(expected_costs(task, k))
     else:

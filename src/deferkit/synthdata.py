@@ -182,8 +182,7 @@ def gen_random_discrete_task(seed: int, index: int = 0, n_max: int = 4,
     # margins and brackets over experts need at least two of them
     ne_min = 1 if constraint == "none" else 2
     for name, value, least in (("n_max", n_max, 2), ("ne_max", ne_max, ne_min), ("k_max", k_max, 2)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least} under constraint {constraint!r}, got {value}")
+        check_int(value, name, least)
     g = rng.substream(seed, f"task-{constraint}", index)
     for attempt in range(_MAX_RESAMPLES + 1):
         n = int(g.integers(2, n_max + 1))

@@ -21,8 +21,9 @@ def deferral_loss_alt_batch(scores, y, costs, shape: ProblemShape) -> np.ndarray
 
 
 def _one_row_grad(kernel, row_args: int):
-    """The score gradient of one row from a value-and-gradient batch kernel;
-    arguments as for :func:`deferkit.losses._one_row`."""
+    """The score gradient of one row from a value-and-gradient batch kernel:
+    one score vector and ``row_args`` more per-row arguments (label and costs,
+    or costs), then the kernel's other arguments, all by position."""
     def grad(scores, *args):
         rows = [[a] for a in args[:row_args]]
         return kernel([scores], *rows, *args[row_args:])[1][0]
@@ -58,8 +59,8 @@ def psi_deriv_reference(psi: PsiSpec, u) -> np.ndarray:
 _LOG = PsiSpec(q=0.0)
 _MAE = PsiSpec(q=1.0)
 
-deferral_loss_alt = _one_row(deferral_loss_alt_batch, 2)
-baseline_mao = _one_row(baseline_mao_batch, 2)
+deferral_loss_alt = _one_row(deferral_loss_alt_batch)
+baseline_mao = _one_row(baseline_mao_batch)
 surrogate_single_grad = _one_row_grad(losses.surrogate_single_with_grad_batch, 2)
 baseline_mao_grad = _one_row_grad(losses.baseline_mao_with_grad_batch, 2)
 baseline_verma_grad = _one_row_grad(losses.baseline_verma_with_grad_batch, 2)

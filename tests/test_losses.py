@@ -146,6 +146,9 @@ def test_psi_spec_validation():
         PsiSpec(q=1.5)
     with pytest.raises(ValueError):
         PsiSpec(q=-0.1)
+    for q in ("0.5", float("nan"), float("inf"), None, True):
+        with pytest.raises(ValueError, match="^q must be finite and >= 0.0"):
+            PsiSpec(q=q)
 
 
 def test_surrogate_mae_is_q1_alias():
@@ -333,6 +336,33 @@ _SCALAR_FORMS = {
     "two_stage_surrogate_phi": lambda c: two_stage_surrogate_phi([0.5, 0.0], c, PhiSpec()),
     "two_stage_surrogate_psi": lambda c: two_stage_surrogate_psi([0.5, 0.0], c, PsiSpec(q=0.7)),
 }
+
+
+# each scalar form's arguments, in order and by name
+_SCALAR_ARGUMENTS = {
+    deferral_loss: dict(scores=[0.0, 0.0, 5.0, 0.0], y=0, costs=[0.2, 0.7],
+                        shape=ProblemShape(2, 2)),
+    two_stage_deferral_loss: dict(scores=[5.0, 0.0], costs=[0.2, 0.7]),
+    surrogate_single: dict(scores=[0.0, 1.0, 0.5, 0.0], y=1, costs=[0.2, 0.7],
+                           shape=ProblemShape(2, 2), psi=PsiSpec(q=0.5)),
+    surrogate_mae: dict(scores=[0.0, 1.0, 0.5, 0.0], y=1, costs=[0.2, 0.7],
+                        shape=ProblemShape(2, 2)),
+    two_stage_surrogate_phi: dict(scores=[0.5, 0.0], costs=[0.2, 0.7], phi=PhiSpec()),
+    two_stage_surrogate_psi: dict(scores=[0.5, 0.0, -1.0], costs=[0.2, 0.7, 0.9],
+                                  psi=PsiSpec(q=0.5)),
+}
+
+
+@pytest.mark.parametrize("form", _SCALAR_ARGUMENTS, ids=lambda form: form.__name__)
+def test_scalar_forms_take_their_arguments_by_keyword(form):
+    named = list(_SCALAR_ARGUMENTS[form].items())
+    want = np.float64(form(*(value for _, value in named))).view(np.uint64)
+    for split in range(len(named)):   # the first `split` by position, the rest by keyword
+        got = form(*(value for _, value in named[:split]), **dict(named[split:]))
+        assert np.float64(got).view(np.uint64) == want, split
+    if form is surrogate_single:   # the comp-sum kernels check their spec by keyword too
+        with pytest.raises(ValueError, match="^psi must be a PsiSpec"):
+            form(**dict(named, psi=None))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferkit.losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec
+from deferkit import oracles
+from deferkit.losses import LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec, surrogate_single
 from deferkit.oracles import (
     ChainReport,
     DiscreteTask,
@@ -652,15 +656,79 @@ def test_csv_rows_of_a_stack_names_report_h():
 
 
 @pytest.mark.parametrize("name,spec", [("surrogate_single", {"psi": PsiSpec(q=0.5)}),
-                                       ("baseline_verma", {})])
+                                       ("surrogate_single", {"psi": PsiSpec(q=0.0)})])
 def test_oracles_reject_a_loss_without_one(name, spec):
+    # a paired comp-sum row below q = 1 has an exact conditional error, but
+    # no closed-form minimum
     task = gen_random_discrete_task(3, 0)
     hyp = TabularHypothesis(np.zeros((task.num_points, task.shape.augmented_size)))
     loss = LossSelector(name, **spec)
-    for oracle in (lambda: conditional_error(task, hyp, 0, loss),
-                   lambda: conditional_min_surrogate(task, 0, loss)):
-        with pytest.raises(ValueError, match="no exact oracle"):
-            oracle()
+    assert np.isfinite(conditional_error(task, hyp, 0, loss))
+    with pytest.raises(ValueError, match=f"no exact oracle for loss '{name}'"):
+        conditional_min_surrogate(task, 0, loss)
+
+
+@pytest.mark.parametrize("name,q", [("baseline_mao", 0.0), ("baseline_mao", 0.3),
+                                    ("baseline_mao", 0.7), ("baseline_mao", 1.0),
+                                    ("baseline_verma", 0.0)])
+def test_baseline_minimum_is_exact_and_attained(name, q):
+    # a baseline's conditional error is sum_i w_i Psi_q(s_i), w the augmented
+    # values: least at s* proportional to w^(1/(1-q)), at the best vertex for
+    # q = 1, and argmax s* is then the Bayes deferral action
+    loss = LossSelector(name, psi=None if name == "baseline_verma" else PsiSpec(q=q))
+    values, minima = [], []
+    for i in range(20):
+        task = gen_random_discrete_task(2026, i)
+        w = augmented_values(task, slice(None))
+        if q < 1.0:
+            s_star = w ** (1.0 / (1.0 - q))
+            s_star /= s_star.sum(axis=-1, keepdims=True)
+            scores = np.log(s_star)
+            np.testing.assert_array_equal(np.argmax(s_star, axis=-1),
+                                          bayes_deferral(task).action(slice(None)))
+        else:
+            scores = 50.0 * np.eye(w.shape[-1])[np.argmax(w, axis=-1)]
+        exact = conditional_min_surrogate(task, slice(None), loss)
+        np.testing.assert_allclose(conditional_error(task, TabularHypothesis(scores),
+                                                     slice(None), loss), exact, rtol=0, atol=1e-12)
+        values.append(w)
+        minima.append(exact)
+    # one numeric run over every point: weights padded with zeros to one width,
+    # which leaves each infimum as it is
+    width = max(w.shape[-1] for w in values)
+    rows = np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[-1]))) for w in values])
+    assert (numeric_min_two_stage_psi(rows, loss.psi) >= np.concatenate(minima) - 1e-9).all()
+
+
+def test_surrogate_single_conditional_error_is_its_label_average():
+    psi = PsiSpec(q=0.5)
+    loss = LossSelector("surrogate_single", psi=psi)
+    g = np.random.default_rng(11)
+    for i in range(10):
+        task = gen_random_discrete_task(11, i)
+        scores = 3.0 * g.standard_normal((task.num_points, task.shape.augmented_size))
+        want = [sum(task.conditionals[k, y] * surrogate_single(scores[k], y, task.costs[k, y],
+                                                                  task.shape, psi)
+                    for y in range(task.shape.n)) for k in range(task.num_points)]
+        got = conditional_error(task, TabularHypothesis(scores), slice(None), loss)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_oracles_choose_their_path_from_the_loss_table():
+    # no loss name is compared in the two per-point oracles: a new row of the
+    # table reaches them through its columns (stage, target flag, spec, pairing)
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    checked = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("conditional_error",
+                                                           "conditional_min_surrogate"):
+            checked.add(fn.name)
+            tests = [node for node in ast.walk(fn) if isinstance(node, (ast.Compare, ast.Match))]
+            named = [ast.unparse(node) for node in tests
+                     if any(isinstance(a, ast.Attribute) and a.attr == "name"
+                            for a in ast.walk(node))]
+            assert named == [], (fn.name, named)
+    assert checked == {"conditional_error", "conditional_min_surrogate"}
 
 
 def test_two_expert_bound_without_lower_costs_is_vacuous():

@@ -151,9 +151,11 @@ def test_random_task_determinism_and_errors():
 @pytest.mark.parametrize("field,value,constraint", [
     ("n_max", 1, "none"), ("k_max", 1, "none"), ("k_max", 0, "positive_margin"),
     ("ne_max", 0, "none"), ("ne_max", 1, "theorem7_premise"), ("ne_max", 1, "positive_margin"),
+    ("n_max", 2.5, "none"), ("ne_max", True, "none"), ("k_max", "6", "none"),
 ])
 def test_random_task_bounds_name_their_field(field, value, constraint):
-    # a bound that the draw cannot meet is an error, never lifted in silence
-    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+    # a bound that the draw cannot meet, or that is no integer, is an error,
+    # never lifted or rounded in silence
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
         gen_random_discrete_task(0, 0, constraint=constraint, **{field: value})
     assert gen_random_discrete_task(0, 0, ne_max=1).shape.n_e == 1
