@@ -143,6 +143,14 @@ def _column(spec: PsiSpec) -> _PsiColumn:
     return _PsiColumn(spec, True)
 
 
+def _psi_column(psi) -> _PsiColumn:
+    """The column a Psi kernel runs: a PsiSpec's paired one-model column, or a stack's."""
+    psi = _column(psi) if isinstance(psi, PsiSpec) else psi
+    if not isinstance(psi, _PsiColumn):
+        raise ValueError(f"psi must be a PsiSpec or a LossSelector.stack column, got {psi!r}")
+    return psi
+
+
 class PhiKind(str, Enum):
     LOGISTIC = "logistic"
     EXPONENTIAL = "exponential"
@@ -202,12 +210,16 @@ def as_scores(scores) -> np.ndarray:
     return s
 
 
-def as_costs(costs) -> np.ndarray:
-    """Costs as a float array; a cost outside [0, 1] is an error."""
-    c = np.asarray(costs, dtype=float)
-    if not ((c >= 0.0) & (c <= 1.0)).all():   # NaN fails: its comparisons are false
-        raise ValueError("costs must lie in [0, 1]")
-    return c
+def check_array(value, name: str, least: float = -np.inf, most: float = np.inf) -> np.ndarray:
+    """The value as a float array; raises ValueError naming the argument unless it
+    holds numbers (not strings or bools), each finite and in [least, most]. It makes
+    one isfinite pass, then a min or a max only for a bound that it is given."""
+    a = np.asarray(value)
+    if (a.dtype.kind not in "iuf" or not np.isfinite(a).all()
+            or least > -np.inf and a.min(initial=least) < least
+            or most < np.inf and a.max(initial=most) > most):
+        raise ValueError(f"{name} must lie in [{least}, {most}] and be finite numbers")
+    return a.astype(float, copy=False)
 
 
 def softmax(scores) -> np.ndarray:
@@ -323,9 +335,7 @@ def _single_stage_terms(scores, y, costs, shape: ProblemShape, psi):
     PsiSpec stands for its paired column), the ``(width, [S,] m)`` softmax
     p, the label slots, the label mass u0 ``([S,] m)``, the expert masses uj
     ``(n_e, [S,] m)`` and their brackets a0 and wj."""
-    psi = _column(psi) if isinstance(psi, PsiSpec) else psi
-    if not isinstance(psi, _PsiColumn):
-        raise ValueError(f"psi must be a PsiSpec or a LossSelector.stack column, got {psi!r}")
+    psi = _psi_column(psi)
     s, y, c = _labeled_inputs(scores, y, costs, shape)
     p = _class_softmax(s)
     at = _label_slots(y)
@@ -418,22 +428,23 @@ def two_stage_surrogate_phi_with_grad_batch(scores, costs, phi: PhiSpec) -> tupl
     return loss, _row_major(np.stack([g1.T, -g1.T]))
 
 
-def expert_brackets(costs: np.ndarray, n_e: int, axis: int = -1) -> np.ndarray:
+def expert_brackets(costs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Per-expert coefficients: sum of the other experts' costs minus n_e - 2.
-    ``axis`` is the axis that runs over the experts."""
+    ``axis`` is the axis that runs over the n_e experts."""
     c = np.atleast_2d(np.asarray(costs, dtype=float))
-    return c.sum(axis=axis, keepdims=True) - c - (n_e - 2)
+    return c.sum(axis=axis, keepdims=True) - c - (c.shape[axis] - 2)
 
 
-def _psi_terms(scores, costs, psi: PsiSpec):
-    """The surrogate values and the class-major ``(n_e, [S,] m)`` brackets and
-    softmax."""
+def _psi_terms(scores, costs, psi):
+    """The surrogate values, and the column psi and the class-major
+    ``(n_e, [S,] m)`` brackets and softmax."""
+    psi = _psi_column(psi)
     s, c = _two_stage_inputs(scores, costs)
     if s.shape[-1] < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
-    b = expert_brackets(np.ascontiguousarray(c.T), s.shape[-1], axis=0)
+    b = expert_brackets(np.ascontiguousarray(c.T), axis=0)
     p = _class_softmax(s)
-    return (b * psi.value(p)).sum(axis=0).T, (b, p)
+    return (b * psi.value(p)).sum(axis=0).T, (psi, b, p)
 
 
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
@@ -442,7 +453,7 @@ def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:
 
 
 def two_stage_surrogate_psi_with_grad_batch(scores, costs, psi: PsiSpec) -> tuple[np.ndarray, np.ndarray]:
-    loss, (b, p) = _psi_terms(scores, costs, psi)
+    loss, (psi, b, p) = _psi_terms(scores, costs, psi)
     q = b * psi.deriv(p) * p
     return loss, _row_major(q - p * q.sum(axis=0))
 
@@ -530,7 +541,7 @@ def _one_row(kernel):
 
     def one_row(*args, **kwargs):
         given = signature.bind(*args, **kwargs).arguments
-        given["costs"] = as_costs(given["costs"])
+        given["costs"] = check_array(given["costs"], "costs", 0.0, 1.0)
         return float(kernel(**{name: [value] if name in ("scores", "y", "costs") else value
                                for name, value in given.items()})[0])
 

@@ -68,8 +68,8 @@ class Scorer:
             if np.ndim(w) < 2 or np.shape(w)[-1:] != width or np.shape(b) != np.shape(w)[:-1]:
                 raise ValueError(f"layers: layer {k} has W {np.shape(w)} and b {np.shape(b)}")
             width = np.shape(w)[-2:-1]
-        if not all(np.isfinite(p).all() for p in self.params()):
-            raise ValueError("layers: a scorer's parameters must be finite")
+        for p in self.params():
+            losses.check_array(p, "layers: a scorer's parameters")
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
@@ -140,18 +140,14 @@ class LabeledDataset:
     stage: str = "single"  # "single" or "two"
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=float)
+        self.features = losses.check_array(self.features, "features")
         self.labels = losses.as_labels(self.labels)
-        self.costs = np.asarray(self.costs, dtype=float)
+        self.costs = losses.check_array(self.costs, "costs", 0.0, 1.0)
         m = len(self.features) if self.features.ndim == 2 else None
         if m is None or self.costs.shape != (m, self.shape.n_e) or self.labels.shape != (m,):
             raise ValueError(f"need features (m, d), labels (m,) and costs (m, {self.shape.n_e}); "
                              f"got {self.features.shape}, {self.labels.shape} and {self.costs.shape}")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features must be finite")
-        losses.as_costs(self.costs)
-        if not ((self.labels >= 0) & (self.labels < self.shape.n)).all():
-            raise ValueError(f"labels must lie in [0, {self.shape.n})")
+        losses.check_array(self.labels, "labels", 0, self.shape.n - 1)
         if self.stage not in ("single", "two"):
             raise ValueError(f"unknown stage {self.stage!r}")
 

@@ -68,16 +68,11 @@ class DiscreteTask:
     shape: ProblemShape
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.conditionals = np.asarray(self.conditionals, dtype=float)
-        self.costs = np.asarray(self.costs, dtype=float)
-        if not all(np.isfinite(a).all() for a in (self.mu, self.conditionals, self.costs)):
-            raise ValueError("marginals, conditionals and costs must be finite")
-        if (self.mu < 0).any() or (np.abs(self.mu.sum(axis=-1) - 1.0) > 1e-12).any():
-            raise ValueError("marginals must be nonnegative and sum to 1")
-        if (np.abs(self.conditionals.sum(axis=-1) - 1.0) > 1e-12).any():
-            raise ValueError("conditional rows must sum to 1")
-        losses.as_costs(self.costs)
+        for name in ("mu", "conditionals", "costs"):   # probabilities and costs
+            setattr(self, name, losses.check_array(getattr(self, name), name, 0.0, 1.0))
+        for name in ("mu", "conditionals"):
+            if (np.abs(getattr(self, name).sum(axis=-1) - 1.0) > 1e-12).any():
+                raise ValueError(f"{name} must sum to 1 over its last axis")
         if self.conditionals.shape != self.mu.shape + (self.shape.n,):
             raise ValueError("conditionals shape mismatch")
         if self.costs.shape != self.mu.shape + (self.shape.n, self.shape.n_e):
@@ -87,8 +82,8 @@ class DiscreteTask:
     def stack(cls, tasks: Sequence["DiscreteTask"]) -> "DiscreteTask":
         """Tasks of one shape on a new leading task axis; each was checked
         when it was made, so the stack is not checked again."""
-        if any(t.shape != tasks[0].shape for t in tasks):
-            raise ValueError("stacked tasks must share n and n_e")
+        if not tasks or any(t.shape != tasks[0].shape for t in tasks):
+            raise ValueError("tasks must be nonempty and share n and n_e")
         stacked = copy.copy(tasks[0])
         stacked.mu, stacked.conditionals, stacked.costs = (
             np.stack([getattr(t, name) for t in tasks]) for name in ("mu", "conditionals", "costs"))
@@ -190,7 +185,7 @@ def bayes_two_stage(task: DiscreteTask) -> TabularHypothesis:
 
 def _qbar(task: DiscreteTask, k) -> np.ndarray:
     """Expected per-expert bracket coefficients for the two-stage surrogate."""
-    b = losses.expert_brackets(task.costs[..., k, :, :], task.shape.n_e)  # (..., n, n_e)
+    b = losses.expert_brackets(task.costs[..., k, :, :])  # (..., n, n_e)
     return _vecmat(task.conditionals[..., k, :], b)
 
 
@@ -326,10 +321,13 @@ def minimizability_gap(task: DiscreteTask, loss: LossSelector,
 # ---------------------------------------------------------------------------
 
 
-def _slack_ok(slack):
-    """True where the slack is finite and at least -SLACK_FLOOR; NaN and
-    infinite slacks fail, so a verifier cannot pass on broken arithmetic."""
-    return (slack >= -SLACK_FLOOR) & (slack < np.inf)
+@np.errstate(invalid="ignore")  # a NaN slack from a non-finite side fails
+def _holds(lhs, rhs, premise=True):
+    """The one verdict rule: lhs <= rhs holds where its slack rhs - lhs is finite and
+    at least -SLACK_FLOOR, so broken arithmetic cannot pass; where the premise is
+    unmet the bound claims nothing, and it holds where lhs is finite."""
+    slack = rhs - lhs
+    return np.where(premise, (slack >= -SLACK_FLOOR) & (slack < np.inf), np.isfinite(lhs))
 
 
 class _Verdict:
@@ -377,11 +375,9 @@ class RegretReport(_Verdict):
         the aggregate row, which comes last), lhs, rhs, slack and verdict."""
         lhs = np.concatenate([self.target_regrets, np.expand_dims(self.excess_target, -1)], -1)
         rhs = np.concatenate([self.rhs, np.expand_dims(self.aggregate_rhs, -1)], -1)
-        slack = rhs - lhs
-        ok = np.where(self._per_report(self.premise_met)[..., None], _slack_ok(slack),
-                      np.isfinite(lhs))
+        ok = _holds(lhs, rhs, self._per_report(self.premise_met)[..., None])
         points = np.broadcast_to(np.r_[:lhs.shape[-1] - 1, -1], lhs.shape)
-        return points, lhs, rhs, slack, np.where(ok, "ok", "violation")
+        return points, lhs, rhs, rhs - lhs, np.where(ok, "ok", "violation")
 
     @property
     def violations(self) -> int:
@@ -440,7 +436,7 @@ def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
     """Two-stage multiple-expert bound with the cost-dependent constant and
     the q-dependent square-root / linear transform. Every leave-one-out cost
     sum of every task must reach n_e - 2."""
-    brackets = losses.expert_brackets(task.costs, task.shape.n_e)
+    brackets = losses.expert_brackets(task.costs)
     failed = np.argwhere(~np.all(brackets >= -1e-12, axis=(-3, -2, -1)))
     if len(failed):
         where = f" for task {tuple(failed[0].tolist())}" if task.mu.ndim > 1 else ""
@@ -497,18 +493,14 @@ def minimal_margin(task: DiscreteTask, stage: str) -> np.ndarray:
 def _noise_support(alpha: float, margins, marginals) -> tuple[np.ndarray, np.ndarray]:
     """The margins and marginals of a noise profile, checked with its alpha;
     a bad value raises ValueError naming its field."""
-    margins = np.asarray(margins, dtype=float)
-    marginals = np.asarray(marginals, dtype=float)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not margins.size or not np.isfinite(margins).all():
-        raise ValueError("margins must be nonempty and finite")
-    if np.any(margins <= 0.0):
-        raise ValueError("margins must be > 0: zero margin")
+    margins = losses.check_array(margins, "margins")
+    marginals = losses.check_array(marginals, "marginals", 0.0)
+    if not margins.size or np.any(margins <= 0.0):
+        raise ValueError("margins must be nonempty and > 0, with no zero margin")
     if marginals.shape != margins.shape:
         raise ValueError(f"marginals shape {marginals.shape} != margins shape {margins.shape}")
-    if not (np.isfinite(marginals).all() and np.all(marginals >= 0.0)):
-        raise ValueError("marginals must be finite and >= 0")
     return margins, marginals
 
 
@@ -534,8 +526,7 @@ class NoiseProfile:
 
     def __post_init__(self) -> None:
         self.margins, self.marginals = _noise_support(self.alpha, self.margins, self.marginals)
-        if not (np.isfinite(self.B) and self.B >= 0.0):
-            raise ValueError(f"B must be finite and >= 0, got {self.B}")
+        losses.check_number(self.B, "B", 0.0)
         self.c_const = self.B ** (1.0 - self.alpha) / self.alpha ** self.alpha
         _check_noise(self, self.margins, self.marginals, "its margins")
 
@@ -559,8 +550,7 @@ class ChainReport(_Verdict):
 
     @property
     def violations(self) -> int:
-        return (int(not _slack_ok(self.middle - self.lhs))
-                + int(not _slack_ok(self.rhs - self.middle)))
+        return int(not _holds(self.lhs, self.middle)) + int(not _holds(self.middle, self.rhs))
 
 
 def _disagreement(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> np.ndarray:
@@ -591,12 +581,8 @@ class EnhancedReport(_Verdict):
 
     @property
     def violations(self) -> int:
-        if not np.isfinite(self.lhs):
-            return 1
-        # an unmet premise leaves rhs undefined (inf) and is no violation
-        if not self.premise_met:
-            return 0
-        return int(not _slack_ok(self.rhs - self.lhs))
+        # an unmet premise leaves rhs undefined (inf): only a non-finite lhs is a violation
+        return int(not _holds(self.lhs, self.rhs, self.premise_met))
 
 
 def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
@@ -610,13 +596,14 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
     minimizability gap vanish, as theorem_mm requires; its profile must meet
     the noise condition on the task's margins.
     """
+    if mode not in ("theorem_multi", "theorem_mm"):
+        raise ValueError(f"mode must be 'theorem_multi' or 'theorem_mm', got {mode!r}")
+    if mode == "theorem_mm" and profile is None:
+        raise ValueError("profile: theorem_mm requires a fitted NoiseProfile")
     _one_hypothesis(hyp)
-    if not s >= 1.0:   # NaN fails too
-        raise ValueError(f"s must be >= 1, got {s}")
+    losses.check_number(s, "s", 1.0)
     stage = surrogate.stage
     if mode == "theorem_mm":
-        if profile is None:
-            raise ValueError("theorem_mm requires a fitted NoiseProfile")
         _check_noise(profile, minimal_margin(task, stage), task.mu, f"the task's {stage}-stage margins")
     tgt, sur = _per_point_regrets(task, hyp, _DEFERRAL[stage], surrogate)
     # unmet only where a point is known to break it, so NaN cannot skip the check
@@ -631,9 +618,7 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
         # conjugate exponent; s = 1 degenerates to the linear premise itself
         factor = 1.0 if s == 1.0 else disagree_mass ** (1.0 - 1.0 / s)
         rhs = factor * excess_s ** (1.0 / s)
-    elif mode == "theorem_mm":
+    else:
         denom = s - profile.alpha * (s - 1.0)
         rhs = profile.c_const ** ((s - 1.0) / denom) * excess_s ** (1.0 / denom)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return EnhancedReport(lhs=excess_t, rhs=float(rhs), premise_met=True, label=mode)

@@ -156,7 +156,7 @@ def _premise_costs(g: np.random.Generator, rows: int, n_e: int) -> np.ndarray:
     kept, misses = [], 0
     while len(kept) < rows:
         block = g.uniform(0.0, 1.0, size=(rows, n_e))
-        for row, ok in zip(block, (expert_brackets(block, n_e) >= 0).all(axis=-1)):
+        for row, ok in zip(block, (expert_brackets(block) >= 0).all(axis=-1)):
             misses = 0 if ok else misses + 1
             if misses > _MAX_RESAMPLES and len(kept) < rows:
                 raise RuntimeError("cost resampling cap reached for premise constraint")

@@ -71,7 +71,7 @@ def _psi_terms(scores, costs):
     s, c = _two_stage_inputs(scores, costs)
     if s.shape[1] < 2:
         raise ValueError("two-stage surrogate requires at least 2 experts")
-    return expert_brackets(c, s.shape[1]), _softmax(s)
+    return expert_brackets(c), _softmax(s)
 
 
 def two_stage_surrogate_psi_batch(scores, costs, psi: PsiSpec) -> np.ndarray:

@@ -360,9 +360,14 @@ def test_scalar_forms_take_their_arguments_by_keyword(form):
     for split in range(len(named)):   # the first `split` by position, the rest by keyword
         got = form(*(value for _, value in named[:split]), **dict(named[split:]))
         assert np.float64(got).view(np.uint64) == want, split
-    if form is surrogate_single:   # the comp-sum kernels check their spec by keyword too
+    if form in (surrogate_single, two_stage_surrogate_psi):   # the Psi kernels check their spec
         with pytest.raises(ValueError, match="^psi must be a PsiSpec"):
             form(**dict(named, psi=None))
+    if form is two_stage_surrogate_psi:
+        for kernel in (losses.two_stage_surrogate_psi_batch,
+                       losses.two_stage_surrogate_psi_with_grad_batch):
+            with pytest.raises(ValueError, match="^psi must be a PsiSpec"):
+                kernel([named[0][1]], [named[1][1]], None)
 
 
 @settings(max_examples=150, deadline=None)

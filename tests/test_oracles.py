@@ -330,6 +330,23 @@ def test_enhanced_bound_premise_unmet_is_not_violation():
     assert found
 
 
+def test_enhanced_bound_checks_its_mode_before_its_premise():
+    # an unknown mode once passed vacuously wherever the premise was unmet
+    task = gen_random_discrete_task(17, 0, constraint="positive_margin")
+    g = np.random.default_rng(17)
+    loss = LossSelector("surrogate_mae")
+    unmet = next(hyp for hyp in (TabularHypothesis(g.standard_normal(
+        (task.num_points, task.shape.augmented_size))) for _ in range(200))
+        if not verify_enhanced_bound(task, hyp, loss, 1.0, "theorem_multi").premise_met)
+    bayes = bayes_deferral(task)
+    assert verify_enhanced_bound(task, bayes, loss, 1.0, "theorem_multi").premise_met
+    for hyp in (unmet, bayes):
+        with pytest.raises(ValueError, match="^mode must be"):
+            verify_enhanced_bound(task, hyp, loss, 1.0, "nope")
+        with pytest.raises(ValueError, match="^profile: theorem_mm requires"):
+            verify_enhanced_bound(task, hyp, loss, 1.0, "theorem_mm")
+
+
 def test_empirical_excess_weighted_sum():
     task = gen_random_discrete_task(19, 0)
     g = np.random.default_rng(19)
@@ -602,6 +619,8 @@ def test_task_stack_rejects_mixed_shapes_and_unaligned_hypotheses():
     wide = one_point_task([0.2, 0.3, 0.5], [[0.2], [0.4], [0.1]], 1)
     with pytest.raises(ValueError, match="share n and n_e"):
         DiscreteTask.stack([small, wide])
+    with pytest.raises(ValueError, match="^tasks must be nonempty"):
+        DiscreteTask.stack([])
     with pytest.raises(ValueError):
         DiscreteTask.stack([small, gen_random_discrete_task(3, 0, n_max=2, ne_max=1)])
     stack = DiscreteTask.stack([small, small])

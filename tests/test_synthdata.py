@@ -93,8 +93,7 @@ def test_class_range_spec_validation():
 def test_random_task_premise_constraint():
     for i in range(20):
         task = gen_random_discrete_task(6, i, constraint="theorem7_premise")
-        b = expert_brackets(task.costs.reshape(-1, task.shape.n_e),
-                            task.shape.n_e)
+        b = expert_brackets(task.costs.reshape(-1, task.shape.n_e))
         assert np.all(b >= -1e-12)
         assert task.shape.n_e >= 2
 
