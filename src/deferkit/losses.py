@@ -13,7 +13,8 @@ Psi_q is computed in one place, :class:`_PsiColumn`.
 
 Batch kernels take ``(m, width)`` scores (a single score vector is one row)
 with one label and one cost row per score row, and raise ``ValueError`` on
-any other shape. A stack of S models passes ``(m, S, width)`` scores,
+any other shape, and through :func:`check_array` on a non-finite score, a
+label outside [0, n) or a cost outside [0, 1]. A stack of S models passes ``(m, S, width)`` scores,
 ``(m, S)`` labels and ``(m, S, n_e)`` costs and gets ``(m, S)`` values;
 slice s is, bit for bit, the kernel on model s alone. The softmax kernels
 work class-major: they lay the scores out as ``(width, [S,] m)`` (free for
@@ -202,29 +203,22 @@ def check_number(value, name: str, least: float) -> None:
         raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
 
 
-def as_scores(scores) -> np.ndarray:
-    """Scores as a float array; a NaN or infinite score is an error."""
-    s = np.asarray(scores, dtype=float)
-    if not np.isfinite(s).all():
-        raise ValueError("invalid scores")
-    return s
-
-
 def check_array(value, name: str, least: float = -np.inf, most: float = np.inf) -> np.ndarray:
     """The value as a float array; raises ValueError naming the argument unless it
     holds numbers (not strings or bools), each finite and in [least, most]. It makes
-    one isfinite pass, then a min or a max only for a bound that it is given."""
+    a min or a max only for a bound that it is given, and an isfinite pass unless
+    both bounds are finite: a NaN min or max fails their compares."""
     a = np.asarray(value)
-    if (a.dtype.kind not in "iuf" or not np.isfinite(a).all()
-            or least > -np.inf and a.min(initial=least) < least
-            or most < np.inf and a.max(initial=most) > most):
+    if (a.dtype.kind not in "iuf" or not (-np.inf < least and most < np.inf or np.isfinite(a).all())
+            or least > -np.inf and not a.min(initial=least) >= least
+            or most < np.inf and not a.max(initial=most) <= most):
         raise ValueError(f"{name} must lie in [{least}, {most}] and be finite numbers")
     return a.astype(float, copy=False)
 
 
 def softmax(scores) -> np.ndarray:
     """Stable softmax over the last axis (max-shifted before exponentiation)."""
-    s = as_scores(scores)
+    s = check_array(scores, "scores")
     if s.ndim == 0 or s.shape[-1] == 0:
         raise ValueError(f"scores need a nonempty last axis, got shape {s.shape}")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
@@ -276,25 +270,24 @@ def as_labels(y) -> np.ndarray:
 
 def _labeled_inputs(scores, y, costs, shape: ProblemShape):
     """A single-stage batch, checked: finite ``(m, [S,] n + n_e)`` scores,
-    integer labels ``(m, [S])`` in [0, n) and ``(m, [S,] n_e)`` costs."""
-    s = np.atleast_2d(as_scores(scores))
+    integer labels ``(m, [S])`` in [0, n) and ``(m, [S,] n_e)`` costs in [0, 1]."""
+    s = np.atleast_2d(check_array(scores, "scores"))
     y = np.atleast_1d(as_labels(y))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
+    c = np.atleast_2d(check_array(costs, "costs", 0.0, 1.0))
     rows = s.shape[:-1]
     if (s.ndim > 3 or s.shape[-1] != shape.augmented_size or y.shape != rows
             or c.shape != (*rows, shape.n_e)):
         raise ValueError(f"need scores (m, [S,] {shape.augmented_size}), labels (m, [S]) and "
                          f"costs (m, [S,] {shape.n_e}); got {s.shape}, {y.shape} and {c.shape}")
-    if ((y < 0) | (y >= shape.n)).any():
-        raise ValueError(f"label out of range [0, {shape.n})")
+    check_array(y, "labels", 0, shape.n - 1)
     return s, y, c
 
 
 def _two_stage_inputs(scores, costs):
     """A two-stage batch, checked: finite ``(m, [S,] n_e)`` scores and costs
-    of the same shape."""
-    s = np.atleast_2d(as_scores(scores))
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
+    in [0, 1] of the same shape."""
+    s = np.atleast_2d(check_array(scores, "scores"))
+    c = np.atleast_2d(check_array(costs, "costs", 0.0, 1.0))
     if s.ndim > 3 or c.shape != s.shape:
         raise ValueError(f"scores {s.shape} and costs {c.shape} differ: need one cost "
                          "row per score row and cost width = score width")
@@ -407,9 +400,12 @@ def baseline_verma_with_grad_batch(scores, y, costs, shape: ProblemShape) -> tup
 # ---------------------------------------------------------------------------
 
 
-def _phi_terms(scores, costs, phi: PhiSpec):
-    """The surrogate values, the costs c and the margins d."""
-    s, c = _two_stage_inputs(scores, costs)
+def _phi_terms(s: np.ndarray, c: np.ndarray, phi: PhiSpec):
+    """The surrogate values, the costs c and the margins d, on checked float
+    scores s and costs c of one shape (a kernel checks its own; the oracle
+    passes a checked task's expected costs, which may round above 1)."""
+    if not isinstance(phi, PhiSpec):
+        raise ValueError(f"phi must be a PhiSpec, got {phi!r}")
     if s.shape[-1] != 2:
         raise ValueError("two_stage_surrogate_phi requires exactly 2 experts")
     d = s[..., 0] - s[..., 1]
@@ -419,11 +415,11 @@ def _phi_terms(scores, costs, phi: PhiSpec):
 def two_stage_surrogate_phi_batch(scores, costs, phi: PhiSpec) -> np.ndarray:
     """Two-expert margin surrogate: each cost weights the margin loss of the
     opposing score difference."""
-    return _phi_terms(scores, costs, phi)[0]
+    return _phi_terms(*_two_stage_inputs(scores, costs), phi)[0]
 
 
 def two_stage_surrogate_phi_with_grad_batch(scores, costs, phi: PhiSpec) -> tuple[np.ndarray, np.ndarray]:
-    loss, (c, d) = _phi_terms(scores, costs, phi)
+    loss, (c, d) = _phi_terms(*_two_stage_inputs(scores, costs), phi)
     g1 = -c[..., 0] * phi.deriv(-d) + c[..., 1] * phi.deriv(d)
     return loss, _row_major(np.stack([g1.T, -g1.T]))
 
@@ -501,10 +497,13 @@ class LossSelector:
                 raise ValueError(f"{self.name} fixes q = {takes.q}, got {self.psi!r}")
             object.__setattr__(self, "psi", takes)
             takes = "psi"
-        for field, what in (("psi", "q (a PsiSpec)"), ("phi", "phi (a PhiSpec)")):
-            given = getattr(self, field) is not None
-            if given != (field == takes):
-                raise ValueError(f"{self.name} {'takes no' if given else 'requires'} {what}")
+        for field, what, spec in (("psi", "q", PsiSpec), ("phi", "phi", PhiSpec)):
+            given = getattr(self, field)
+            if (given is not None) != (field == takes):
+                raise ValueError(f"{self.name} {'requires' if given is None else 'takes no'} "
+                                 f"{what} (a {spec.__name__})")
+            if given is not None and not isinstance(given, spec):
+                raise ValueError(f"{field} must be a {spec.__name__}, got {given!r}")
 
     @property
     def stage(self) -> str:
@@ -536,12 +535,11 @@ class LossSelector:
 
 def _one_row(kernel):
     """The scalar form of a batch kernel, a float: it takes the kernel's arguments by
-    position or keyword, with one score vector, label and cost row (costs checked)."""
+    position or keyword, with one score vector, label and cost row."""
     signature = inspect.signature(kernel)
 
     def one_row(*args, **kwargs):
         given = signature.bind(*args, **kwargs).arguments
-        given["costs"] = check_array(given["costs"], "costs", 0.0, 1.0)
         return float(kernel(**{name: [value] if name in ("scores", "y", "costs") else value
                                for name, value in given.items()})[0])
 

@@ -340,8 +340,7 @@ def scorer_to_json(scorer: Scorer) -> str:
     kind = {1: "linear", 2: "mlp"}.get(len(scorer.layers))
     if kind is None:
         raise ValueError(f"a scorer JSON holds 1 or 2 layers, not {len(scorer.layers)}")
-    if not all(np.isfinite(p).all() for p in scorer.params()):
-        raise ValueError("a scorer JSON holds finite parameters only")
+    Scorer(scorer.layers, scorer.seed)   # its layers checked again: training moves them
     fields = {"dims": [list(w.shape) for w, _ in scorer.layers],
               "weights": [w.ravel().tolist() for w, _ in scorer.layers],
               "bias": [b.tolist() for _, b in scorer.layers]}

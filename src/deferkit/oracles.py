@@ -101,7 +101,7 @@ class TabularHypothesis:
     scores: np.ndarray  # (K, width), or (H, K, width) for H stacked hypotheses
 
     def __post_init__(self) -> None:
-        self.scores = losses.as_scores(self.scores)
+        self.scores = losses.check_array(self.scores, "scores")
         if self.scores.ndim < 2 or 0 in self.scores.shape[-2:]:
             raise ValueError(f"scores must hold one score row per point, got {self.scores.shape}")
 
@@ -215,11 +215,10 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
     elif loss.psi is not None:
         out = _dot(_qbar(task, k), loss.psi.value(losses.softmax(s)))
     else:
-        # linear in the costs: the kernel at the expected costs; a width
-        # other than 2 reaches the kernel whole, which rejects it
-        e = np.broadcast_to(expected_costs(task, k), s.shape)
-        rows = (a.reshape(-1, s.shape[-1]) for a in (s, e))
-        out = losses.two_stage_surrogate_phi_batch(*rows, loss.phi).reshape(s.shape[:-1])
+        # linear in the costs: the terms at the expected costs, which the
+        # checked task bounds but whose sums may round just above 1; the terms
+        # reject a width other than 2
+        out = losses._phi_terms(s, np.broadcast_to(expected_costs(task, k), s.shape), loss.phi)[0]
     return _per_point(out)
 
 
@@ -493,6 +492,7 @@ def minimal_margin(task: DiscreteTask, stage: str) -> np.ndarray:
 def _noise_support(alpha: float, margins, marginals) -> tuple[np.ndarray, np.ndarray]:
     """The margins and marginals of a noise profile, checked with its alpha;
     a bad value raises ValueError naming its field."""
+    losses.check_number(alpha, "alpha", 0.0)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     margins = losses.check_array(margins, "margins")

@@ -1,15 +1,19 @@
 """One table of hostile inputs for the fields that the containers, the noise
-profiles and the enhanced-bound verifier check with the package's array and
-number rules, losses.check_array and losses.check_number. Each hostile value
-raises ValueError whose message starts with the field's name."""
+profiles, the softmax and the enhanced-bound verifier check with the package's
+array and number rules, losses.check_array and losses.check_number. Each
+hostile value raises ValueError whose message starts with the field's name.
+An AST guard keeps check_array the package's one finiteness rule for arrays."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deferkit.losses import LossSelector, ProblemShape, check_array
+from deferkit.losses import LossSelector, ProblemShape, check_array, softmax
 from deferkit.models import LabeledDataset
-from deferkit.oracles import (DiscreteTask, NoiseProfile, bayes_deferral, fit_tsybakov_B,
-                              verify_enhanced_bound)
+from deferkit.oracles import (DiscreteTask, NoiseProfile, TabularHypothesis, bayes_deferral,
+                              fit_tsybakov_B, verify_enhanced_bound)
 
 _SHAPE = ProblemShape(2, 1)
 _TASK = dict(mu=np.array([0.5, 0.5]), conditionals=np.array([[0.6, 0.4], [0.2, 0.8]]),
@@ -34,6 +38,14 @@ def fit(**field):
     return fit_tsybakov_B(**{**{k: v for k, v in _NOISE.items() if k != "B"}, **field})
 
 
+def hypothesis(scores=np.zeros((2, 3))):
+    return TabularHypothesis(scores)
+
+
+def soft(scores=np.array([0.5, 1.0])):
+    return softmax(scores)
+
+
 def enhanced(s=2.0):
     at = task()
     return verify_enhanced_bound(at, bayes_deferral(at), LossSelector("surrogate_mae"), s,
@@ -51,8 +63,12 @@ _FIELDS = [
     (profile, "margins", _NOISE["margins"], 0.0, None),
     (profile, "marginals", _NOISE["marginals"], 0.0, None),
     (profile, "B", _NOISE["B"], 0.0, None),
+    (profile, "alpha", _NOISE["alpha"], 0.0, 1.0),
     (fit, "margins", _NOISE["margins"], 0.0, None),
     (fit, "marginals", _NOISE["marginals"], 0.0, None),
+    (fit, "alpha", _NOISE["alpha"], 0.0, 1.0),
+    (hypothesis, "scores", np.zeros((2, 3)), None, None),
+    (soft, "scores", np.array([0.5, 1.0]), None, None),
     (enhanced, "s", 2.0, 1.0, None),
 ]
 
@@ -107,3 +123,20 @@ def test_check_array_returns_a_float_array_of_numbers_in_range():
         check_array([-5e-324], "x", 0.0)
     with pytest.raises(ValueError, match=r"^x must lie in \[-inf, 1.0\]"):
         check_array([np.nextafter(1.0, 2.0)], "x", most=1.0)
+
+
+# (module, function) -> how many np.isfinite calls it may make: the array rule,
+# the verdict rule and the trainer's two checks of its losses
+_ISFINITE = {("losses", "check_array"): 1, ("oracles", "_holds"): 1, ("models", "train"): 2}
+
+
+def test_isfinite_appears_only_in_the_array_rule_the_verdict_rule_and_train():
+    found = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "deferkit").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = sum(isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                            for node in ast.walk(fn))
+                if calls:
+                    found[path.stem, fn.name] = found.get((path.stem, fn.name), 0) + calls
+    assert found == _ISFINITE

@@ -41,7 +41,7 @@ def test_softmax_two_point():
 
 
 def test_softmax_rejects_nonfinite():
-    with pytest.raises(ValueError, match="invalid scores"):
+    with pytest.raises(ValueError, match="^scores must"):
         softmax(np.array([np.nan, 0.0]))
     # an empty score axis is an error that names the scores
     for empty in ([], np.zeros((3, 0)), 1.0):
@@ -360,13 +360,16 @@ def test_scalar_forms_take_their_arguments_by_keyword(form):
     for split in range(len(named)):   # the first `split` by position, the rest by keyword
         got = form(*(value for _, value in named[:split]), **dict(named[split:]))
         assert np.float64(got).view(np.uint64) == want, split
-    if form in (surrogate_single, two_stage_surrogate_psi):   # the Psi kernels check their spec
-        with pytest.raises(ValueError, match="^psi must be a PsiSpec"):
-            form(**dict(named, psi=None))
-    if form is two_stage_surrogate_psi:
-        for kernel in (losses.two_stage_surrogate_psi_batch,
-                       losses.two_stage_surrogate_psi_with_grad_batch):
-            with pytest.raises(ValueError, match="^psi must be a PsiSpec"):
+    # the Psi and Phi kernels check their spec
+    spec = {surrogate_single: "psi", two_stage_surrogate_psi: "psi",
+            two_stage_surrogate_phi: "phi"}.get(form)
+    if spec is not None:
+        with pytest.raises(ValueError, match=f"^{spec} must be a {spec.capitalize()}Spec"):
+            form(**dict(named, **{spec: None}))
+    if form in (two_stage_surrogate_psi, two_stage_surrogate_phi):
+        for kernel in (getattr(losses, f"{form.__name__}_batch"),
+                       getattr(losses, f"{form.__name__}_with_grad_batch")):
+            with pytest.raises(ValueError, match=f"^{spec} must be a {spec.capitalize()}Spec"):
                 kernel([named[0][1]], [named[1][1]], None)
 
 
@@ -471,7 +474,7 @@ _kernel_ids = [k[0] for k in _KERNELS]
 def test_kernels_reject_non_finite_scores(kernel, m, where, seed, bad):
     scores, labels, costs = kernel_inputs(kernel, m, seed)
     scores.flat[where % scores.size] = bad
-    with pytest.raises(ValueError, match="invalid scores"):
+    with pytest.raises(ValueError, match="^scores must"):
         call_kernel(kernel, scores, labels, costs)
 
 
@@ -483,7 +486,21 @@ def test_kernels_reject_non_finite_scores(kernel, m, where, seed, bad):
 def test_kernels_reject_out_of_range_labels(kernel, m, where, seed, bad):
     scores, labels, costs = kernel_inputs(kernel, m, seed)
     labels[where % m] = bad
-    with pytest.raises(ValueError, match="label out of range"):
+    with pytest.raises(ValueError, match="^labels must"):
+        call_kernel(kernel, scores, labels, costs)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=_kernel_ids)
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 6), where=st.integers(0, 10**6), seed=st.integers(0, 2**16),
+       bad=st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(max_value=-5e-324),
+                     st.floats(min_value=1.0, exclude_min=True)))
+def test_kernels_reject_a_cost_outside_the_unit_interval(kernel, m, where, seed, bad):
+    # a NaN or out-of-range cost once gave a NaN loss, or a loss off the
+    # surrogate's scale, instead of an error
+    scores, labels, costs = kernel_inputs(kernel, m, seed)
+    costs.flat[where % costs.size] = bad
+    with pytest.raises(ValueError, match="^costs must lie in"):
         call_kernel(kernel, scores, labels, costs)
 
 

@@ -558,3 +558,12 @@ def test_loss_selector_validation():
         assert target.is_target and target.stage == stage
         with pytest.raises(ValueError, match="target loss"):
             loss_and_grad(target, np.zeros((1, 5)), [0], [[0.5, 0.5]], ProblemShape(3, 2))
+
+
+@pytest.mark.parametrize("name, field, spec", [("two_stage_psi", "psi", 0.5),
+                                               ("two_stage_phi", "phi", "logistic")])
+def test_loss_selector_refuses_a_spec_of_another_type(name, field, spec):
+    # a float q or a phi name once constructed, and verify_enhanced_bound then
+    # raised AttributeError on it
+    with pytest.raises(ValueError, match=rf"^{field} must be a {field.capitalize()}Spec"):
+        LossSelector(name, **{field: spec})

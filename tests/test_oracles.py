@@ -887,3 +887,21 @@ def test_unmet_premise_keeps_non_finite_target_regret_a_violation(bad, point, ag
     rep = RegretReport(**fields)
     assert rep.violations == 1
     assert [row[-1] for row in rep.csv_rows("t")].count("violation") == 1
+
+
+@pytest.mark.parametrize("kind", [PhiKind.LOGISTIC, PhiKind.EXPONENTIAL])
+def test_phi_oracles_accept_tasks_whose_costs_are_all_one(kind):
+    # a conditional row sums to 1 within 1e-12, so an expected cost of cost
+    # rows that are all 1 may round above 1: the oracle passes it to the phi
+    # terms on its checked task, never back through the kernel's cost check
+    phi = PhiSpec(kind)
+    loss = LossSelector("two_stage_phi", phi=phi)
+    above = 0
+    for i in range(200):
+        drawn = gen_random_discrete_task(61, i, ne_max=2, constraint="theorem7_premise")
+        task = DiscreteTask(drawn.mu, drawn.conditionals, np.ones_like(drawn.costs), drawn.shape)
+        above += (expected_costs(task, slice(None)) > 1.0).any()
+        hyp = TabularHypothesis(np.random.default_rng(i).standard_normal((task.num_points, 2)))
+        assert np.isfinite(conditional_error(task, hyp, slice(None), loss)).all()
+        assert verify_bound_two_expert_phi(task, hyp, phi).ok
+    assert above   # the draws reach an expected cost above 1

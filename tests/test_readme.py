@@ -21,7 +21,9 @@ DELETED = {
            # Scorer([(W, b)]) and Scorer([(W1, b1), (W2, b2)])
            "LinearScorer", "MlpScorer",
            # surrogate_single_batch on LossSelector.stack([LossSelector("baseline_mao", psi)])
-           "baseline_mao_batch"),
+           "baseline_mao_batch",
+           # check_array(scores, "scores")
+           "as_scores"),
     "TabularHypothesis": ("actions",),              # action(slice(None))
     "RegretReport": ("slack", "aggregate_slack"),   # table()[3]
     "LabeledDataset": ("output_width",),            # shape.width(stage)
