@@ -68,7 +68,9 @@ class ProblemShape:
         return self.n + self.n_e
 
     def width(self, stage: str) -> int:
-        """Score width of a stage: n + n_e single-stage, n_e two-stage."""
+        """Score width of a stage: n + n_e single-stage, n_e two-stage; the one stage check."""
+        if stage not in ("single", "two"):
+            raise ValueError(f"stage must be 'single' or 'two', got {stage!r}")
         return self.augmented_size if stage == "single" else self.n_e
 
 
@@ -94,6 +96,30 @@ class PsiSpec:
 
     def deriv(self, u: np.ndarray) -> np.ndarray:
         return _column(self).deriv(u)
+
+    @np.errstate(divide="ignore", invalid="ignore")  # masked-out entries may divide by 0
+    def least(self, w: np.ndarray) -> np.ndarray:
+        """Least sum_j w_j Psi_q(s_j) over simplex points s, for weights w >= 0 on the
+        last axis: at s proportional to w**(1 / (1 - q)) for q < 1, a vertex for q = 1."""
+        total = w.sum(axis=-1)
+        if self.q == 1.0:
+            return total - w.max(axis=-1)
+        if self.q == 0.0:
+            val = _weighted_entropy(w)
+        else:
+            weights = w ** (1.0 / (1.0 - self.q))
+            s_star = weights / weights.sum(axis=-1, keepdims=True)
+            val = (w * (1.0 - s_star ** self.q)).sum(axis=-1) / self.q
+        return np.where(total <= 0.0, 0.0, val)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # masked-out entries may divide by 0
+def _weighted_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum_j w_j log(w_j / sum w) over the last axis, with 0 log 0 = 0: the
+    minimum over the simplex of -sum_j w_j log s_j for w >= 0."""
+    total = w.sum(axis=-1, keepdims=True)
+    pos = w > 0.0
+    return -np.where(pos, w * np.log(np.where(pos, w, 1.0) / total), 0.0).sum(axis=-1)
 
 
 class _PsiColumn:
@@ -158,9 +184,22 @@ class PhiKind(str, Enum):
     HINGE = "hinge"
 
 
+# kind -> (phi, phi', least risk): the least risks are those of Bartlett, Jordan &
+# McAuliffe (JASA 2006): (e0 + e1) H(e0 / (e0 + e1)), H the binary entropy in nats,
+# 2 sqrt(e0 e1) and 2 min(e0, e1)
+_PHI = {
+    PhiKind.LOGISTIC: (lambda t: np.logaddexp(0.0, -t), lambda t: -1.0 / (1.0 + np.exp(t)),
+                       _weighted_entropy),
+    PhiKind.EXPONENTIAL: (lambda t: np.exp(-t), lambda t: -np.exp(-t),
+                          lambda e: 2.0 * np.sqrt(e[..., 0] * e[..., 1])),
+    PhiKind.HINGE: (lambda t: np.maximum(0.0, 1.0 - t), lambda t: np.where(t < 1.0, -1.0, 0.0),
+                    lambda e: 2.0 * np.minimum(e[..., 0], e[..., 1])),
+}
+
+
 @dataclass(frozen=True)
 class PhiSpec:
-    """Margin loss for the two-expert deferral surrogate."""
+    """Margin loss for the two-expert deferral surrogate: one row of ``_PHI``."""
 
     kind: PhiKind = PhiKind.LOGISTIC
 
@@ -172,20 +211,14 @@ class PhiSpec:
                              f"got {self.kind!r}") from None
 
     def value(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.kind is PhiKind.LOGISTIC:
-            return np.logaddexp(0.0, -t)
-        if self.kind is PhiKind.EXPONENTIAL:
-            return np.exp(-t)
-        return np.maximum(0.0, 1.0 - t)
+        return _PHI[self.kind][0](np.asarray(t, dtype=float))
 
     def deriv(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.kind is PhiKind.LOGISTIC:
-            return -1.0 / (1.0 + np.exp(t))
-        if self.kind is PhiKind.EXPONENTIAL:
-            return -np.exp(-t)
-        return np.where(t < 1.0, -1.0, 0.0)
+        return _PHI[self.kind][1](np.asarray(t, dtype=float))
+
+    def least(self, e: np.ndarray) -> np.ndarray:
+        """The least risk e0 phi(-d) + e1 phi(d) over margins d, for weights e (..., 2) >= 0."""
+        return _PHI[self.kind][2](e)
 
 
 def check_int(value, name: str, least: int) -> None:
@@ -527,6 +560,8 @@ class LossSelector:
         """The spec that one model, or a stack, with these selectors passes to
         their shared kernel: the one spec they share, else a column."""
         specs = [(sel.phi or sel.psi, sel.paired) for sel in selectors]
+        if not specs:
+            raise ValueError("selectors must hold at least one LossSelector")
         if len(set(specs)) > 1:
             return _PsiColumn(*(list(column) for column in zip(*specs)))
         spec, paired = specs[0]

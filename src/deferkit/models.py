@@ -148,8 +148,7 @@ class LabeledDataset:
             raise ValueError(f"need features (m, d), labels (m,) and costs (m, {self.shape.n_e}); "
                              f"got {self.features.shape}, {self.labels.shape} and {self.costs.shape}")
         losses.check_array(self.labels, "labels", 0, self.shape.n - 1)
-        if self.stage not in ("single", "two"):
-            raise ValueError(f"unknown stage {self.stage!r}")
+        self.shape.width(self.stage)   # refuses an unknown stage
 
     def __len__(self) -> int:
         return len(self.features)

@@ -167,14 +167,24 @@ def expected_costs(task: DiscreteTask, k) -> np.ndarray:
     return _vecmat(task.conditionals[..., k, :], task.costs[..., k, :, :])
 
 
+def _action_values(task: DiscreteTask, k, stage: str) -> tuple[float, np.ndarray]:
+    """A stage's action values at point k, best highest, and the offset whose
+    ``offset - values`` are the target's conditional errors: (1.0, augmented
+    values) or (0.0, -expected costs), exact as -x and 0 - (-x) round nothing."""
+    task.shape.width(stage)   # refuses an unknown stage
+    if stage == "single":
+        return 1.0, augmented_values(task, k)
+    return 0.0, -expected_costs(task, k)
+
+
 def bayes_deferral(task: DiscreteTask) -> TabularHypothesis:
-    """Per-point argmax over augmented values; ties to the lowest index."""
-    acts = np.argmax(augmented_values(task, slice(None)), axis=-1)
+    """Per-point argmax over the action values; ties to the lowest index."""
+    acts = np.argmax(_action_values(task, slice(None), "single")[1], axis=-1)
     return TabularHypothesis(np.eye(task.shape.augmented_size)[acts])
 
 
 def bayes_two_stage(task: DiscreteTask) -> TabularHypothesis:
-    acts = np.argmin(expected_costs(task, slice(None)), axis=-1)
+    acts = np.argmax(_action_values(task, slice(None), "two")[1], axis=-1)
     return TabularHypothesis(np.eye(task.shape.n_e)[acts])
 
 
@@ -199,10 +209,9 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
         raise ValueError(f"k must index the task's {task.num_points} points, got {k!r}") from None
     task = _aligned(task, hyp, loss.stage)
     s = hyp.scores[..., k, :]
-    if loss.is_target and loss.stage == "single":
-        out = 1.0 - _pick(augmented_values(task, k), hyp.action(k))
-    elif loss.is_target:
-        out = _pick(expected_costs(task, k), hyp.action(k))
+    if loss.is_target:
+        offset, values = _action_values(task, k, loss.stage)
+        out = offset - _pick(values, hyp.action(k))
     elif loss.stage == "single":
         # every comp-sum row: one row per (hypothesis, point, label), the scores against that label
         lead = s.shape[:-1] + (task.shape.n,)
@@ -222,61 +231,24 @@ def conditional_error(task: DiscreteTask, hyp: TabularHypothesis, k,
     return _per_point(out)
 
 
-def _weighted_entropy(w: np.ndarray) -> np.ndarray:
-    """-sum_j w_j log(w_j / sum w) over the last axis, with 0 log 0 = 0: the
-    minimum over the simplex of -sum_j w_j log s_j for w >= 0."""
-    total = w.sum(axis=-1, keepdims=True)
-    pos = w > 0.0
-    return -np.where(pos, w * np.log(np.where(pos, w, 1.0) / total), 0.0).sum(axis=-1)
-
-
-def _psi_min(qbar: np.ndarray, q: float) -> np.ndarray:
-    total = qbar.sum(axis=-1)
-    if q == 1.0:
-        return total - qbar.max(axis=-1)
-    if q == 0.0:
-        val = _weighted_entropy(qbar)
-    else:
-        weights = qbar ** (1.0 / (1.0 - q))
-        s_star = weights / weights.sum(axis=-1, keepdims=True)
-        val = (qbar * (1.0 - s_star ** q)).sum(axis=-1) / q
-    return np.where(total <= 0.0, 0.0, val)
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # masked-out entries may divide by 0
 def conditional_min_surrogate(task: DiscreteTask, k, loss: LossSelector):
-    """Infimum of the conditional surrogate error over all score vectors.
-
-    Paired comp-sum rows at q = 1 (surrogate_mae): as a0_y + sum_j (1 - c_yj)
-    = 1, the error is 1 - <augmented values, output probabilities>, least at
-    the best vertex; at q < 1 they have no closed form. The unpaired rows
-    (the baselines) err sum_i w_i Psi_q(s_i), w the augmented values: the
-    two-stage Psi form with qbar = w.
-    two_stage_psi: closed-form stationary point for q in [0, 1), vertex
-    minimum for q = 1.
-    two_stage_phi: the minimal conditional margin risks of Bartlett, Jordan
-    & McAuliffe (JASA 2006) for expected costs e0, e1, namely
-    (e0 + e1) H(e0 / (e0 + e1)) with H the binary entropy in nats
-    (logistic), 2 sqrt(e0 e1) (exponential) and 2 min(e0, e1) (hinge).
-    """
+    """Infimum of the conditional surrogate error over all score vectors. A
+    target's is its best action's error, and so is surrogate_mae's, whose
+    brackets a0_y + sum_j (1 - c_yj) sum to 1; the paired comp-sum rows at
+    q < 1 have no closed form. Every other row's is its spec's least: a
+    baseline's Psi form weighs the augmented values, as qbar would."""
     single = loss.stage == "single"
-    if single and (loss.is_target or loss.paired and loss.psi.q == 1.0):
-        out = 1.0 - augmented_values(task, k).max(axis=-1)
+    if loss.is_target or single and loss.paired and loss.psi.q == 1.0:
+        offset, values = _action_values(task, k, loss.stage)
+        out = offset - values.max(axis=-1)
     elif single and not loss.paired:
-        out = _psi_min(augmented_values(task, k), loss.psi.q)
+        out = loss.psi.least(augmented_values(task, k))
     elif single:
         raise ValueError(f"no exact oracle for loss {loss.name!r} at q = {loss.psi.q}")
-    elif loss.is_target:
-        out = expected_costs(task, k).min(axis=-1)
     elif loss.psi is not None:
-        out = _psi_min(_qbar(task, k), loss.psi.q)
-    elif loss.phi.kind is losses.PhiKind.LOGISTIC:
-        out = _weighted_entropy(expected_costs(task, k))
+        out = loss.psi.least(_qbar(task, k))
     else:
-        e = expected_costs(task, k)
-        exponential = loss.phi.kind is losses.PhiKind.EXPONENTIAL
-        out = 2.0 * (np.sqrt(e[..., 0] * e[..., 1]) if exponential
-                     else np.minimum(e[..., 0], e[..., 1]))
+        out = loss.phi.least(expected_costs(task, k))
     return _per_point(out)
 
 
@@ -452,6 +424,7 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
     """Two-expert bound: cost-range prefactors around the binary-classification
     square-root transform (logistic/exponential margin losses). A task whose
     per-expert lower costs sum to 0 makes it vacuous: its premise is unmet."""
+    surrogate = LossSelector("two_stage_phi", phi=phi)   # refuses a phi that is no PhiSpec
     if task.shape.n_e != 2:
         raise ValueError("two-expert bound requires n_e = 2")
     if phi.kind not in (losses.PhiKind.LOGISTIC, losses.PhiKind.EXPONENTIAL):
@@ -468,8 +441,8 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
     def gamma(t):
         return np.where(vacuous, np.where(t > 0, np.inf, 0.0), scale * np.sqrt(2.0 * t / denom))
 
-    return _regret_report(task, hyp, _DEFERRAL["two"], LossSelector("two_stage_phi", phi=phi),
-                          gamma, f"two_expert_{phi.kind.value}", premise_met=~by_task,
+    return _regret_report(task, hyp, _DEFERRAL["two"], surrogate, gamma,
+                          f"two_expert_{phi.kind.value}", premise_met=~by_task,
                           note=np.where(by_task, "lower costs sum to 0: the bound is vacuous", ""))
 
 
@@ -480,13 +453,8 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
 
 def minimal_margin(task: DiscreteTask, stage: str) -> np.ndarray:
     """Gap between the best and second-best action value at each point."""
-    if stage == "single":
-        v = np.sort(augmented_values(task, slice(None)), axis=-1)
-        return v[..., -1] - v[..., -2]
-    if stage == "two":
-        e = np.sort(expected_costs(task, slice(None)), axis=-1)
-        return e[..., 1] - e[..., 0]
-    raise ValueError(f"unknown stage {stage!r}")
+    v = np.sort(_action_values(task, slice(None), stage)[1], axis=-1)
+    return v[..., -1] - v[..., -2]
 
 
 def _noise_support(alpha: float, margins, marginals) -> tuple[np.ndarray, np.ndarray]:
@@ -554,8 +522,8 @@ class ChainReport(_Verdict):
 
 
 def _disagreement(task: DiscreteTask, hyp: TabularHypothesis, stage: str) -> np.ndarray:
-    bayes = bayes_deferral(task) if stage == "single" else bayes_two_stage(task)
-    return (hyp.action(slice(None)) != bayes.action(slice(None))).astype(float)
+    bayes = np.argmax(_action_values(task, slice(None), stage)[1], axis=-1)
+    return (hyp.action(slice(None)) != bayes).astype(float)
 
 
 def verify_lemma_noise(task: DiscreteTask, hyp: TabularHypothesis,

@@ -2,7 +2,10 @@
 profiles, the softmax and the enhanced-bound verifier check with the package's
 array and number rules, losses.check_array and losses.check_number. Each
 hostile value raises ValueError whose message starts with the field's name.
-An AST guard keeps check_array the package's one finiteness rule for arrays."""
+A second table holds refused specs, selector lists and stage names, each
+refused with a ValueError that names the argument. AST guards keep
+check_array the package's one finiteness rule for arrays and
+ProblemShape.width its one check of a stage name."""
 
 import ast
 from pathlib import Path
@@ -10,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deferkit.losses import LossSelector, ProblemShape, check_array, softmax
+from deferkit.losses import LossSelector, PhiSpec, ProblemShape, check_array, softmax
 from deferkit.models import LabeledDataset
 from deferkit.oracles import (DiscreteTask, NoiseProfile, TabularHypothesis, bayes_deferral,
-                              fit_tsybakov_B, verify_enhanced_bound)
+                              bayes_two_stage, fit_tsybakov_B, minimal_margin,
+                              verify_bound_two_expert_phi, verify_enhanced_bound)
 
 _SHAPE = ProblemShape(2, 1)
 _TASK = dict(mu=np.array([0.5, 0.5]), conditionals=np.array([[0.6, 0.4], [0.2, 0.8]]),
@@ -102,6 +106,44 @@ def test_a_hostile_field_is_refused_by_name(call, field, bad):
         call(**{field: bad})
 
 
+def two_expert(phi=PhiSpec()):
+    at = DiscreteTask(**{**_TASK, "costs": np.full((2, 2, 2), 0.3)}, shape=ProblemShape(2, 2))
+    return verify_bound_two_expert_phi(at, bayes_two_stage(at), phi)
+
+
+def stacked(selectors=(LossSelector("surrogate_mae"),)):
+    return LossSelector.stack(selectors)
+
+
+def width(stage="two"):
+    return _SHAPE.width(stage)
+
+
+def margin(stage="single"):
+    return minimal_margin(task(), stage)
+
+
+# (call, field, a refused value)
+_REFUSED = [
+    (two_expert, "phi", None),
+    (two_expert, "phi", "logistic"),
+    (stacked, "selectors", []),
+    (width, "stage", "nope"),
+    (dataset, "stage", "nope"),
+    (margin, "stage", "nope"),
+]
+
+
+@pytest.mark.parametrize("call, field, bad", [
+    pytest.param(*row, id=f"{row[0].__name__}-{row[1]}-{row[2]!r}") for row in _REFUSED])
+def test_a_refused_argument_is_named(call, field, bad):
+    # a phi of None or a phi name once raised AttributeError from phi.kind, an
+    # empty selector list IndexError, and width returned n_e for any stage
+    call()
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        call(**{field: bad})
+
+
 def test_a_signed_conditional_row_is_refused():
     # the row sums to 1, so only the range of conditionals refuses it; a task
     # built on it had every verifier check a bound on a signed measure
@@ -140,3 +182,16 @@ def test_isfinite_appears_only_in_the_array_rule_the_verdict_rule_and_train():
                 if calls:
                     found[path.stem, fn.name] = found.get((path.stem, fn.name), 0) + calls
     assert found == _ISFINITE
+
+
+def test_width_is_the_one_stage_check():
+    # a stage name is compared with both stages only where ProblemShape.width checks it
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "deferkit").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.stem, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Compare)
+                          and {"single", "two"} <= {c.value for c in ast.walk(node)
+                                                    if isinstance(c, ast.Constant)}]
+    assert found == [("losses", "width")]

@@ -704,3 +704,44 @@ def test_target_kernels_take_the_first_of_tied_maxima(n, n_e, m, layout, seed):
     two, c2 = s[:, :max(n_e, 2)], g.uniform(0.0, 1.0, (m, max(n_e, 2)))
     want = c2[rows, np.argmax(two, axis=-1)]
     assert losses.two_stage_deferral_loss_batch(two, c2).tobytes() == want.tobytes()
+
+
+# nonnegative weights, zeros included; small positive ones keep every power of
+# a Psi minimiser above underflow
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.lists(_WEIGHTS, min_size=2, max_size=6),
+       q=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_psi_least_is_the_minimum_over_the_simplex(w, q, seed):
+    # no simplex point (random ones, and the vertices) beats least, and the
+    # closed-form minimiser, s proportional to w**(1/(1-q)) or the best vertex, reaches it
+    psi, w = PsiSpec(q=q), np.array(w)
+    least = psi.least(w)
+    points = np.vstack([np.random.default_rng(seed).dirichlet(np.ones(len(w)), 256),
+                        np.eye(len(w))])
+    assert (w * psi.value(points)).sum(axis=-1).min() >= least - 1e-12
+    if q == 1.0:
+        best = np.eye(len(w))[np.argmax(w)]
+    else:
+        power = w ** (1.0 / (1.0 - q))
+        best = power / power.sum() if power.sum() > 0.0 else np.full(len(w), 1.0 / len(w))
+    assert abs((w * psi.value(best)).sum() - least) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.tuples(_WEIGHTS, _WEIGHTS), kind=st.sampled_from(list(PhiKind)),
+       seed=st.integers(0, 2**32 - 1))
+def test_phi_least_is_the_minimum_over_margins(e, kind, seed):
+    # no margin d (random ones, and the hinge's kinks) beats the least risk
+    # e0 phi(-d) + e1 phi(d), and with both weights positive the known
+    # minimiser reaches it
+    phi, e = PhiSpec(kind), np.array(e)
+    least = phi.least(e)
+    d = np.concatenate([np.random.default_rng(seed).standard_normal(256) * 4.0, [-1.0, 0.0, 1.0]])
+    assert (e[0] * phi.value(-d) + e[1] * phi.value(d)).min() >= least - 1e-12
+    if e.min() > 0.0:
+        best = {PhiKind.LOGISTIC: np.log(e[1] / e[0]), PhiKind.EXPONENTIAL: np.log(e[1] / e[0]) / 2,
+                PhiKind.HINGE: 1.0 if e[1] >= e[0] else -1.0}[kind]
+        assert abs(e[0] * phi.value(-best) + e[1] * phi.value(best) - least) <= 1e-12

@@ -735,19 +735,29 @@ def test_surrogate_single_conditional_error_is_its_label_average():
 
 def test_oracles_choose_their_path_from_the_loss_table():
     # no loss name is compared in the two per-point oracles: a new row of the
-    # table reaches them through its columns (stage, target flag, spec, pairing)
+    # table reaches them through its columns (stage, target flag, spec, pairing);
+    # nor do they name a phi kind, whose least risk is its spec's, and only the
+    # two-expert verifier, which takes two of the kinds, names PhiKind at all
     tree = ast.parse(Path(oracles.__file__).read_text())
-    checked = set()
+    kinds = {"PhiKind", *PhiKind.__members__}
+    checked, naming_kinds = set(), set()
     for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("conditional_error",
-                                                           "conditional_min_surrogate"):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        named_kinds = [ast.unparse(node) for node in ast.walk(fn)
+                       if isinstance(node, ast.Attribute) and node.attr in kinds
+                       or isinstance(node, ast.Name) and node.id in kinds]
+        if named_kinds:
+            naming_kinds.add(fn.name)
+        if fn.name in ("conditional_error", "conditional_min_surrogate"):
             checked.add(fn.name)
             tests = [node for node in ast.walk(fn) if isinstance(node, (ast.Compare, ast.Match))]
             named = [ast.unparse(node) for node in tests
                      if any(isinstance(a, ast.Attribute) and a.attr == "name"
                             for a in ast.walk(node))]
-            assert named == [], (fn.name, named)
+            assert named == [] and named_kinds == [], (fn.name, named, named_kinds)
     assert checked == {"conditional_error", "conditional_min_surrogate"}
+    assert naming_kinds == {"verify_bound_two_expert_phi"}
 
 
 def test_two_expert_bound_without_lower_costs_is_vacuous():

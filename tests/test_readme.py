@@ -23,7 +23,9 @@ DELETED = {
            # surrogate_single_batch on LossSelector.stack([LossSelector("baseline_mao", psi)])
            "baseline_mao_batch",
            # check_array(scores, "scores")
-           "as_scores"),
+           "as_scores",
+           # PsiSpec(q).least(w)
+           "_psi_min"),
     "TabularHypothesis": ("actions",),              # action(slice(None))
     "RegretReport": ("slack", "aggregate_slack"),   # table()[3]
     "LabeledDataset": ("output_width",),            # shape.width(stage)
