@@ -101,6 +101,7 @@ class PsiSpec:
     def least(self, w: np.ndarray) -> np.ndarray:
         """Least sum_j w_j Psi_q(s_j) over simplex points s, for weights w >= 0 on the
         last axis: at s proportional to w**(1 / (1 - q)) for q < 1, a vertex for q = 1."""
+        w = check_array(w, "w", 0.0)
         total = w.sum(axis=-1)
         if self.q == 1.0:
             return total - w.max(axis=-1)
@@ -218,6 +219,10 @@ class PhiSpec:
 
     def least(self, e: np.ndarray) -> np.ndarray:
         """The least risk e0 phi(-d) + e1 phi(d) over margins d, for weights e (..., 2) >= 0."""
+        e = check_array(e, "e", 0.0)
+        if e.shape[-1:] != (2,):
+            raise ValueError(f"e must hold the two experts' weights on its last axis, "
+                             f"got shape {e.shape}")
         return _PHI[self.kind][2](e)
 
 

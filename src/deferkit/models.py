@@ -122,9 +122,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("learning_rate", "momentum"):
             losses.check_number(getattr(self, name), name, 0.0)
-        for name in ("epochs", "batch_size"):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", -np.inf)):
             if (name, getattr(self, name)) != ("batch_size", "full"):
-                losses.check_int(getattr(self, name), name, 1)
+                losses.check_int(getattr(self, name), name, least)
+        if not isinstance(self.standardize, (bool, np.bool_)):
+            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
         if self.optimizer not in self.optimizers:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -140,6 +142,8 @@ class LabeledDataset:
     stage: str = "single"  # "single" or "two"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, ProblemShape):
+            raise ValueError(f"shape must be a ProblemShape, got {self.shape!r}")
         self.features = losses.check_array(self.features, "features")
         self.labels = losses.as_labels(self.labels)
         self.costs = losses.check_array(self.costs, "costs", 0.0, 1.0)

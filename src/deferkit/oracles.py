@@ -68,6 +68,8 @@ class DiscreteTask:
     shape: ProblemShape
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, ProblemShape):
+            raise ValueError(f"shape must be a ProblemShape, got {self.shape!r}")
         for name in ("mu", "conditionals", "costs"):   # probabilities and costs
             setattr(self, name, losses.check_array(getattr(self, name), name, 0.0, 1.0))
         for name in ("mu", "conditionals"):
@@ -311,10 +313,10 @@ class _Verdict:
 
 @dataclass
 class RegretReport(_Verdict):
-    """Per-point bound check plus the aggregated excess-error statement; with
-    the premise unmet the bound claims nothing and only a non-finite lhs is a
-    violation. Stacked tasks and hypotheses lead every field: ``report[h]``,
-    or ``report[t, h]`` for a task stack, is one report."""
+    """Per-point bound check plus the aggregated excess-error statement, on
+    tasks that meet the bound's assumptions (a verifier refuses any other).
+    Stacked tasks and hypotheses lead every field: ``report[h]``, or
+    ``report[t, h]`` for a task stack, is one report."""
 
     target_regrets: np.ndarray   # (K,), (H, K) or (T, H, K)
     surrogate_regrets: np.ndarray
@@ -323,22 +325,11 @@ class RegretReport(_Verdict):
     excess_surrogate: float
     aggregate_rhs: float
     label: str = ""
-    premise_met: bool = True     # a bool, or an array over the task axes
-    note: str = ""               # likewise
-
-    def _per_report(self, x) -> np.ndarray:
-        """A value per task (or one for all) spread to one per report."""
-        x, lead = np.asarray(x), np.shape(self.excess_target)
-        return np.broadcast_to(x.reshape(x.shape + (1,) * (len(lead) - x.ndim)), lead)
 
     def __getitem__(self, index) -> "RegretReport":
-        def one(x):
-            return self._per_report(x)[index].item()
-
+        aggregates = (self.excess_target, self.excess_surrogate, self.aggregate_rhs)
         return RegretReport(self.target_regrets[index], self.surrogate_regrets[index],
-                            self.rhs[index], one(self.excess_target),
-                            one(self.excess_surrogate), one(self.aggregate_rhs), self.label,
-                            one(self.premise_met), one(self.note))
+                            self.rhs[index], *(x[index].item() for x in aggregates), self.label)
 
     @np.errstate(invalid="ignore")  # a NaN slack from a non-finite side is a violation
     def table(self) -> tuple[np.ndarray, ...]:
@@ -346,7 +337,7 @@ class RegretReport(_Verdict):
         the aggregate row, which comes last), lhs, rhs, slack and verdict."""
         lhs = np.concatenate([self.target_regrets, np.expand_dims(self.excess_target, -1)], -1)
         rhs = np.concatenate([self.rhs, np.expand_dims(self.aggregate_rhs, -1)], -1)
-        ok = _holds(lhs, rhs, self._per_report(self.premise_met)[..., None])
+        ok = _holds(lhs, rhs)
         points = np.broadcast_to(np.r_[:lhs.shape[-1] - 1, -1], lhs.shape)
         return points, lhs, rhs, rhs - lhs, np.where(ok, "ok", "violation")
 
@@ -368,20 +359,28 @@ def _per_point_regrets(task, hyp, target: LossSelector, surrogate: LossSelector)
     return tgt, np.maximum(sur, 0.0)
 
 
+def _premise(holds, message: str) -> None:
+    """Refuses a task that breaks a bound's assumption: holds is one bool per task
+    of a stack (or one), and the ValueError names a stack's first failing task."""
+    failed = np.argwhere(~holds)
+    if len(failed):
+        where = f" for task {tuple(failed[0].tolist())}" if np.ndim(holds) else ""
+        raise ValueError(message + where)
+
+
 def _regret_report(task, hyp, target: LossSelector, surrogate: LossSelector,
-                   gamma, label: str, premise_met=True, note="") -> RegretReport:
+                   gamma, label: str) -> RegretReport:
     """Bound target regret <= gamma(surrogate regret), per point and on the
     mu-weighted excesses, for each stacked task and hypothesis. Per-task
     constants in gamma carry a trailing unit point axis, and the excesses
-    get one to meet them; premise_met and note hold one value per task."""
+    get one to meet them."""
     task = _aligned(task, hyp, target.stage)
     tgt, sur = _per_point_regrets(task, hyp, target, surrogate)
     excess_sur = _dot(task.mu, sur)
     return RegretReport(
         target_regrets=tgt, surrogate_regrets=sur, rhs=gamma(sur),
         excess_target=_per_point(_dot(task.mu, tgt)), excess_surrogate=_per_point(excess_sur),
-        aggregate_rhs=_per_point(gamma(excess_sur[..., None])[..., 0]), label=label,
-        premise_met=_per_point(premise_met), note=_per_point(note))
+        aggregate_rhs=_per_point(gamma(excess_sur[..., None])[..., 0]), label=label)
 
 
 def verify_bound_single_mae(task: DiscreteTask, hyp: TabularHypothesis) -> RegretReport:
@@ -397,8 +396,6 @@ def two_stage_gamma(q: float, cbar_max, n_e: int):
     c_up = (n_e - 1) * cbar_max - n_e + 2
     if q == 1.0:
         return lambda t: n_e * t
-    if q == 0.0:
-        return lambda t: 2.0 * np.sqrt(c_up) * np.sqrt(t)
     return lambda t: 2.0 * np.sqrt(n_e ** q) * np.sqrt(c_up) * np.sqrt(t)
 
 
@@ -406,12 +403,9 @@ def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
                            q: float) -> RegretReport:
     """Two-stage multiple-expert bound with the cost-dependent constant and
     the q-dependent square-root / linear transform. Every leave-one-out cost
-    sum of every task must reach n_e - 2."""
-    brackets = losses.expert_brackets(task.costs)
-    failed = np.argwhere(~np.all(brackets >= -1e-12, axis=(-3, -2, -1)))
-    if len(failed):
-        where = f" for task {tuple(failed[0].tolist())}" if task.mu.ndim > 1 else ""
-        raise ValueError(f"assumption sum of other experts' costs >= n_e - 2 fails{where}")
+    sum of every task must reach n_e - 2, or the task is refused."""
+    _premise(np.all(losses.expert_brackets(task.costs) >= 0.0, axis=(-3, -2, -1)),
+             "assumption sum of other experts' costs >= n_e - 2 fails")
     task = _aligned(task, hyp, "two")
     cbar_max = task.costs.max(axis=(-3, -2, -1))[..., None]
     return _regret_report(task, hyp, _DEFERRAL["two"],
@@ -422,8 +416,8 @@ def verify_bound_two_stage(task: DiscreteTask, hyp: TabularHypothesis,
 def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
                                 phi: PhiSpec) -> RegretReport:
     """Two-expert bound: cost-range prefactors around the binary-classification
-    square-root transform (logistic/exponential margin losses). A task whose
-    per-expert lower costs sum to 0 makes it vacuous: its premise is unmet."""
+    square-root transform (logistic/exponential margin losses). Its constant divides
+    by the sum of the per-expert lower costs: a task whose sum is 0 or NaN is refused."""
     surrogate = LossSelector("two_stage_phi", phi=phi)   # refuses a phi that is no PhiSpec
     if task.shape.n_e != 2:
         raise ValueError("two-expert bound requires n_e = 2")
@@ -434,16 +428,10 @@ def verify_bound_two_expert_phi(task: DiscreteTask, hyp: TabularHypothesis,
     # per task: sums of the per-expert lower and upper cost bounds
     denom = task.costs.min(axis=(-3, -2)).sum(axis=-1, keepdims=True)
     scale = task.costs.max(axis=(-3, -2)).sum(axis=-1, keepdims=True)
-    vacuous = denom <= 0.0
-    by_task = vacuous.reshape(lead)
-
-    @np.errstate(divide="ignore", invalid="ignore")  # vacuous tasks divide by 0
-    def gamma(t):
-        return np.where(vacuous, np.where(t > 0, np.inf, 0.0), scale * np.sqrt(2.0 * t / denom))
-
-    return _regret_report(task, hyp, _DEFERRAL["two"], surrogate, gamma,
-                          f"two_expert_{phi.kind.value}", premise_met=~by_task,
-                          note=np.where(by_task, "lower costs sum to 0: the bound is vacuous", ""))
+    _premise((denom > 0.0).reshape(lead), "costs: the per-expert lower costs must not sum to 0")
+    return _regret_report(task, hyp, _DEFERRAL["two"], surrogate,
+                          lambda t: scale * np.sqrt(2.0 * t / denom),
+                          f"two_expert_{phi.kind.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +556,8 @@ def verify_enhanced_bound(task: DiscreteTask, hyp: TabularHypothesis,
         raise ValueError(f"mode must be 'theorem_multi' or 'theorem_mm', got {mode!r}")
     if mode == "theorem_mm" and profile is None:
         raise ValueError("profile: theorem_mm requires a fitted NoiseProfile")
+    if not isinstance(surrogate, LossSelector) or surrogate.is_target:
+        raise ValueError(f"surrogate must be a surrogate LossSelector, got {surrogate!r}")
     _one_hypothesis(hyp)
     losses.check_number(s, "s", 1.0)
     stage = surrogate.stage

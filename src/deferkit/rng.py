@@ -12,10 +12,16 @@ import hashlib
 
 import numpy as np
 
+from .losses import check_int
+
 __all__ = ["substream", "derive_seed"]
 
 
 def _digest(master_seed: int, tag: str, index: int) -> bytes:
+    """The one seed rule: a seed and an index are integers, not bools, of any
+    sign (the seed is masked to 64 bits)."""
+    check_int(master_seed, "seed", -np.inf)
+    check_int(index, "index", -np.inf)
     msg = b"deferkit\x00%d\x00%s\x00%d" % (master_seed & 0xFFFFFFFFFFFFFFFF, tag.encode(), index)
     return hashlib.sha256(msg).digest()
 

@@ -1,11 +1,13 @@
 """One table of hostile inputs for the fields that the containers, the noise
-profiles, the softmax and the enhanced-bound verifier check with the package's
-array and number rules, losses.check_array and losses.check_number. Each
-hostile value raises ValueError whose message starts with the field's name.
-A second table holds refused specs, selector lists and stage names, each
-refused with a ValueError that names the argument. AST guards keep
-check_array the package's one finiteness rule for arrays and
-ProblemShape.width its one check of a stage name."""
+profiles, the softmax, the least risks of the specs and the enhanced-bound
+verifier check with the package's array and number rules, losses.check_array
+and losses.check_number. Each hostile value raises ValueError whose message
+starts with the field's name. A second table holds refused specs, selector
+lists, stage names, shapes, seeds, surrogates and tasks that break a bound's
+assumption, each refused with a ValueError that names the argument. AST
+guards keep check_array the package's one finiteness rule for arrays,
+ProblemShape.width its one check of a stage name, and the oracles' infinite
+right-hand side to the one premise that depends on the hypothesis."""
 
 import ast
 from pathlib import Path
@@ -13,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deferkit.losses import LossSelector, PhiSpec, ProblemShape, check_array, softmax
-from deferkit.models import LabeledDataset
+from deferkit.losses import (LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec, check_array,
+                             softmax)
+from deferkit.models import LabeledDataset, TrainConfig, init_linear
 from deferkit.oracles import (DiscreteTask, NoiseProfile, TabularHypothesis, bayes_deferral,
                               bayes_two_stage, fit_tsybakov_B, minimal_margin,
                               verify_bound_two_expert_phi, verify_enhanced_bound)
+from deferkit.synthdata import MogConfig, gen_random_discrete_task, gen_realizable_mog
 
 _SHAPE = ProblemShape(2, 1)
 _TASK = dict(mu=np.array([0.5, 0.5]), conditionals=np.array([[0.6, 0.4], [0.2, 0.8]]),
@@ -27,11 +31,11 @@ _NOISE = dict(alpha=0.5, B=2.0, margins=np.array([0.25, 0.5]), marginals=np.arra
 
 
 def task(**field):
-    return DiscreteTask(**{**_TASK, **field}, shape=_SHAPE)
+    return DiscreteTask(**{**_TASK, "shape": _SHAPE, **field})
 
 
 def dataset(**field):
-    return LabeledDataset(**{**_DATA, **field}, shape=_SHAPE)
+    return LabeledDataset(**{**_DATA, "shape": _SHAPE, **field})
 
 
 def profile(**field):
@@ -50,10 +54,17 @@ def soft(scores=np.array([0.5, 1.0])):
     return softmax(scores)
 
 
-def enhanced(s=2.0):
+def psi_least(w=np.array([0.5, 0.3])):
+    return PsiSpec(0.5).least(w)
+
+
+def phi_least(e=np.array([0.2, 0.6])):
+    return PhiSpec(PhiKind.HINGE).least(e)
+
+
+def enhanced(s=2.0, surrogate=LossSelector("surrogate_mae")):
     at = task()
-    return verify_enhanced_bound(at, bayes_deferral(at), LossSelector("surrogate_mae"), s,
-                                 "theorem_multi")
+    return verify_enhanced_bound(at, bayes_deferral(at), surrogate, s, "theorem_multi")
 
 
 # (call, field, its accepted value, least, most); None where a side is unbounded
@@ -73,6 +84,8 @@ _FIELDS = [
     (fit, "alpha", _NOISE["alpha"], 0.0, 1.0),
     (hypothesis, "scores", np.zeros((2, 3)), None, None),
     (soft, "scores", np.array([0.5, 1.0]), None, None),
+    (psi_least, "w", np.array([0.5, 0.3]), 0.0, None),
+    (phi_least, "e", np.array([0.2, 0.6]), 0.0, None),
     (enhanced, "s", 2.0, 1.0, None),
 ]
 
@@ -106,8 +119,8 @@ def test_a_hostile_field_is_refused_by_name(call, field, bad):
         call(**{field: bad})
 
 
-def two_expert(phi=PhiSpec()):
-    at = DiscreteTask(**{**_TASK, "costs": np.full((2, 2, 2), 0.3)}, shape=ProblemShape(2, 2))
+def two_expert(phi=PhiSpec(), costs=np.full((2, 2, 2), 0.3)):
+    at = DiscreteTask(**{**_TASK, "costs": costs}, shape=ProblemShape(2, 2))
     return verify_bound_two_expert_phi(at, bayes_two_stage(at), phi)
 
 
@@ -123,6 +136,18 @@ def margin(stage="single"):
     return minimal_margin(task(), stage)
 
 
+def linear(seed=0):
+    return init_linear(2, 4, seed)
+
+
+def mog(seed=0):
+    return gen_realizable_mog(MogConfig(dim=2, components=2, n=2, n_e=1), 8, seed)
+
+
+def discrete(seed=0, index=0):
+    return gen_random_discrete_task(seed, index)
+
+
 # (call, field, a refused value)
 _REFUSED = [
     (two_expert, "phi", None),
@@ -131,6 +156,22 @@ _REFUSED = [
     (width, "stage", "nope"),
     (dataset, "stage", "nope"),
     (margin, "stage", "nope"),
+    # each expert has a zero cost, so the two-expert constant divides by 0
+    (two_expert, "costs", [[[0.0, 0.3], [0.3, 0.3]], [[0.3, 0.0], [0.3, 0.3]]]),
+    (phi_least, "e", np.array([0.2, 0.6, 0.1])),
+    (enhanced, "surrogate", None),
+    (enhanced, "surrogate", LossSelector("deferral")),
+    (task, "shape", None),
+    (task, "shape", (2, 1)),
+    (dataset, "shape", None),
+    (dataset, "shape", (2, 1)),
+    (linear, "seed", "x"),
+    (linear, "seed", True),
+    (mog, "seed", None),
+    (discrete, "seed", "a"),
+    (discrete, "index", 0.5),
+    (TrainConfig, "seed", "x"),
+    (TrainConfig, "standardize", "no"),
 ]
 
 
@@ -138,7 +179,10 @@ _REFUSED = [
     pytest.param(*row, id=f"{row[0].__name__}-{row[1]}-{row[2]!r}") for row in _REFUSED])
 def test_a_refused_argument_is_named(call, field, bad):
     # a phi of None or a phi name once raised AttributeError from phi.kind, an
-    # empty selector list IndexError, and width returned n_e for any stage
+    # empty selector list IndexError, and width returned n_e for any stage; a
+    # two-expert task without lower costs passed as vacuous, a 3-wide hinge
+    # row had a least, a target surrogate checked itself, a shape or a seed of
+    # another type raised AttributeError or TypeError, and "no" standardized
     call()
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         call(**{field: bad})
@@ -195,3 +239,21 @@ def test_width_is_the_one_stage_check():
                           and {"single", "two"} <= {c.value for c in ast.walk(node)
                                                     if isinstance(c, ast.Constant)}]
     assert found == [("losses", "width")]
+
+
+# oracles function -> how many infinities it may name: the verdict rule, and the
+# undefined right-hand side of verify_enhanced_bound's unmet premise, which
+# depends on the hypothesis; a task that breaks a bound's assumption is refused
+_INF = {"_holds": 1, "verify_enhanced_bound": 1}
+
+
+def test_inf_appears_in_the_oracles_only_in_the_verdict_rule_and_the_unmet_premise():
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "deferkit"
+                      / "oracles.py").read_text())
+
+    def infs(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "inf" for n in ast.walk(node))
+
+    found = {fn.name: infs(fn) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and infs(fn)}
+    assert found == _INF and infs(tree) == sum(_INF.values())

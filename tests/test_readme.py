@@ -27,7 +27,9 @@ DELETED = {
            # PsiSpec(q).least(w)
            "_psi_min"),
     "TabularHypothesis": ("actions",),              # action(slice(None))
-    "RegretReport": ("slack", "aggregate_slack"),   # table()[3]
+    "RegretReport": ("slack", "aggregate_slack",    # table()[3]
+                     # a verifier refuses a task that breaks its bound's assumption
+                     "premise_met", "note"),
     "LabeledDataset": ("output_width",),            # shape.width(stage)
 }
 
