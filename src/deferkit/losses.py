@@ -102,6 +102,8 @@ class PsiSpec:
         """Least sum_j w_j Psi_q(s_j) over simplex points s, for weights w >= 0 on the
         last axis: at s proportional to w**(1 / (1 - q)) for q < 1, a vertex for q = 1."""
         w = check_array(w, "w", 0.0)
+        if w.shape[-1:] in ((), (0,)):
+            raise ValueError(f"w must hold the weights on a nonempty last axis, got shape {w.shape}")
         total = w.sum(axis=-1)
         if self.q == 1.0:
             return total - w.max(axis=-1)
@@ -553,7 +555,8 @@ class LossSelector:
 
     @property
     def kernel(self) -> str | None:
-        """The name of the value-and-gradient kernel (a model stack shares one)."""
+        """The name of the value-and-gradient kernel (a model stack shares one);
+        without ``_with_grad`` it names the kernel of the values alone."""
         return _LOSSES[self.name][2]
 
     @property

@@ -70,6 +70,7 @@ class Scorer:
             width = np.shape(w)[-2:-1]
         for p in self.params():
             losses.check_array(p, "layers: a scorer's parameters")
+        losses.check_int(self.seed, "seed", -np.inf)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
@@ -166,7 +167,13 @@ def loss_and_grad(selector: LossSelector, scores, y: np.ndarray, c: np.ndarray,
     selector's own spec."""
     if selector.kernel is None:
         raise ValueError(f"{selector.name} is a target loss: it has no gradient to train on")
-    kernel, spec = getattr(losses, selector.kernel), psi or LossSelector.stack([selector])
+    return _call(selector.kernel, selector, scores, y, c, shp, psi)
+
+
+def _call(kernel: str, selector: LossSelector, scores, y, c, shp: ProblemShape, psi=None):
+    """Runs ``losses.<kernel>``, looked up at call time, on one batch in the
+    arguments of the selector's stage."""
+    kernel, spec = getattr(losses, kernel), psi or LossSelector.stack([selector])
     return kernel(scores, y, c, shp, spec) if selector.stage == "single" else kernel(scores, c, spec)
 
 
@@ -222,6 +229,37 @@ def _backprop(scorer: Scorer, x: np.ndarray, gout: np.ndarray) -> list[np.ndarra
     return grads
 
 
+def _minibatches(model: Scorer, x: np.ndarray, dataset: LabeledDataset, selector: LossSelector,
+                 spec, batch: int, shuffles: list, velocity: list):
+    """One epoch of a stack's minibatch steps, each as (scorer, rows, losses,
+    score gradient, velocity): a fresh (S, m) order from each model's
+    shuffle, and each batch's loss taken after the step before it."""
+    m = len(x)
+    order = np.stack([g.permutation(m) for g in shuffles])
+    for start in range(0, m, batch):
+        idx = order[:, start:start + batch]
+        xb = x.take(idx, axis=0)
+        yield (model, xb, *loss_and_grad(selector, model.scores(xb), dataset.labels.take(idx.T),
+                                         dataset.costs.take(idx.T, axis=0), dataset.shape, spec),
+               velocity)
+
+
+def _descend(steps, config: TrainConfig, epoch: int) -> None:
+    """One epoch's optimizer steps, each from a (scorer, rows, losses, score
+    gradient, velocity) of ``steps``. The step buffers live in this frame (and
+    a minibatch generator's), so they are gone before the epoch's evaluation."""
+    for one, xb, loss_vals, gout, vel in steps:
+        if not np.isfinite(loss_vals).all():
+            raise TrainingDiverged(epoch)
+        for p, g, v in zip(one.params(), _backprop(one, xb, gout), vel):
+            if config.optimizer == "momentum":
+                v *= config.momentum
+                v += g
+                p -= config.learning_rate * v
+            else:
+                p -= config.learning_rate * g
+
+
 def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
           selector: LossSelector | list[LossSelector], config: TrainConfig | list[TrainConfig],
           *, trajectory: bool = True):
@@ -230,8 +268,10 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
     Returns the trained scorer and a (epochs, 2) trajectory of
     (mean surrogate loss, mean deferral loss), both evaluated on the full
     training set after each epoch's update. When one batch holds every row,
-    an epoch makes one loss+grad call: its evaluation feeds the next step.
-    ``trajectory=False`` keeps only the last row, so a minibatch run evaluates just once.
+    an epoch makes one loss+grad call: its evaluation feeds the next step. A
+    minibatch run's evaluation computes the loss values alone, with the value
+    kernel of the selector's row. ``trajectory=False`` keeps only the last
+    row, so a minibatch run evaluates just once.
 
     A stack of S models passes the three as sequences, one entry per model,
     and gets a list of scorers and an (epochs, S, 2) trajectory; model s is,
@@ -276,44 +316,28 @@ def train(scorer: Scorer | list[Scorer], dataset: LabeledDataset,
         evals = [loss_and_grad(sel, one.scores(x), dataset.labels, dataset.costs, dataset.shape)
                  for sel, (one, _) in zip(selectors, views)]
     for epoch in range(config.epochs):
-        if batch < m:
-            order = np.stack([g.permutation(m) for g in shuffles])
-        for start in range(0, m, batch):
-            if batch == m:
-                # each model steps at the parameters that its last evaluation
-                # scored on every row, so it reuses that loss and gradient
-                steps = [(one, x, *ev, vel) for (one, vel), ev in zip(views, evals)]
-            else:
-                idx = order[:, start:start + batch]
-                xb = x.take(idx, axis=0)
-                loss_vals, gout = loss_and_grad(
-                    selector, model.scores(xb), dataset.labels.take(idx.T),
-                    dataset.costs.take(idx.T, axis=0), dataset.shape, spec)
-                steps = [(model, xb, loss_vals, gout, velocity)]
-            for one, xb, loss_vals, gout, vel in steps:
-                if not np.isfinite(loss_vals).all():
-                    raise TrainingDiverged(epoch)
-                for p, g, v in zip(one.params(), _backprop(one, xb, gout), vel):
-                    if config.optimizer == "momentum":
-                        v *= config.momentum
-                        v += g
-                        p -= config.learning_rate * v
-                    else:
-                        p -= config.learning_rate * g
+        # a full batch steps each model at the parameters that its last
+        # evaluation scored on every row, so it reuses that loss and gradient
+        _descend([(one, x, *ev, vel) for (one, vel), ev in zip(views, evals)] if batch == m
+                 else _minibatches(model, x, dataset, selector, spec, batch, shuffles, velocity),
+                 config, epoch)
 
         if batch < m and not trajectory and epoch < config.epochs - 1:
             continue
         evals = []
         for s, (sel, (one, _)) in enumerate(zip(selectors, views)):
             full_scores = one.scores(x)
-            sur, gout = loss_and_grad(sel, full_scores, dataset.labels, dataset.costs,
-                                      dataset.shape)
+            if batch == m:
+                evals.append(loss_and_grad(sel, full_scores, dataset.labels, dataset.costs,
+                                           dataset.shape))
+                sur = evals[-1][0]
+            else:   # no step reads this gradient: the value kernel of the row
+                sur = _call(sel.kernel.replace("_with_grad", ""), sel, full_scores,
+                            dataset.labels, dataset.costs, dataset.shape)
             tgt = _deferral_losses(full_scores, dataset)
             if not np.all(np.isfinite(sur)):
                 raise TrainingDiverged(epoch)
             rows[epoch, s] = (sur.mean(), tgt.mean())
-            if batch == m:
-                evals.append((sur, gout))
 
     fitted = [one if std is None else fold_standardizer(one, std) for one, _ in views]
     rows = rows if trajectory else rows[-1:]

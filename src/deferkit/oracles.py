@@ -173,6 +173,8 @@ def _action_values(task: DiscreteTask, k, stage: str) -> tuple[float, np.ndarray
     """A stage's action values at point k, best highest, and the offset whose
     ``offset - values`` are the target's conditional errors: (1.0, augmented
     values) or (0.0, -expected costs), exact as -x and 0 - (-x) round nothing."""
+    if not isinstance(task, DiscreteTask):
+        raise ValueError(f"task must be a DiscreteTask, got {task!r}")
     task.shape.width(stage)   # refuses an unknown stage
     if stage == "single":
         return 1.0, augmented_values(task, k)
@@ -462,6 +464,8 @@ def _noise_support(alpha: float, margins, marginals) -> tuple[np.ndarray, np.nda
 
 def _check_noise(profile: "NoiseProfile", margins, marginals, where: str) -> None:
     """Raise unless Pr[margin <= t] <= B t^(alpha/(1-alpha)) at each support point t."""
+    if not isinstance(profile, NoiseProfile):
+        raise ValueError(f"profile must be a NoiseProfile, got {profile!r}")
     expo = profile.alpha / (1.0 - profile.alpha)
     for t in np.unique(margins):
         if not marginals[margins <= t].sum() <= profile.B * t ** expo + 1e-12:   # NaN fails

@@ -225,7 +225,7 @@ def test_criterion_4_two_stage_bounds():
 
 
 def test_criterion_5_closed_forms_vs_numeric():
-    """Closed-form two-stage conditional minima match projected-gradient
+    """Closed-form two-stage conditional minima match exponentiated-gradient
     minimization within 1e-7 (200 instances per q, solved in one stack per
     n_e); affine vertex minima match 0.02-resolution grid search."""
     t0 = time.time()
@@ -239,8 +239,8 @@ def test_criterion_5_closed_forms_vs_numeric():
             n = int(g.integers(2, 4))
             n_e = int(g.integers(2, 5))
             k = int(g.integers(1, 3))
-            # costs bounded away from 0 keep the simplex optimum moderately
-            # conditioned, which plain projected gradient needs
+            # costs bounded away from 0 keep every expert bracket positive
+            # and the simplex optimum moderately conditioned
             task_costs = g.uniform(0.75, 1.0, size=(k, n, n_e))
             task = DiscreteTask(g.dirichlet(np.ones(k)),
                                 g.dirichlet(np.ones(n), size=k),
@@ -251,7 +251,7 @@ def test_criterion_5_closed_forms_vs_numeric():
             qbars.append(_qbar(task, kk))
         for closed, qbars in by_width.values():
             diff = np.abs(np.array(closed) - numeric_min_two_stage_psi(np.array(qbars), psi))
-            assert np.all(diff <= 1e-7), f"q={q}: |closed - pg| = {diff.max():.2e}"
+            assert np.all(diff <= 1e-7), f"q={q}: |closed - numeric| = {diff.max():.2e}"
             worst = max(worst, float(diff.max()))
     # vertex property vs dense grid: two-stage q=1 (width <= 3)
     grid_worst = 0.0
@@ -277,7 +277,7 @@ def test_criterion_5_closed_forms_vs_numeric():
         grid_worst = max(grid_worst, abs(vertex - grid))
     elapsed = time.time() - t0
     budget(5, elapsed, 120.0)
-    report(5, f"800 pg cross-checks (worst {worst:.2e}) + grid vertex checks "
+    report(5, f"800 numeric cross-checks (worst {worst:.2e}) + grid vertex checks "
               f"(worst gap {grid_worst:.2e}), {elapsed:.1f}s")
 
 

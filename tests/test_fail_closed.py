@@ -17,10 +17,11 @@ import pytest
 
 from deferkit.losses import (LossSelector, PhiKind, PhiSpec, ProblemShape, PsiSpec, check_array,
                              softmax)
-from deferkit.models import LabeledDataset, TrainConfig, init_linear
+from deferkit.models import LabeledDataset, Scorer, TrainConfig, init_linear, scorer_to_json
 from deferkit.oracles import (DiscreteTask, NoiseProfile, TabularHypothesis, bayes_deferral,
                               bayes_two_stage, fit_tsybakov_B, minimal_margin,
-                              verify_bound_two_expert_phi, verify_enhanced_bound)
+                              verify_bound_two_expert_phi, verify_enhanced_bound,
+                              verify_lemma_noise)
 from deferkit.synthdata import MogConfig, gen_random_discrete_task, gen_realizable_mog
 
 _SHAPE = ProblemShape(2, 1)
@@ -148,6 +149,33 @@ def discrete(seed=0, index=0):
     return gen_random_discrete_task(seed, index)
 
 
+# a profile that meets the noise condition on task()'s single-stage margins
+_FITTED = fit_tsybakov_B(minimal_margin(task(), "single"), task().mu, 0.5)
+
+
+def noise_lemma(profile=_FITTED):
+    at = task()
+    return verify_lemma_noise(at, bayes_deferral(at), profile, "single")
+
+
+def noise_enhanced(profile=_FITTED):
+    at = task()
+    return verify_enhanced_bound(at, bayes_deferral(at), LossSelector("surrogate_mae"), 2.0,
+                                 "theorem_mm", profile=profile)
+
+
+def scorer_json(seed=0):
+    return scorer_to_json(Scorer([(np.ones((2, 3)), np.zeros(2))], seed))
+
+
+def bayes_single(task=task()):
+    return bayes_deferral(task)
+
+
+def bayes_two(task=task()):
+    return bayes_two_stage(task)
+
+
 # (call, field, a refused value)
 _REFUSED = [
     (two_expert, "phi", None),
@@ -172,6 +200,14 @@ _REFUSED = [
     (discrete, "index", 0.5),
     (TrainConfig, "seed", "x"),
     (TrainConfig, "standardize", "no"),
+    (psi_least, "w", 0.3),
+    (psi_least, "w", np.zeros((2, 0))),
+    (noise_lemma, "profile", None),
+    (noise_enhanced, "profile", {}),
+    (scorer_json, "seed", "x"),
+    (scorer_json, "seed", 0.5),
+    (bayes_single, "task", None),
+    (bayes_two, "task", None),
 ]
 
 
@@ -182,7 +218,9 @@ def test_a_refused_argument_is_named(call, field, bad):
     # empty selector list IndexError, and width returned n_e for any stage; a
     # two-expert task without lower costs passed as vacuous, a 3-wide hinge
     # row had a least, a target surrogate checked itself, a shape or a seed of
-    # another type raised AttributeError or TypeError, and "no" standardized
+    # another type raised AttributeError or TypeError, and "no" standardized;
+    # a 0-d weight had a least of 0, a profile or a task of another type raised
+    # AttributeError, and a scorer wrote any seed into its JSON
     call()
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         call(**{field: bad})
@@ -212,8 +250,10 @@ def test_check_array_returns_a_float_array_of_numbers_in_range():
 
 
 # (module, function) -> how many np.isfinite calls it may make: the array rule,
-# the verdict rule and the trainer's two checks of its losses
-_ISFINITE = {("losses", "check_array"): 1, ("oracles", "_holds"): 1, ("models", "train"): 2}
+# the verdict rule and the trainer's two checks of its losses, one on each step
+# and one on each evaluation
+_ISFINITE = {("losses", "check_array"): 1, ("oracles", "_holds"): 1, ("models", "_descend"): 1,
+             ("models", "train"): 1}
 
 
 def test_isfinite_appears_only_in_the_array_rule_the_verdict_rule_and_train():

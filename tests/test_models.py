@@ -187,22 +187,74 @@ def test_train_matches_reference_loop(selector, model, optimizer, batch_size):
     np.testing.assert_array_equal(traj, want_traj)
 
 
-@pytest.mark.parametrize("batch_size,calls", [("full", 5 + 1), (16, 5 * (4 + 1))])
+# per selector of SELECTORS, the other model of a two-model stack: a baseline
+# beside the comp-sum surrogate, another q, the same phi
+_PARTNER = {"surrogate_single": LossSelector("baseline_mao", psi=PsiSpec(q=0.0)),
+            "two_stage_psi": LossSelector("two_stage_psi", psi=PsiSpec(q=1.0)),
+            "two_stage_phi": LossSelector("two_stage_phi", phi=PhiSpec(PhiKind.LOGISTIC))}
+
+
+@pytest.mark.parametrize("batch_size", [16, 21])
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("selector", SELECTORS, ids=lambda s: s.name)
+def test_minibatch_evaluation_makes_no_gradient_call_and_keeps_its_bits(monkeypatch, selector,
+                                                                         stacked, model,
+                                                                         batch_size):
+    # 64 rows: batches of 16 make four steps an epoch, of 21 a last step of 1
+    ds = small_single_dataset() if selector.stage == "single" else small_two_dataset()
+    width = ds.shape.width(ds.stage)
+    seeds = (8, 11) if stacked else (8,)
+    selectors = [selector, _PARTNER[selector.name]][:len(seeds)]
+    scorers = [init_linear(4, width, seed) if model == "linear" else init_mlp(4, 6, width, seed)
+               for seed in seeds]
+    configs = [TrainConfig(learning_rate=0.5, epochs=4, seed=seed, optimizer="momentum",
+                           batch_size=batch_size) for seed in seeds]
+    # the reference loop discards each evaluation's gradient
+    wants = [reference_train(*args) for args in zip(scorers, [ds] * len(seeds), selectors,
+                                                       configs)]
+    rows, original = [], models.loss_and_grad
+
+    def counting(sel, *args):
+        rows.append(len(args[0]))
+        return original(sel, *args)
+
+    monkeypatch.setattr(models, "loss_and_grad", counting)
+    if stacked:
+        fitted, traj = train(scorers, ds, selectors, configs)
+    else:
+        fitted, traj = train(scorers[0], ds, selector, configs[0])
+        fitted, traj = [fitted], traj[:, None]
+    # every call is a step; no evaluation asks for a gradient
+    assert rows == [batch_size, batch_size, batch_size, 64 - 3 * batch_size] * 4
+    for s, (want, want_traj) in enumerate(wants):
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(fitted[s].params(), want.params()))
+        assert traj[:, s].tobytes() == want_traj.tobytes()
+
+
+@pytest.mark.parametrize("batch_size,calls", [("full", 5 + 1), (16, 5 * 4)])
 def test_full_batch_epoch_makes_one_loss_grad_call(monkeypatch, batch_size, calls):
-    counted = []
-    original = models.loss_and_grad
+    counted, values = [], []
+    original, value_kernel = models.loss_and_grad, losses.surrogate_single_batch
 
     def counting(selector, *args):
         counted.append(len(args[0]))
         return original(selector, *args)
 
+    def counting_values(scores, *args):
+        values.append(len(scores))
+        return value_kernel(scores, *args)
+
     monkeypatch.setattr(models, "loss_and_grad", counting)
+    monkeypatch.setattr(losses, "surrogate_single_batch", counting_values)
     ds = small_single_dataset()
     train(init_linear(4, 5, seed=9), ds, LossSelector("surrogate_mae"),
           TrainConfig(epochs=5, seed=9, batch_size=batch_size))
-    # full batch: one evaluation before the first step and one per epoch;
-    # minibatch: four 16-row steps and one evaluation per epoch
+    # full batch: one evaluation before the first step and one per epoch, each
+    # a loss+grad call; minibatch: four 16-row loss+grad steps per epoch, and
+    # each epoch's evaluation takes the values alone from the value kernel
     assert len(counted) == calls
+    assert values == ([] if batch_size == "full" else [len(ds)] * 5)
 
 
 @pytest.mark.parametrize("batch_size", ["full", 16])
@@ -238,11 +290,11 @@ def test_train_without_trajectory_keeps_the_last_row(monkeypatch, stacked, model
     assert traj.tobytes() == want_traj[-1:].tobytes()
     for a, b in zip(got if stacked else [got], want if stacked else [want]):
         assert all(p.tobytes() == q.tobytes() for p, q in zip(a.params(), b.params()))
-    # a minibatch run evaluates each model once, after its last epoch; a
-    # full-batch run still scores every row before each step
+    # a minibatch run evaluates each model once, after its last epoch, with
+    # no loss+grad call; a full-batch run still scores every row before each step
     evals = 4 if batch_size == "full" else 1
     assert counted == {"targets": len(seeds) * evals,
-                       "full_loss_grad": len(seeds) * (evals + (batch_size == "full"))}
+                       "full_loss_grad": len(seeds) * (evals + 1) if batch_size == "full" else 0}
 
 
 # per stack kind, the selectors its models take in turn: q = 1 beside a q in

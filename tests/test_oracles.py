@@ -35,8 +35,6 @@ from deferkit.oracles import (
 )
 from deferkit.synthdata import gen_random_discrete_task
 from numeric_minima import (
-    _project_simplex,
-    _project_simplex_rows,
     grid_min_simplex,
     numeric_min_two_stage_psi,
     numeric_min_two_stage_psi_scalar,
@@ -124,9 +122,6 @@ def test_batched_psi_minimizer_matches_the_scalar_reference():
                 # bit for bit: a changed step rule that converges to the same
                 # minimum still moves the last bits
                 assert got == numeric_min_two_stage_psi_scalar(qbar, psi), (q, n_e)
-    rows = g.standard_normal((50, 4)) * 3
-    for v, got in zip(rows, _project_simplex_rows(rows)):
-        np.testing.assert_allclose(got, _project_simplex(v), rtol=0, atol=1e-15)
 
 
 def test_mae_conditional_min_degenerate():
