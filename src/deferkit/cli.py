@@ -82,27 +82,51 @@ def _cells(column) -> tuple[str, list]:
 
 
 def _write_csv(path: Path, header: list[str], blocks: Iterable[Sequence]) -> None:
-    """Writes the header, then each block's rows as the block comes.
+    """Writes the header, then each block's rows as the block comes. If
+    anything fails once the file is open, the file is deleted, so a failed
+    run leaves no partial CSV.
 
     A block is a sequence of two or more columns: sequences of one length,
     each of floats, of integers or of strings, or a str that fills its
-    column. Every block is formatted in one pass and written before the
-    next is read."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_quote, header)) + "\n")
-        for block in blocks:
-            templates, columns = [], []
-            for column in block:
-                if isinstance(column, str):
-                    templates.append(_quote(column).replace("%", "%%"))
-                else:
-                    template, values = _cells(column)
-                    templates.append(template)
-                    columns.append(values)
-            if len({len(values) for values in columns}) != 1:
-                raise ValueError("a block needs columns of values, all of one length")
-            row = ",".join(templates) + "\n"
-            fh.write(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
+    column. A block is read only after the one before it is written, and is
+    formatted ``_SLICE_ROWS`` rows at a time."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(map(_quote, header)) + "\n")
+            for block in blocks:
+                _write_block(fh, block)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+# rows formatted at once: only one slice's Python values and text exist at a
+# time, whatever the length of the block
+_SLICE_ROWS = 2048
+
+
+def _write_block(fh, block: Sequence) -> None:
+    """Writes one block's rows; each column keeps one template in every slice."""
+    lengths = {len(column) for column in block if not isinstance(column, str)}
+    if len(lengths) != 1:
+        raise ValueError("a block needs columns of values, all of one length")
+    first = None
+    for start in range(0, lengths.pop(), _SLICE_ROWS):
+        templates, columns = [], []
+        for column in block:
+            if isinstance(column, str):
+                templates.append(_quote(column).replace("%", "%%"))
+            else:
+                template, values = _cells(column[start:start + _SLICE_ROWS])
+                templates.append(template)
+                columns.append(values)
+        first = first or templates
+        if templates != first:
+            raise ValueError("a column holds floats, integers or strings alone, "
+                             "in every slice of its block")
+        row = ",".join(templates) + "\n"
+        fh.write(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,14 +321,14 @@ _VERIFY_FAMILIES = {
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config, "verify")
-    checked: list[tuple[str, list]] = []   # per family: (task indices, report) per check
-    # families with the same generator arguments check the same tasks
-    tasks = {}
+    # every task is drawn before the CSV opens, so a bound that a family cannot
+    # draw under writes nothing; families with the same generator arguments
+    # check the same tasks
+    tasks, family_tasks = {}, []
     for family in cfg["families"]:
-        stage, ne_cap, check = _VERIFY_FAMILIES[family]
+        stage, ne_cap, _ = _VERIFY_FAMILIES[family]
         constraint = "none" if stage == "single" else "theorem7_premise"
         ne_max = cfg["ne_max"] if ne_cap is None else ne_cap
-        groups, family_checks = {}, []
         for i in range(cfg["num_tasks"]):
             key = (constraint, ne_max, i)
             if key not in tasks:
@@ -314,31 +338,33 @@ def cmd_verify(args) -> int:
                         k_max=cfg["k_max"], constraint=constraint)
                 except ValueError as exc:   # a bound that the family cannot draw under
                     raise ConfigError(str(exc)) from exc
-            task = tasks[key]
-            # one draw (the numbers of a draw per hypothesis) per task
-            g = rng.substream(args.seed, f"verify-{family}", i)
-            scores = g.standard_normal((cfg["hyps_per_task"], task.num_points,
-                                        task.shape.width(stage)))
-            groups.setdefault((task.num_points, task.shape), []).append((i, task, scores))
-        # one check for all the tasks of a shape and all their hypotheses
-        for members in groups.values():
-            index, group, scores = zip(*members)
-            family_checks.append((index, check(DiscreteTask.stack(group),
-                                               TabularHypothesis(np.stack(scores)))))
-        checked.append((family, family_checks))
+        family_tasks.append((family, [tasks[constraint, ne_max, i]
+                                      for i in range(cfg["num_tasks"])]))
     violations: list[int] = []
     _write_csv(Path(args.out), ["family", "task_id", "point", "lhs", "rhs", "slack", "verdict"],
-               _verify_blocks(checked, cfg["hyps_per_task"], violations))
+               _verify_blocks(args.seed, family_tasks, cfg["hyps_per_task"], violations))
     return 3 if sum(violations) else 0
 
 
-def _verify_blocks(checked, hyps: int, violations: list[int]):
-    """One CSV block per family from the table of each of its checks, its rows
-    in task, hypothesis, point order; appends each family's count of
-    violation rows to ``violations``."""
-    for family, family_checks in checked:
+def _verify_blocks(seed: int, family_tasks, hyps: int, violations: list[int]):
+    """One CSV block per family, its rows in task, hypothesis, point order. A
+    family's hypotheses are drawn and checked only when its block is asked
+    for, so one family's reports exist at a time; appends each family's count
+    of violation rows to ``violations``."""
+    for family, tasks in family_tasks:
+        stage, _, check = _VERIFY_FAMILIES[family]
+        groups = {}
+        for i, task in enumerate(tasks):
+            groups.setdefault((task.num_points, task.shape), []).append(i)
         tables, order = [], []
-        for index, report in family_checks:
+        # one check for all the tasks of a shape and all their hypotheses, each
+        # task's hypotheses one draw
+        for index in groups.values():
+            group = [tasks[i] for i in index]
+            size = (hyps, group[0].num_points, group[0].shape.width(stage))
+            scores = [rng.substream(seed, f"verify-{family}", i).standard_normal(size)
+                      for i in index]
+            report = check(DiscreteTask.stack(group), TabularHypothesis(np.stack(scores)))
             points, *columns = report.table()    # each (T, H, K + 1)
             ids = [f"task{i}_h{h}" for i in index for h in range(hyps)]
             tables.append([np.repeat(ids, points.shape[-1]), points.ravel()]

@@ -8,6 +8,7 @@ consumed, which keeps parallel corpus generation deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -31,8 +32,25 @@ def derive_seed(master_seed: int, tag: str, index: int = 0) -> int:
     return int.from_bytes(_digest(master_seed, tag, index)[:8], "little")
 
 
+@functools.cache   # built on first use: importing the package leaves numpy.random unloaded
+def _key_sequence() -> type:
+    """A seed sequence that hands Philox its two 64-bit key words as they are.
+    ``Philox(key=...)`` also builds a SeedSequence from OS entropy that the
+    stream never uses; this builds the same stream without that read."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return KeySequence
+
+
 def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
-    """Return an independent Philox stream for (master_seed, tag, index)."""
-    d = _digest(master_seed, tag, index)
-    key = int.from_bytes(d[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    """Return an independent Philox stream for (master_seed, tag, index): its key
+    is the first 16 digest bytes read as a little-endian integer."""
+    words = np.frombuffer(_digest(master_seed, tag, index), "<u8", 2)
+    return np.random.Generator(np.random.Philox(_key_sequence()(words)))

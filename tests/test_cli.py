@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -612,16 +613,79 @@ def test_write_csv_matches_the_row_writer(tmp_path_factory, case):
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
+def test_write_csv_matches_the_row_writer_across_slices(tmp_path):
+    # 2 slices and 1 row: every column's template holds in every slice, and a
+    # quoted string may sit in any slice
+    size = 2 * cli._SLICE_ROWS + 1
+    g = np.random.default_rng(3)
+    floats = g.standard_normal(size) * 10.0 ** g.integers(-300, 300, size)
+    ints = g.integers(-2**63, 2**63 - 1, size)
+    words = ["plain", 'a "quote"', "com,ma", "line\nbreak", "%s%%"]
+    text = [words[i] for i in g.integers(0, len(words), size)]
+    text[-1] = "tail, quoted"
+    blocks = [["const", floats, ints, text], [floats[:5].tolist(), "x,y", ints[:5], text[:5]]]
+    rows = [("const", f, i, t) for f, i, t in zip(floats.tolist(), ints.tolist(), text)]
+    rows += [(f, "x,y", i, t) for f, i, t in zip(floats[:5].tolist(), ints[:5].tolist(), text)]
+    header = ["a", "b", "c", "d"]
+    reference_write_csv(tmp_path / "want.csv", header, rows)
+    cli._write_csv(tmp_path / "got.csv", header, blocks)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _writer_peak(path, slices):
+    """The writer's traced peak above its baseline on one block of ``slices``
+    slices; the block is built before tracing starts."""
+    size = slices * cli._SLICE_ROWS
+    block = ["family", np.arange(size) * 0.1, np.arange(size), np.repeat(["ok"], size)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write_csv(path, ["a", "b", "c", "d"], [block])
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_slice_at_a_time(tmp_path):
+    # the writer's memory is one slice's values and text, whatever the block's
+    # length; a block formatted in one pass needs about 8 times more at 64
+    # slices than at 8
+    small, large = _writer_peak(tmp_path / "s.csv", 8), _writer_peak(tmp_path / "l.csv", 64)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_verify_failing_after_its_first_family_leaves_no_file(tmp_path, monkeypatch):
+    # the CSV is open, with the first family's block written to it, when the
+    # second family's checks run; a failure there deletes the file rather
+    # than leave a partial CSV
+    opened = []
+
+    def broken(task, hyp, q):
+        opened.append(out.exists())
+        raise RuntimeError("broken verifier")
+
+    monkeypatch.setattr(cli, "verify_bound_two_stage", broken)
+    cfg = write(tmp_path / "v.json", {"version": 1, "num_tasks": 3, "hyps_per_task": 2})
+    out = tmp_path / "bounds.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert opened == [True] and not out.exists()
+
+
 def test_write_csv_quotes_a_carriage_return(tmp_path):
     cli._write_csv(tmp_path / "r.csv", ["a\rb", "c"], [(["x\r"], np.array([1]))])
     assert (tmp_path / "r.csv").read_bytes() == b'"a\rb",c\n"x\r",1\n'
 
 
 def test_write_csv_rejects_mixed_or_ragged_columns(tmp_path):
+    # a column of integers whose last slice holds a float fails after the first
+    # slice is written, and the file goes with it
+    across = [[1] * cli._SLICE_ROWS + [2.0], [0] * (cli._SLICE_ROWS + 1)]
     for block, match in [([[1, 2.0], [1, 2]], "alone"), ([["a", 1], [1, 2]], "alone"),
-                         ([[1, 2], [1.0]], "of one length"), (["a", "b"], "of one length")]:
+                         ([[1, 2], [1.0]], "of one length"), (["a", "b"], "of one length"),
+                         (across, "alone")]:
         with pytest.raises(ValueError, match=match):
             cli._write_csv(tmp_path / "x.csv", ["a", "b"], [block])
+        assert not (tmp_path / "x.csv").exists()
 
 
 def reference_sweep_cell(master_seed, method, size, trial, mog, epochs,
@@ -683,9 +747,11 @@ def test_sweep_draws_each_size_and_trial_once(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # only a sweep with --jobs > 1 imports it; every other run skips that cost
+    # only a sweep with --jobs > 1 imports it; every other run skips that cost.
+    # numpy.random loads with the first random stream, not with the package
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, deferkit.cli; print('multiprocessing' in sys.modules)"
+    code = ("import sys, deferkit.cli; "
+            "print('multiprocessing' in sys.modules, 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -59,6 +59,10 @@ def psi_least(w=np.array([0.5, 0.3])):
     return PsiSpec(0.5).least(w)
 
 
+def psi(q=0.5):
+    return PsiSpec(q=q)
+
+
 def phi_least(e=np.array([0.2, 0.6])):
     return PhiSpec(PhiKind.HINGE).least(e)
 
@@ -200,6 +204,10 @@ _REFUSED = [
     (discrete, "index", 0.5),
     (TrainConfig, "seed", "x"),
     (TrainConfig, "standardize", "no"),
+    # the power form cancels below q = 1e-8; q = 0 is the log form
+    (psi, "q", 1e-9),
+    (psi, "q", 1e-300),
+    (psi, "q", 5e-324),
     (psi_least, "w", 0.3),
     (psi_least, "w", np.zeros((2, 0))),
     (noise_lemma, "profile", None),

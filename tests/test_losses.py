@@ -151,6 +151,13 @@ def test_psi_spec_validation():
             PsiSpec(q=q)
 
 
+@given(q=st.floats(0.0, 1e-8, exclude_min=True, exclude_max=True, allow_subnormal=True))
+def test_psi_spec_refuses_a_power_below_its_floor(q):
+    # (1 - u**q) / q cancels below q = 1e-8, and is 0 at q = 1e-300; q = 0 is the log form
+    with pytest.raises(ValueError, match=r"^q must be 0 \(the log form\) or at least 1e-8,"):
+        PsiSpec(q=q)
+
+
 def test_surrogate_mae_is_q1_alias():
     g = np.random.default_rng(0)
     shape = ProblemShape(3, 2)
@@ -391,15 +398,14 @@ _REFERENCE_U = [0.0, 1e-13, 1e-12, 0.5, 1.0, 1.5, np.nan]
 
 
 @settings(max_examples=200, deadline=None)
-@given(q=st.one_of(st.sampled_from([0.0, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)),
+@given(q=st.one_of(st.sampled_from([0.0, 1e-8, 0.5, 0.7, 1.0]), st.floats(1e-8, 1.0)),
        u=st.lists(st.one_of(st.sampled_from(_REFERENCE_U), st.floats(-2.0, 3.0)), max_size=16))
 def test_psi_spec_keeps_the_bits_of_its_own_formulas(q, u):
     # PsiSpec's value and deriv, which its comp-sum column computes, keep the
-    # bits of the reference formulas
+    # bits of the reference formulas, at q = 0 and over the powers it accepts
     psi, u = PsiSpec(q=q), np.array(u + _REFERENCE_U)
-    with np.errstate(over="ignore"):         # a subnormal q overflows both alike
-        pairs = ((psi.value(u), scalar_forms.psi_value_reference(psi, u)),
-                 (psi.deriv(u), scalar_forms.psi_deriv_reference(psi, u)))
+    pairs = ((psi.value(u), scalar_forms.psi_value_reference(psi, u)),
+             (psi.deriv(u), scalar_forms.psi_deriv_reference(psi, u)))
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
